@@ -11,9 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -24,7 +22,6 @@ from .dynamics import (
     bound_check,
     displacement_bracket,
     growth_report,
-    lipschitz_constant,
     relative_length_function,
     spectral_growth_rate,
     tree_length_function,
@@ -32,7 +29,7 @@ from .dynamics import (
 from .errors import InputError, NonConvergenceError, ResourceLimitError
 from .examples import BUNDLED, bundled_text
 from .free_product import Word, word_str
-from .graph_map import rescale_family, verify_representative
+from .graph_map import verify_representative
 from .document import parse_word
 from .legality import classify_turns, verify_rtt, verify_train_track
 from .graph_of_groups import MarkedMetricGraph
@@ -232,10 +229,18 @@ def growth(input_arg, element, iterations, length_kind, guard, fmt):
 
 
 def _grid(n_grid: str) -> list[float]:
+    """Parse a comma-separated N grid; displacement_bracket rejects empty and bad values."""
     try:
         return [float(x) for x in n_grid.split(",") if x.strip()]
     except ValueError:
         raise InputError(f"bad N grid '{n_grid}'")
+
+
+def _lipschitz_rows(doc: InputDocument, rpt) -> list[dict]:
+    return [
+        {"N": n, "lipschitz": lip, "witness_edge": doc.graph.edge_names[w]}
+        for n, lip, w in rpt.lipschitz
+    ]
 
 
 @main.command()
@@ -252,10 +257,7 @@ def displacement(input_arg, n_grid, iterations, sample, fmt):
         rep = _require_verified(doc)
         words = _parse_sample(doc, sample)
         rpt = displacement_bracket(rep, _grid(n_grid), iterations, words)
-        rows = [
-            {"N": n, "lipschitz": lip, "witness_edge": doc.graph.edge_names[w]}
-            for n, lip, w in rpt.lipschitz
-        ]
+        rows = _lipschitz_rows(doc, rpt)
         record = {"input": doc.name, **rpt.to_record()}
         text = [
             f"bracket [{rpt.lower!r}, {rpt.upper!r}]  width {rpt.width!r}",
@@ -370,18 +372,7 @@ def sweep(input_arg, n_grid, fmt):
     def run():
         doc = _load(input_arg)
         rep = _require_verified(doc)
-        grid = _grid(n_grid)
-        threads = int(os.environ.get("OUTGROWTH_THREADS", "1"))
-
-        def row(N):
-            lip, witness = lipschitz_constant(rep, rescale_family(rep, N))
-            return {"N": N, "lipschitz": lip, "witness_edge": doc.graph.edge_names[witness]}
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(row, grid))
-        else:
-            rows = [row(N) for N in grid]
+        rows = _lipschitz_rows(doc, displacement_bracket(rep, _grid(n_grid)))
         record = {"input": doc.name, "rows": rows}
         text = [f"  N={r['N']!r}  Lip={r['lipschitz']!r}  edge {r['witness_edge']}" for r in rows]
         _emit(fmt, "sweep", record, rows, text)

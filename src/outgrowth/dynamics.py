@@ -14,7 +14,9 @@ The displacement bracket squeezes the minimal Lipschitz displacement
 between a certified lower bound from growth estimates and the smallest
 Lipschitz constant over the rescaled metric family, whose stratum r is
 scaled by N^r; as N grows those constants descend toward the top stratum
-eigenvalue.
+eigenvalue.  Lipschitz constants and stratum-interaction coefficients are
+read off the transition matrix M: images have lengths L @ M on edge
+lengths L, and stratum lengths W @ M on the stratum weight matrix W.
 """
 
 from __future__ import annotations
@@ -28,12 +30,7 @@ import numpy as np
 from .errors import InputError, ResourceLimitError
 from .free_product import Automorphism, Word, relative_conjugacy_length
 from .graph_of_groups import LENGTH_TOL, MarkedMetricGraph, cyclically_reduce
-from .graph_map import (
-    TopologicalRepresentative,
-    assign_pf_metric,
-    r_length,
-    rescale_family,
-)
+from .graph_map import TopologicalRepresentative, assign_pf_metric, crossing_counts
 
 WORD_GUARD = 10**6  # syllable guard for automorphism iteration
 
@@ -205,20 +202,15 @@ def lipschitz_constant(
 
     The map is linear on edges, so this maximum is the Lipschitz constant
     of the induced map on the given metric (default: the representative's
-    own graph metric).
+    own graph metric).  The witness is the first edge attaining it.
     """
     graph = metric if metric is not None else rep.graph
-    best = None
-    witness = -1
-    for m in range(graph.n_edges):
-        image_len = sum(graph.dart_length(d) for d, _ in rep.edge_images[m].steps)
-        ratio = image_len / graph.lengths[m]
-        if best is None or ratio > best:
-            best = ratio
-            witness = m
-    if best is None:
+    if not graph.n_edges:
         raise InputError("graph has no edges")
-    return best, witness
+    lengths = np.array(graph.lengths)
+    ratios = (lengths @ rep.strata().matrix) / lengths
+    witness = int(ratios.argmax())
+    return float(ratios[witness]), witness
 
 
 def stretch_lower_bound(
@@ -301,11 +293,30 @@ def displacement_bracket(
     The upper side minimises the Lipschitz constant over the N-grid of
     rescaled eigenvector metrics.  The lower side takes the largest
     *converged* growth estimate over the hyperbolic sample, floored at 1
-    (always valid); unconverged estimates are reported but not trusted as
-    bounds.
+    (always valid) and capped at the upper side.  Unconverged estimates,
+    and converged ones above upper * (1 + tolerance), which growth cannot
+    reach, are reported but not trusted as bounds.
     """
     dec = rep.strata()
+    grid = np.array(n_grid, dtype=float)
+    if not grid.size or not (np.isfinite(grid) & (grid > 0)).all():
+        raise InputError("the N grid must be nonempty, with every N finite and positive")
     base = assign_pf_metric(rep, 1.0, zero_length)
+    # Lip(f_N) on edge e is sum_i M[i, e] N^s(i) L[i] / (N^s(e) L[e]) with L the
+    # unscaled metric and s the stratum; images only descend, so s(i) - s(e) <= 0
+    # and N^r itself, which leaves the float range on long filtrations, is never formed.
+    lengths = np.array(base.lengths)
+    stratum = np.array(dec.stratum_of)
+    i, e = np.nonzero(dec.matrix)
+    with np.errstate(over="ignore"):  # N < 1 can overflow; the check below reports it
+        terms = dec.matrix[i, e] * lengths[i] / lengths[e] * grid[:, None] ** (stratum[i] - stratum[e])
+    ratios = np.zeros((grid.size, lengths.size))
+    np.add.at(ratios.T, e, terms.T)
+    witness = ratios.argmax(axis=1)
+    lips = ratios[np.arange(grid.size), witness]
+    if not np.isfinite(lips).all():
+        raise InputError("Lipschitz constants on this N grid leave the float range")
+    upper = float(lips.min())
     length = tree_length_function(base)
     reports = []
     lower = 1.0
@@ -314,28 +325,22 @@ def displacement_bracket(
             continue
         rpt = growth_report(rep.automorphism, g, length, iterations, tolerance)
         reports.append(rpt)
-        if rpt.converged and rpt.estimate > lower:
-            lower = rpt.estimate
-    lip_rows = []
-    for N in n_grid:
-        metric = rescale_family(rep, N, zero_length)
-        lip, witness = lipschitz_constant(rep, metric)
-        lip_rows.append((float(N), lip, witness))
-    upper = min(lip for _, lip, _ in lip_rows)
-    upper_at = min(n for n, lip, _ in lip_rows if lip == upper)
-    monotone = all(
-        lip_rows[i + 1][1] <= lip_rows[i][1] * (1 + 1e-12) for i in range(len(lip_rows) - 1)
-    )
+        if not rpt.converged:
+            continue
+        if rpt.estimate > upper * (1 + tolerance):
+            rpt.note += "; above the Lipschitz upper side, not used as a lower bound"
+        else:
+            lower = max(lower, rpt.estimate)
     return DisplacementReport(
-        [float(N) for N in n_grid],
-        lip_rows,
-        lower,
+        grid.tolist(),
+        [(float(N), float(lip), int(w)) for N, lip, w in zip(grid, lips, witness)],
+        min(lower, upper),
         upper,
-        upper_at,
+        float(grid[lips == upper].min()),
         dec.top_eigenvalue,
         dec.top_stratum,
         reports,
-        monotone,
+        bool((lips[1:] <= lips[:-1] * (1 + 1e-12)).all()),
         iterations,
         tolerance,
     )
@@ -356,17 +361,10 @@ def coefficient_matrix(
     """
     dec = rep.strata()
     metric = metric if metric is not None else assign_pf_metric(rep, 1.0)
-    m = dec.count
-    A = np.zeros((m, m))
-    for s in dec.strata:
-        i = s.index
-        for e in s.edges:
-            denom = metric.lengths[e]
-            image = rep.edge_images[e]
-            for r in range(1, m + 1):
-                val = r_length(rep, image, r) / denom
-                if val > A[r - 1, i - 1]:
-                    A[r - 1, i - 1] = val
+    A = np.zeros((dec.count, dec.count))
+    ratios = (dec.weight_matrix @ dec.matrix) / np.array(metric.lengths)
+    # column i of A takes the maximum over the edges of stratum i
+    np.maximum.at(A.T, np.array(dec.stratum_of) - 1, ratios.T)
     return A
 
 
@@ -471,14 +469,16 @@ def bound_check(
                 "ok": good,
             }
         )
-    # single-step inequality per stratum, on fundamental-domain loops
+    # single-step inequality per stratum, on fundamental-domain loops; A is upper
+    # triangular, so row r of A @ L(g) only sums over strata i >= r
     core0, _ = cyclically_reduce(metric.loop_of_element(g))
     core1, _ = cyclically_reduce(metric.loop_of_element(rep.automorphism.apply(g)))
-    stratum_rows = []
-    for r in range(1, m + 1):
-        lhs = float(r_length(rep, core1, r))
-        rhs = float(sum(A[r - 1, i - 1] * r_length(rep, core0, i) for i in range(r, m + 1)))
-        good = lhs <= rhs * slack + LENGTH_TOL * 1e-3
-        ok = ok and good
-        stratum_rows.append({"stratum": r, "lhs": lhs, "rhs": rhs, "ok": good})
+    W = dec.weight_matrix
+    lhs = W @ crossing_counts(core1)
+    rhs = A @ (W @ crossing_counts(core0))
+    stratum_rows = [
+        {"stratum": r, "lhs": float(x), "rhs": float(y), "ok": bool(x <= y * slack + LENGTH_TOL * 1e-3)}
+        for r, (x, y) in enumerate(zip(lhs, rhs), start=1)
+    ]
+    ok = ok and all(row["ok"] for row in stratum_rows)
     return BoundReport(g, A, product_bound, mu, base, rows, stratum_rows, ok, iterations)

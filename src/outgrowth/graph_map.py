@@ -31,6 +31,7 @@ from .graph_of_groups import (
     GraphPath,
     MarkedMetricGraph,
     Violation,
+    join_path,
     reduce_path,
     validate_graph,
 )
@@ -90,27 +91,16 @@ class TopologicalRepresentative:
     def map_path(self, p: GraphPath) -> GraphPath:
         """Image path (not reduced): darts to their image paths, elements twisted."""
         g = self.graph
-        start = self.vertex_images[p.start]
-        prefix = self.image_element(p.start, p.prefix)
-        steps: list[tuple[int, int]] = []
 
-        def extend(seg_prefix: int, seg_steps: tuple[tuple[int, int], ...]) -> None:
-            nonlocal prefix
-            if seg_prefix:
-                if steps:
-                    d, e = steps[-1]
-                    steps[-1] = (d, g.vertex_mul(g.dart_head(d), e, seg_prefix))
-                else:
-                    prefix = g.vertex_mul(start, prefix, seg_prefix)
-            steps.extend(seg_steps)
+        def segments():
+            yield self.image_element(p.start, p.prefix), ()
+            for d, e in p.steps:
+                img = self.image_dart(d)
+                yield img.prefix, img.steps
+                if e:
+                    yield self.image_element(g.dart_head(d), e), ()
 
-        for d, e in p.steps:
-            img = self.image_dart(d)
-            extend(img.prefix, img.steps)
-            fe = self.image_element(g.dart_head(d), e)
-            if fe:
-                extend(fe, ())
-        return GraphPath(g, start, prefix, tuple(steps))
+        return join_path(g, self.vertex_images[p.start], segments())
 
     # -- strata -------------------------------------------------------------
 
@@ -213,13 +203,18 @@ def verify_representative(rep: TopologicalRepresentative) -> list[Violation]:
 # -- transition matrix and strata ---------------------------------------------
 
 
+def crossing_counts(path: GraphPath) -> np.ndarray:
+    """Unoriented edge crossings of a path: entry i counts edge i."""
+    darts = np.fromiter((d for d, _ in path.steps), dtype=np.int64, count=len(path.steps))
+    return np.bincount(darts >> 1, minlength=path.graph.n_edges)
+
+
 def transition_matrix(rep: TopologicalRepresentative) -> np.ndarray:
     """Unoriented crossing counts: entry (i, j) counts edge i in the image of edge j."""
     n = rep.graph.n_edges
     M = np.zeros((n, n), dtype=np.int64)
     for j, path in enumerate(rep.edge_images):
-        for d, _ in path.steps:
-            M[d >> 1, j] += 1
+        M[:, j] = crossing_counts(path)
     return M
 
 
@@ -240,6 +235,8 @@ class StrataDecomposition:
     stratum_of: tuple[int, ...]  # per geometric edge, 1-based stratum index
     top_eigenvalue: float | None = None
     top_stratum: int | None = None
+    # strata x edges: row r-1 holds stratum r's eigenvector weights, zero elsewhere
+    weight_matrix: np.ndarray | None = None
 
     @property
     def count(self) -> int:
@@ -354,6 +351,7 @@ def stratify(M: np.ndarray) -> StrataDecomposition:
 
 def attach_eigendata(dec: StrataDecomposition) -> StrataDecomposition:
     """Fill per-stratum Perron-Frobenius eigenvalues and eigenvector weights."""
+    W = np.zeros((dec.count, dec.matrix.shape[0]))
     for s in dec.strata:
         if not s.growing:
             s.eigenvalue = 0.0
@@ -362,6 +360,8 @@ def attach_eigendata(dec: StrataDecomposition) -> StrataDecomposition:
         value, vec = pf_eigen(s.block)
         s.eigenvalue = value
         s.weights = {e: float(vec[i]) for i, e in enumerate(s.edges)}
+        W[s.index - 1, list(s.edges)] = vec
+    dec.weight_matrix = W
     best = max(s.eigenvalue for s in dec.strata)
     dec.top_eigenvalue = best
     dec.top_stratum = max(s.index for s in dec.strata if s.eigenvalue == best)
@@ -451,10 +451,7 @@ def r_length(rep: TopologicalRepresentative, path: GraphPath, r: int) -> float:
     dec = rep.strata()
     if not 1 <= r <= dec.count:
         raise InputError(f"no stratum {r}")
-    weights = dec.strata[r - 1].weights
-    if weights is None:
-        return 0.0
-    return sum(weights.get(d >> 1, 0.0) for d, _ in path.steps)
+    return float(dec.weight_matrix[r - 1] @ crossing_counts(path))
 
 
 def assign_pf_metric(

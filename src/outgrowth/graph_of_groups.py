@@ -96,14 +96,7 @@ class GraphPath:
             raise InputError("paths live on different graphs")
         if other.start != self.end:
             raise InputError("path endpoints do not match")
-        g = self.graph
-        if not self.steps:
-            prefix = g.vertex_mul(self.start, self.prefix, other.prefix)
-            return GraphPath(g, self.start, prefix, other.steps)
-        d, e = self.steps[-1]
-        joined = g.vertex_mul(other.start, e, other.prefix)
-        steps = self.steps[:-1] + ((d, joined),) + other.steps
-        return GraphPath(g, self.start, self.prefix, steps)
+        return join_path(self.graph, self.start, ((self.prefix, self.steps), (other.prefix, other.steps)))
 
     def inverse(self) -> GraphPath:
         g = self.graph
@@ -126,6 +119,31 @@ class GraphPath:
 
     def reduced(self) -> GraphPath:
         return reduce_path(self)
+
+
+def join_path(
+    graph: MarkedMetricGraph,
+    start: int,
+    segments: Iterable[tuple[int, tuple[tuple[int, int], ...]]],
+) -> GraphPath:
+    """Concatenate ``(element, steps)`` segments at ``start`` (not reduced).
+
+    Each segment's leading element multiplies into the element after the
+    last dart joined so far, or into the prefix while there is none;
+    segments must follow on from one another, which is not checked.
+    """
+    prefix = 0
+    steps: list[tuple[int, int]] = []
+    extend = steps.extend  # bound once: this loop is the inner loop of marking and mapping
+    for elem, seg in segments:
+        if elem:
+            if steps:
+                d, e = steps[-1]
+                steps[-1] = (d, graph.vertex_mul(graph.dart_head(d), e, elem))
+            else:
+                prefix = graph.vertex_mul(start, prefix, elem)
+        extend(seg)
+    return GraphPath(graph, start, prefix, tuple(steps))
 
 
 def reduce_path(p: GraphPath) -> GraphPath:
@@ -310,29 +328,22 @@ class MarkedMetricGraph:
 
     def loop_of_element(self, w: Word) -> GraphPath:
         """Reduced loop at the base representing the marked image of w."""
-        prefix = 0
-        steps: list[tuple[int, int]] = []
 
-        def extend(p: GraphPath) -> None:
-            nonlocal prefix
-            if p.prefix:
-                if steps:
-                    d, e = steps[-1]
-                    steps[-1] = (d, self.vertex_mul(self.dart_head(d), e, p.prefix))
+        free, factor = self.free_marking, self.factor_marking
+
+        def segments():
+            for tag, x, y in w.syllables:
+                if tag == FREE:
+                    loop = free[x] if y == 1 else free[x].inverse()
+                    yield loop.prefix, loop.steps
                 else:
-                    prefix = self.vertex_mul(self.base, prefix, p.prefix)
-            steps.extend(p.steps)
+                    path = factor[x]
+                    back = path.inverse()
+                    yield path.prefix, path.steps
+                    yield y, ()
+                    yield back.prefix, back.steps
 
-        for tag, x, y in w.syllables:
-            if tag == FREE:
-                loop = self.free_marking[x]
-                extend(loop if y == 1 else loop.inverse())
-            else:
-                path = self.factor_marking[x]
-                extend(path)
-                extend(GraphPath(self, path.end, y, ()))
-                extend(path.inverse())
-        return reduce_path(GraphPath(self, self.base, prefix, tuple(steps)))
+        return reduce_path(join_path(self, self.base, segments()))
 
     def translation_length(self, w: Word) -> float:
         """Length of the cyclically reduced loop of w; 0 exactly when elliptic."""

@@ -84,7 +84,6 @@ class TurnEntry:
     legal: bool
     degenerate: bool
     steps_to_degeneracy: int | None
-    orbit: tuple[Turn, ...]
 
 
 @dataclass
@@ -119,17 +118,15 @@ def classify_turns(rep: TopologicalRepresentative) -> LegalityTable:
                         if known.steps_to_degeneracy is not None
                         else None
                     )
-                    table.entries[t] = TurnEntry(
-                        t, known.legal, t.degenerate, steps, tuple(chain[p:]) + (node,)
-                    )
+                    table.entries[t] = TurnEntry(t, known.legal, t.degenerate, steps)
                 break
             if node.degenerate:
-                table.entries[node] = TurnEntry(node, False, True, 0, (node,))
+                table.entries[node] = TurnEntry(node, False, True, 0)
                 continue
             if node in position:
                 # periodic orbit with no degeneracy: everything on the chain is legal
-                for p, t in enumerate(chain):
-                    table.entries[t] = TurnEntry(t, True, False, None, tuple(chain[p:]))
+                for t in chain:
+                    table.entries[t] = TurnEntry(t, True, False, None)
                 break
             position[node] = len(chain)
             chain.append(node)

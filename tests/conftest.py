@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from outgrowth import FACTOR, FREE, FiniteGroupTable, FreeProduct, load_bundled
+from outgrowth import FACTOR, FREE, FiniteGroupTable, FreeProduct, load_bundled, parse_document
 from outgrowth.free_product import Word
 
 
@@ -64,3 +64,41 @@ def random_hyperbolic(group: FreeProduct, rng: random.Random, max_len: int) -> W
         w = random_word(group, rng, max_len)
         if w.is_hyperbolic():
             return w
+
+
+def _rose_document(images: list[list[str]], inverse: list[list[str]]) -> str:
+    """Document text of a free-group automorphism on the rose with unit petals a1 .. an."""
+    names = [f"a{i}" for i in range(1, len(images) + 1)]
+
+    def rows(kind: str, words: list[list[str]]) -> list[str]:
+        return [f"{kind} {a} = {' '.join(w)}" for a, w in zip(names, words)]
+
+    lines = ["[presentation]", "free = " + " ".join(names), "[graph]", "vertices = v0", "base = v0"]
+    lines += [f"edge {a} = v0 v0 1.0" for a in names] + [f"marking {a} = {a}" for a in names]
+    lines += ["[automorphism]", *rows("free", images), "[inverse]", *rows("free", inverse)]
+    lines += ["[map]", "vertex v0 = v0", *rows("edge", images), "tether ="]
+    return "\n".join(lines) + "\n"
+
+
+def tower_text(n: int) -> str:
+    """The polynomial tower a1 -> a1, ai -> ai a(i-1): n one-edge strata, all eigenvalues 1.
+
+    Its rescaled Lipschitz constants are (N + 1) / N on every N, for n >= 2.
+    """
+    images = [["a1"]] + [[f"a{i}", f"a{i - 1}"] for i in range(2, n + 1)]
+    inverse = [["a1"]]  # ai -> ai inverse(a(i-1))^-1
+    for i in range(2, n + 1):
+        back = [x[:-1] if x.endswith("'") else x + "'" for x in reversed(inverse[-1])]
+        inverse.append([f"a{i}"] + back)
+    return _rose_document(images, inverse)
+
+
+def chord_text(n: int) -> str:
+    """The chord rose ai -> a(i+1), an -> a1 a2: one stratum, Perron root of x^n - x - 1."""
+    images = [[f"a{i + 1}"] for i in range(1, n)] + [["a1", "a2"]]
+    inverse = [[f"a{n}", "a1'"]] + [[f"a{i}"] for i in range(1, n)]
+    return _rose_document(images, inverse)
+
+
+def load_text(text: str):
+    return parse_document(text, name="generated")

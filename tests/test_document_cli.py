@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +15,7 @@ from outgrowth import (
     verify_representative,
 )
 from outgrowth.cli import main
+from conftest import tower_text
 
 IDENTITY_DOC = """
 [presentation]
@@ -252,6 +255,52 @@ def test_cli_bound_and_sweep():
     result = runner.invoke(main, ["sweep", "polynomial_rose"])
     assert result.exit_code == 0
     assert "Lip=1.001" in result.output
+
+
+@pytest.mark.parametrize(
+    "command,grid",
+    [
+        ("displacement", ","),
+        ("displacement", "inf"),
+        ("sweep", "inf"),
+        ("sweep", "1e400"),
+        ("sweep", "nan"),
+        ("sweep", "0"),
+        ("displacement", "1,-10"),
+        ("sweep", "1e-310"),
+    ],
+)
+def test_cli_rejects_bad_n_grid(command, grid):
+    result = runner.invoke(main, [command, "polynomial_rose", "--n-grid", grid, "--format", "json"])
+    assert result.exit_code == 2
+    assert json.loads(result.output)["report"]["error"]["type"] == "InputError"
+
+
+def test_cli_sweep_and_displacement_past_the_float_range_of_n_to_the_r(tmp_path):
+    # N^r overflows a float at N = 1000 from r = 103 on; the tower has 110 strata
+    path = tmp_path / "tower110.gog"
+    path.write_text(tower_text(110))
+    result = runner.invoke(main, ["sweep", str(path), "--format", "json"])
+    assert result.exit_code == 0
+    rows = [(r["N"], r["lipschitz"]) for r in json.loads(result.output)["report"]["rows"]]
+    args = ["displacement", str(path), "--sample", "a110", "--iterations", "6", "--format", "json"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    rows += [(r["N"], r["lip"]) for r in json.loads(result.output)["report"]["lipschitz"]]
+    assert [n for n, _ in rows] == [1.0, 10.0, 100.0, 1000.0] * 2
+    for n, lip in rows:
+        assert lip == pytest.approx((n + 1) / n, rel=1e-12, abs=0.0)
+
+
+def test_readme_command_lines_run():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv and argv[0] == "outgrowth"]
+    assert len(commands) >= 7
+    for argv in commands:
+        result = runner.invoke(main, argv[1:])
+        assert result.exit_code == 0, (argv, result.output)
 
 
 def test_cli_deterministic_output():

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from outgrowth import (
@@ -10,6 +11,8 @@ from outgrowth import (
     assign_pf_metric,
     bound_check,
     coefficient_A,
+    coefficient_matrix,
+    cyclically_reduce,
     displacement_bracket,
     growth_rate_estimate,
     growth_report,
@@ -17,13 +20,17 @@ from outgrowth import (
     index_count,
     index_total,
     lipschitz_constant,
+    load_bundled,
+    r_length,
     relative_length_function,
+    rescale_family,
     spectral_growth_rate,
     standard_rose,
     stretch_lower_bound,
     tree_length_function,
 )
-from conftest import random_hyperbolic, random_word
+from outgrowth.cli import default_sample
+from conftest import chord_text, load_text, random_hyperbolic, random_word, tower_text
 from test_graph_map import identity_representative
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -219,6 +226,16 @@ def test_displacement_lower_never_exceeds_upper(golden, poly, c3c3, c2f2):
         assert rpt.lower <= rpt.upper + 1e-9
 
 
+def test_displacement_lower_side_ignores_estimates_above_upper():
+    # a10 doubles at every step while k < 10, so six iterations look converged at 2
+    doc = load_text(tower_text(12))
+    rpt = displacement_bracket(doc.representative, sample=[doc.group.free(9)], iterations=6)
+    growth = rpt.growth_reports[0]
+    assert growth.converged and growth.estimate > rpt.upper
+    assert "not used as a lower bound" in growth.note
+    assert rpt.lower == 1.0 <= rpt.upper
+
+
 def test_equality_chain_at_desk_scale(golden, poly, c3c3, c2f2):
     # the growth of the stratum-legal element squeezes the top eigenvalue
     # from below while the rescaled Lipschitz sweep squeezes it from above
@@ -387,3 +404,78 @@ def test_bound_check_stratum_inequality_rows(poly):
 def test_bound_check_rejects_elliptic(c3c3):
     with pytest.raises(InputError):
         bound_check(c3c3.representative, c3c3.group.factor_element(0, 1))
+
+
+# -- the matrix layer against the per-edge loops it replaced --------------------------
+
+
+LONG_GRID = [1.0 + 5 * i for i in range(200)]
+
+
+def loop_image_ratio(rep, metric, m):
+    return sum(metric.dart_length(d) for d, _ in rep.edge_images[m].steps) / metric.lengths[m]
+
+
+def loop_lipschitz(rep, metric):
+    best, witness = None, -1
+    for m in range(metric.n_edges):
+        ratio = loop_image_ratio(rep, metric, m)
+        if best is None or ratio > best:
+            best, witness = ratio, m
+    return best, witness
+
+
+def loop_r_length(rep, path, r):
+    weights = rep.strata().strata[r - 1].weights
+    return 0.0 if weights is None else sum(weights.get(d >> 1, 0.0) for d, _ in path.steps)
+
+
+def loop_coefficients(rep, metric):
+    dec = rep.strata()
+    A = np.zeros((dec.count, dec.count))
+    for s in dec.strata:
+        for e in s.edges:
+            for r in range(1, dec.count + 1):
+                val = loop_r_length(rep, rep.edge_images[e], r) / metric.lengths[e]
+                A[r - 1, s.index - 1] = max(A[r - 1, s.index - 1], val)
+    return A
+
+
+GENERATED = {"chord5": lambda: load_text(chord_text(5)), "tower12": lambda: load_text(tower_text(12))}
+
+
+@pytest.mark.parametrize(
+    "name", ["golden_ratio_rose", "polynomial_rose", "c3c3_swap", "c2f2_mixed", *GENERATED]
+)
+def test_matrix_layer_matches_per_edge_loops(name):
+    bundled = name not in GENERATED
+    doc = load_bundled(name) if bundled else GENERATED[name]()
+    rep = doc.representative
+    close = dict(rel=1e-12, abs=0.0)
+    for N, lip, witness in displacement_bracket(rep, LONG_GRID).lipschitz:
+        metric = rescale_family(rep, N)
+        ref, ref_witness = loop_lipschitz(rep, metric)
+        assert lip == pytest.approx(ref, **close)
+        assert loop_image_ratio(rep, metric, witness) == pytest.approx(ref, **close)
+        # towers tie on every edge above the first; fixtures must keep their witness
+        assert witness == ref_witness or not bundled
+    for metric in (rep.graph, assign_pf_metric(rep), rescale_family(rep, 7.0)):
+        lip, witness = lipschitz_constant(rep, metric)
+        ref, ref_witness = loop_lipschitz(rep, metric)
+        assert lip == pytest.approx(ref, **close)
+        assert witness == ref_witness or not bundled
+    pf = assign_pf_metric(rep)
+    np.testing.assert_allclose(coefficient_matrix(rep), loop_coefficients(rep, pf), rtol=1e-12, atol=0)
+    count = rep.strata().count
+    for path in rep.edge_images:
+        for r in range(1, count + 1):
+            assert r_length(rep, path, r) == pytest.approx(loop_r_length(rep, path, r), **close)
+    g = default_sample(doc)[0]
+    A = loop_coefficients(rep, pf)
+    core0, _ = cyclically_reduce(pf.loop_of_element(g))
+    core1, _ = cyclically_reduce(pf.loop_of_element(doc.automorphism.apply(g)))
+    for row in bound_check(rep, g, iterations=3).stratum_rows:
+        r = row["stratum"]
+        rhs = sum(A[r - 1, i - 1] * loop_r_length(rep, core0, i) for i in range(r, count + 1))
+        assert row["lhs"] == pytest.approx(loop_r_length(rep, core1, r), **close)
+        assert row["rhs"] == pytest.approx(rhs, **close)
