@@ -62,27 +62,31 @@ def _require_verified(doc: InputDocument):
 def _emit(fmt: str, command: str, record: dict, rows: list[dict], text: list[str]) -> None:
     header = f"outgrowth {__version__} {command}"
     if fmt == "json":
-        click.echo(json.dumps({"version": header, "report": record}, indent=2, sort_keys=True))
+        out = json.dumps({"version": header, "report": record}, indent=2, sort_keys=True)
     elif fmt == "csv":
-        click.echo(f"# {header}")
+        out = f"# {header}"
         if rows:
             buf = io.StringIO()
             writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
-            click.echo(buf.getvalue().rstrip("\n"))
+            out += "\n" + buf.getvalue().rstrip("\n")
     else:
-        click.echo(f"# {header}")
-        for line in text:
-            click.echo(line)
+        out = "\n".join([f"# {header}", *text])
+    # an explicit file: without one, click caches a wrapper per sys.stdout
+    # that keeps every redirected stream (and its contents) alive
+    click.echo(out, file=sys.stdout)
 
 
 def _fail(fmt: str, command: str, err: Exception, code: int) -> None:
     record = {"error": {"type": type(err).__name__, "message": str(err), "exit_code": code}}
     if fmt == "json":
-        click.echo(json.dumps({"version": f"outgrowth {__version__} {command}", "report": record}, indent=2, sort_keys=True))
+        click.echo(
+            json.dumps({"version": f"outgrowth {__version__} {command}", "report": record}, indent=2, sort_keys=True),
+            file=sys.stdout,
+        )
     else:
-        click.echo(f"error ({type(err).__name__}): {err}", err=True)
+        click.echo(f"error ({type(err).__name__}): {err}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -162,11 +166,11 @@ def analyze(input_arg, fmt):
         record = {
             "input": doc.name,
             "transition_matrix": dec.matrix.tolist(),
-            "strata": strata_rows,
+            "strata": [dict(row, bracket=list(s.bracket)) for row, s in zip(strata_rows, dec.strata)],
             "top_eigenvalue": dec.top_eigenvalue,
             "top_stratum": dec.top_stratum,
             "legality": turn_rows,
-            "parameters": {"pf_tolerance": 1e-12, "pf_iteration_cap": 10**6},
+            "parameters": {"pf_tolerance": 1e-12},
         }
         text = [f"strata: {dec.count}  top eigenvalue: {dec.top_eigenvalue!r} at stratum {dec.top_stratum}"]
         for row in strata_rows:

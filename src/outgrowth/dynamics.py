@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .free_product import Automorphism, Word, relative_conjugacy_length
-from .graph_of_groups import LENGTH_TOL, MarkedMetricGraph, cyclically_reduce
-from .graph_map import TopologicalRepresentative, assign_pf_metric, crossing_counts
+from .graph_of_groups import LENGTH_TOL, MarkedMetricGraph, crossing_counts, cyclically_reduce
+from .graph_map import TopologicalRepresentative, assign_pf_metric
 
 WORD_GUARD = 10**6  # syllable guard for automorphism iteration
 

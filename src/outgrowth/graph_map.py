@@ -31,6 +31,7 @@ from .graph_of_groups import (
     GraphPath,
     MarkedMetricGraph,
     Violation,
+    crossing_counts,
     join_path,
     reduce_path,
     validate_graph,
@@ -203,12 +204,6 @@ def verify_representative(rep: TopologicalRepresentative) -> list[Violation]:
 # -- transition matrix and strata ---------------------------------------------
 
 
-def crossing_counts(path: GraphPath) -> np.ndarray:
-    """Unoriented edge crossings of a path: entry i counts edge i."""
-    darts = np.fromiter((d for d, _ in path.steps), dtype=np.int64, count=len(path.steps))
-    return np.bincount(darts >> 1, minlength=path.graph.n_edges)
-
-
 def transition_matrix(rep: TopologicalRepresentative) -> np.ndarray:
     """Unoriented crossing counts: entry (i, j) counts edge i in the image of edge j."""
     n = rep.graph.n_edges
@@ -224,7 +219,8 @@ class Stratum:
     edges: tuple[int, ...]
     block: np.ndarray
     growing: bool
-    eigenvalue: float | None = None
+    eigenvalue: float | None = None  # upper end of the certified bracket
+    bracket: tuple[float, float] | None = None  # Collatz-Wielandt (lo, hi) around the Perron root
     weights: dict[int, float] | None = None
 
 
@@ -350,36 +346,77 @@ def stratify(M: np.ndarray) -> StrataDecomposition:
 
 
 def attach_eigendata(dec: StrataDecomposition) -> StrataDecomposition:
-    """Fill per-stratum Perron-Frobenius eigenvalues and eigenvector weights."""
+    """Fill per-stratum certified Perron roots, brackets and eigenvector weights.
+
+    ``top_eigenvalue`` is the largest upper end.  ``top_stratum`` is the
+    highest stratum whose bracket reaches the largest lower end: strata whose
+    brackets cannot tell their roots apart count as tied, and ties go up.
+    """
     W = np.zeros((dec.count, dec.matrix.shape[0]))
     for s in dec.strata:
         if not s.growing:
             s.eigenvalue = 0.0
+            s.bracket = (0.0, 0.0)
             s.weights = None
             continue
         value, vec = pf_eigen(s.block)
+        lo, hi = collatz_wielandt(s.block, vec)
         s.eigenvalue = value
+        s.bracket = (float(lo[0]), float(hi[0]))
         s.weights = {e: float(vec[i]) for i, e in enumerate(s.edges)}
         W[s.index - 1, list(s.edges)] = vec
     dec.weight_matrix = W
-    best = max(s.eigenvalue for s in dec.strata)
-    dec.top_eigenvalue = best
-    dec.top_stratum = max(s.index for s in dec.strata if s.eigenvalue == best)
+    dec.top_eigenvalue = max(s.eigenvalue for s in dec.strata)
+    floor = max(s.bracket[0] for s in dec.strata)
+    dec.top_stratum = max(s.index for s in dec.strata if s.bracket[1] >= floor)
     return dec
 
 
 # -- Perron-Frobenius -----------------------------------------------------------
 
+#: inverse iteration shifts the computed root up by this relative amount
+_INVERSE_SHIFT = 1e-9
+_INVERSE_STEPS = 3
 
-def pf_eigen_many(
-    blocks: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6
-) -> tuple[np.ndarray, np.ndarray]:
-    """Perron eigenpairs of a stack of irreducible nonnegative matrices.
 
-    Power iteration on B + I (the shift makes periodic irreducible matrices
-    aperiodic without moving the eigenvector) from the all-ones vector,
-    stopping when every row eigenvector has relative residual <= tol.
-    Eigenvectors are normalised to maximum entry 1.
+def collatz_wielandt(blocks: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified Perron-root brackets ``(lo, hi)`` from trial row vectors.
+
+    For a nonnegative B and a positive x, ``min_j (xB)_j / x_j <= rho(B) <=
+    max_j (xB)_j / x_j`` (Collatz-Wielandt; Meyer, *Matrix Analysis*, 8.3).
+    The ends are widened by (n + 2) machine epsilons, which covers the
+    rounding of the n products, their nonnegative sum and the division, so
+    the bracket holds in exact arithmetic.  When x is all ones and B is
+    integral (1x1 blocks, permutation blocks) the ratios are exact column
+    sums and are not widened.  The bound needs x > 0, which callers check.
+    Accepts one block or a stack.
+    """
+    blocks = np.asarray(blocks, dtype=np.float64)
+    vecs = np.asarray(vecs, dtype=np.float64)
+    if blocks.ndim == 2:
+        blocks, vecs = blocks[None], vecs[None]
+    n = blocks.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.einsum("ni,nij->nj", vecs, blocks) / vecs
+    exact = (
+        (vecs == 1).all(axis=1)
+        & (blocks == np.round(blocks)).all(axis=(1, 2))
+        & (blocks.sum(axis=1) < 2**53).all(axis=1)
+    )
+    slack = np.where(exact, 0.0, (n + 2) * np.finfo(np.float64).eps)
+    return ratios.min(axis=1) * (1 - slack), ratios.max(axis=1) * (1 + slack)
+
+
+def pf_eigen_many(blocks: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Certified Perron eigenpairs of a stack of irreducible nonnegative matrices.
+
+    The root is the eigenvalue of largest real part (``np.linalg.eigvals``).
+    Three steps of inverse iteration, shifted just above it, refine the row
+    eigenvector x from the all-ones vector; it is normalised to maximum
+    entry 1.  A block is certified when x > 0 and its Collatz-Wielandt
+    bracket has relative width at most ``tol``; the returned eigenvalue is
+    the bracket's upper end, so powers of it stay upper bounds.  Otherwise
+    raises NonConvergenceError with the best ``(values, vectors)`` so far.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.ndim == 2:
@@ -387,44 +424,41 @@ def pf_eigen_many(
     count, n, _ = blocks.shape
     if n == 1:
         return blocks[:, 0, 0].copy(), np.ones((count, 1))
-    out_values = np.empty(count)
-    out_vecs = np.empty((count, n))
-    active = np.arange(count)
-    act_blocks = blocks
-    act_shifted = blocks + np.eye(n)
-    vecs = np.ones((count, n))
-    rel = np.full(count, np.inf)
-    for _ in range(max_iter):
-        advanced = np.einsum("ni,nij->nj", vecs, act_shifted)
-        norms = advanced.max(axis=1)
-        vecs = advanced / norms[:, None]
-        values = norms - 1.0
-        residual = np.einsum("ni,nij->nj", vecs, act_blocks) - values[:, None] * vecs
-        rel = np.abs(residual).max(axis=1) / np.maximum(values, 1e-300)
-        done = rel <= tol
-        if done.any():
-            idx = active[done]
-            out_values[idx] = values[done]
-            out_vecs[idx] = vecs[done]
-            keep = ~done
-            if not keep.any():
-                return out_values, out_vecs
-            active = active[keep]
-            vecs = vecs[keep]
-            values = values[keep]
-            act_blocks = act_blocks[keep]
-            act_shifted = act_shifted[keep]
-    raise NonConvergenceError(
-        f"power iteration did not reach tolerance {tol}; worst relative residual {rel.max():.3e}",
-        best=(out_values, out_vecs),
-    )
+    transposed = np.swapaxes(blocks, 1, 2)
+    roots = np.linalg.eigvals(transposed).real.max(axis=1)
+    # a root <= 0 means a nilpotent (reducible) block; any nonzero shift keeps the solve regular
+    shift = np.where(roots > 0, roots, 1.0) * (1 + _INVERSE_SHIFT)
+    system = transposed - shift[:, None, None] * np.eye(n)
+    # each step grows y by about 1 / (shift - root); a few steps stay far from overflow
+    y = np.ones((count, n, 1))
+    try:
+        for _ in range(_INVERSE_STEPS):
+            y = np.linalg.solve(system, y)
+    except np.linalg.LinAlgError as err:
+        best = (roots, np.ones((count, n)))
+        raise NonConvergenceError(f"inverse iteration failed: {err}", best=best) from None
+    y = np.abs(y[..., 0])
+    vecs = y / y.max(axis=1, keepdims=True)
+    lo, hi = collatz_wielandt(blocks, vecs)
+    certified = (vecs > 0).all(axis=1) & (hi - lo <= tol * hi)
+    if not certified.all():
+        width = np.max(np.where(certified, 0.0, (hi - lo) / hi))
+        raise NonConvergenceError(
+            f"Perron root not certified on {np.count_nonzero(~certified)} of {count} blocks: "
+            f"worst relative bracket width {width:.3e} (tolerance {tol})",
+            best=(np.where(certified, hi, roots), vecs),
+        )
+    return hi, vecs
 
 
-def pf_eigen(block: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) -> tuple[float, np.ndarray]:
-    """Perron eigenvalue and positive row eigenvector of one irreducible block.
+def pf_eigen(block: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray]:
+    """Certified Perron eigenvalue and positive row eigenvector of one irreducible block.
 
-    1x1 blocks are returned exactly.  Raises on zero or non-square input;
-    irreducibility is the caller's contract (stratify guarantees it).
+    The eigenvalue is the upper end of the Collatz-Wielandt bracket (see
+    ``pf_eigen_many``); 1x1 blocks are returned exactly.  Raises on zero or
+    non-square input; irreducibility is the caller's contract (stratify
+    guarantees it), and a block that is not certified raises
+    NonConvergenceError.
     """
     block = np.asarray(block)
     if block.ndim != 2 or block.shape[0] != block.shape[1]:
@@ -433,7 +467,7 @@ def pf_eigen(block: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) -> tu
         raise InputError("eigen blocks must be nonzero")
     if block.shape[0] == 1:
         return float(block[0, 0]), np.ones(1)
-    values, vecs = pf_eigen_many(block[None], tol=tol, max_iter=max_iter)
+    values, vecs = pf_eigen_many(block[None], tol=tol)
     return float(values[0]), vecs[0]
 
 
@@ -492,4 +526,11 @@ def rescale_family(rep: TopologicalRepresentative, N: float, zero_length: float 
     if not N > 0:
         raise InputError("rescaling parameter must be positive")
     dec = rep.strata()
-    return assign_pf_metric(rep, [float(N) ** r for r in range(1, dec.count + 1)], zero_length)
+    try:
+        scales = [float(N) ** r for r in range(1, dec.count + 1)]
+    except OverflowError:
+        raise InputError(
+            f"N^r overflows a float at N = {N} on {dec.count} strata; "
+            "displacement_bracket evaluates the family without forming N^r"
+        ) from None
+    return assign_pf_metric(rep, scales, zero_length)

@@ -15,8 +15,11 @@ quotient object; the universal cover is never materialised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InputError, NonConvergenceError
 from .free_product import FREE, FreeProduct, Word
@@ -206,6 +209,12 @@ def cyclically_reduce(loop: GraphPath) -> tuple[GraphPath, GraphPath]:
     return core, conj
 
 
+def crossing_counts(path: GraphPath) -> np.ndarray:
+    """Unoriented edge crossings of a path: entry i counts edge i."""
+    darts = np.fromiter((d for d, _ in path.steps), dtype=np.int64, count=len(path.steps))
+    return np.bincount(darts >> 1, minlength=path.graph.n_edges)
+
+
 class MarkedMetricGraph:
     """A metric graph of groups with a marking by a free product presentation.
 
@@ -322,7 +331,8 @@ class MarkedMetricGraph:
         return " ".join(parts) if parts else "(trivial)"
 
     def path_length(self, p: GraphPath) -> float:
-        return sum(self.dart_length(d) for d, _ in p.steps)
+        """Sum over edges of crossings times length, correctly rounded (no drift on long paths)."""
+        return math.fsum(c * l for c, l in zip(crossing_counts(p).tolist(), self.lengths))
 
     # -- marking ----------------------------------------------------------
 

@@ -1,5 +1,9 @@
+import contextlib
+import gc
+import io
 import json
 import shlex
+import weakref
 from pathlib import Path
 
 import pytest
@@ -208,6 +212,28 @@ def test_cli_analyze_json_structure():
     assert payload["report"]["transition_matrix"] == [[0, 1], [1, 1]]
 
 
+def test_cli_analyze_json_brackets():
+    result = runner.invoke(main, ["analyze", "golden_ratio_rose", "--format", "json"])
+    (stratum,) = json.loads(result.output)["report"]["strata"]
+    lo, hi = stratum["bracket"]
+    assert lo <= (1 + 5**0.5) / 2 <= hi == stratum["eigenvalue"]
+    # one-edge strata and permutation strata are exact
+    for name, count in (("polynomial_rose", 2), ("c3c3_swap", 1)):
+        result = runner.invoke(main, ["analyze", name, "--format", "json"])
+        assert [s["bracket"] for s in json.loads(result.output)["report"]["strata"]] == [[1.0, 1.0]] * count
+
+
+def test_cli_releases_redirected_stdout():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main.main(["analyze", "golden_ratio_rose", "--format", "json"], standalone_mode=False)
+    assert json.loads(buf.getvalue())["report"]["top_stratum"] == 1
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
+
+
 def test_cli_growth_polynomial_flags():
     result = runner.invoke(
         main,
@@ -301,6 +327,13 @@ def test_readme_command_lines_run():
     for argv in commands:
         result = runner.invoke(main, argv[1:])
         assert result.exit_code == 0, (argv, result.output)
+
+
+def test_readme_library_block_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    assert "import outgrowth" in block
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_cli_deterministic_output():

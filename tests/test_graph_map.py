@@ -1,12 +1,15 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import chord_text, load_text, tower_text
 from outgrowth import (
     Automorphism,
     InputError,
+    NonConvergenceError,
     TopologicalRepresentative,
     assign_pf_metric,
     column_sum_bounds,
@@ -166,6 +169,22 @@ def test_top_stratum_ties_take_highest(poly):
     assert dec.top_stratum == 2
 
 
+def test_top_stratum_conjugate_blocks_tie():
+    """Conjugate blocks share their root; rounding must not decide which stratum is on top."""
+    rng = random.Random(11)
+    for _ in range(300):
+        B = np.array([[rng.randrange(4) for _ in range(3)] for _ in range(3)])
+        B += np.roll(np.eye(3, dtype=int), 1, axis=0)  # force a cycle: irreducible
+        P = np.eye(3, dtype=int)[rng.sample(range(3), 3)]
+        M = np.zeros((6, 6), dtype=int)
+        M[:3, :3] = B
+        M[3:, 3:] = P @ B @ P.T
+        M[:3, 3:] = 1  # the upper block's images cross the lower block
+        dec = attach_eigendata(stratify(M))
+        assert dec.count == 2
+        assert dec.top_stratum == 2
+
+
 def test_top_eigenvalue_at_least_one_on_verified_representatives(golden, poly, c3c3, c2f2, f2):
     reps = [doc.representative for doc in (golden, poly, c3c3, c2f2)]
     reps.append(identity_representative(f2))
@@ -206,6 +225,45 @@ def test_pf_periodic_matrix():
 def test_pf_rejects_zero_block():
     with pytest.raises(InputError):
         pf_eigen(np.zeros((2, 2)))
+
+
+def test_pf_rejects_uncertified_block():
+    # reducible: the row eigenvector of the root 2 vanishes on the second edge,
+    # and the nilpotent block has root 0
+    for block in ([[2, 0], [1, 1]], [[0, 1], [0, 0]]):
+        with pytest.raises(NonConvergenceError) as info:
+            pf_eigen(np.array(block))
+        values, vecs = info.value.best
+        assert values.shape == (1,)
+        assert vecs.shape == (1, 2)
+
+
+def _chord_root_interval(n, bits=80):
+    """[a, b] of width 2^-bits around the root > 1 of x^n - x - 1, by bisection in rationals.
+
+    The polynomial is increasing on [1, 2], negative at 1 and positive at 2.
+    """
+    a, b = Fraction(1), Fraction(2)
+    for _ in range(bits):
+        m = (a + b) / 2
+        if m**n - m - 1 < 0:
+            a = m
+        else:
+            b = m
+    return a, b
+
+
+@pytest.mark.parametrize("n", [25, 50, 100, 200])
+def test_pf_bracket_contains_chord_root(n):
+    dec = load_text(chord_text(n)).representative.strata()
+    assert dec.count == 1
+    s = dec.strata[0]
+    lo, hi = s.bracket
+    a, b = _chord_root_interval(n)
+    assert Fraction(lo) <= a and b <= Fraction(hi)
+    assert hi - lo <= 1e-12 * hi
+    assert s.eigenvalue == hi == dec.top_eigenvalue
+    assert all(w > 0 for w in s.weights.values())
 
 
 def test_pf_many_matches_single():
@@ -273,6 +331,12 @@ def test_rescale_family(poly, golden):
     g0 = rescale_family(golden.representative, 1.0)
     assert g1.lengths[0] / g0.lengths[0] == pytest.approx(7.0)
     assert g1.lengths[1] / g0.lengths[1] == pytest.approx(7.0)
+
+
+def test_rescale_family_overflow_is_input_error():
+    rep = load_text(tower_text(110)).representative
+    with pytest.raises(InputError, match="110 strata"):
+        rescale_family(rep, 1000.0)
 
 
 def _zero_stratum_representative():
