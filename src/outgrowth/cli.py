@@ -197,7 +197,12 @@ def analyze(input_arg, fmt):
 @click.option("--element", required=True, help="word, e.g. \"a b'\" or \"P:1 a\"")
 @click.option("--iterations", default=20, show_default=True)
 @click.option("--length", "length_kind", type=click.Choice(["relative", "tree"]), default="tree", show_default=True)
-@click.option("--guard", default=10**6, show_default=True, help="syllable guard for iterated words")
+@click.option(
+    "--guard",
+    default=10**6,
+    show_default=True,
+    help="size guard: syllables of iterated words, or darts of the iterated loop on a train track",
+)
 @format_option
 def growth(input_arg, element, iterations, length_kind, guard, fmt):
     """Orbit length sequence and growth estimates for one element."""
@@ -205,11 +210,15 @@ def growth(input_arg, element, iterations, length_kind, guard, fmt):
     def run():
         doc = _load(input_arg)
         g = parse_word(doc.group, element)
+        rep = None
         if length_kind == "relative":
             length = relative_length_function(doc.group)
         else:
             length = tree_length_function(doc.graph)
-        rpt = growth_report(doc.automorphism, g, length, iterations, guard=guard)
+            # a verified map lets legal loops iterate by crossing counts; otherwise words are rewritten
+            if doc.representative is not None and not verify_representative(doc.representative):
+                rep = doc.representative
+        rpt = growth_report(doc.automorphism, g, length, iterations, guard=guard, rep=rep)
         rows = [
             {
                 "k": k,

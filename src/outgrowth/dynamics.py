@@ -10,6 +10,15 @@ while raw k-th roots approach it only like mu^(1-1/k); for hyperbolic
 elements the estimate is floored at 1, which the length floor on
 hyperbolic conjugacy classes certifies.
 
+Orbit lengths come one of two ways.  The word path rewrites g alpha^k at
+every step and measures the word, under a guard on its syllables.  Given a
+verified representative, a tree length takes the train-track fast path
+when every edge image is legal and the loop of g is cyclically legal: no
+iterate of the loop cancels, so its crossing vector evolves as
+c_{k+1} = M c_k, kept in exact integers, and each length is summed from it
+exactly as on the word path, so both give the same floats.  The guard then
+counts the loop's darts, and a length past the float range trips it too.
+
 The displacement bracket squeezes the minimal Lipschitz displacement
 between a certified lower bound from growth estimates and the smallest
 Lipschitz constant over the rescaled metric family, whose stratum r is
@@ -30,7 +39,8 @@ import numpy as np
 from .errors import InputError, ResourceLimitError
 from .free_product import Automorphism, Word, relative_conjugacy_length
 from .graph_of_groups import LENGTH_TOL, MarkedMetricGraph, crossing_counts, cyclically_reduce
-from .graph_map import TopologicalRepresentative, assign_pf_metric
+from .graph_map import TopologicalRepresentative, assign_pf_metric, transition_matrix
+from .legality import loop_seam_turn, path_turns, verify_train_track
 
 WORD_GUARD = 10**6  # syllable guard for automorphism iteration
 
@@ -43,11 +53,19 @@ class LengthFunction:
     witness homogeneity-compatible boundedness for growth estimates.
     """
 
-    def __init__(self, kind: str, evaluate: Callable[[Word], float], elliptic_bound: float, hyperbolic_floor: float):
+    def __init__(
+        self,
+        kind: str,
+        evaluate: Callable[[Word], float],
+        elliptic_bound: float,
+        hyperbolic_floor: float,
+        graph: MarkedMetricGraph | None = None,
+    ):
         self.kind = kind
         self.evaluate = evaluate
         self.elliptic_bound = elliptic_bound
         self.hyperbolic_floor = hyperbolic_floor
+        self.graph = graph  # the marked metric graph a tree length measures on
 
     def __call__(self, w: Word) -> float:
         return self.evaluate(w)
@@ -63,7 +81,7 @@ def relative_length_function(group) -> LengthFunction:
 
 def tree_length_function(graph: MarkedMetricGraph) -> LengthFunction:
     """Translation length on a marked metric graph: C = 0, floor = shortest edge."""
-    return LengthFunction("tree", graph.translation_length, 0.0, min(graph.lengths))
+    return LengthFunction("tree", graph.translation_length, 0.0, min(graph.lengths), graph)
 
 
 # -- growth ---------------------------------------------------------------------
@@ -105,25 +123,96 @@ def growth_sequence(
     length: LengthFunction,
     iterations: int,
     guard: int = WORD_GUARD,
+    rep: TopologicalRepresentative | None = None,
 ) -> GrowthReport:
     """Lengths along the orbit g, g.alpha, ..., g.alpha^K (estimates not yet filled).
 
-    Raises ResourceLimitError carrying the partial report if an iterate
-    exceeds the syllable guard.
+    Given a verified representative ``rep`` of ``auto``, a tree length whose
+    loop of g is cyclically legal on a train track takes the crossing-count
+    fast path (``_legal_loop_counts``); every other orbit rewrites the word
+    at each step and measures it.  Both give the same floats.  Raises
+    ResourceLimitError carrying the partial report when an iterate exceeds
+    the guard: syllables of the word, or darts of the loop on the fast path.
     """
     if iterations < 1:
         raise InputError("growth sequences need at least one iteration")
+    if rep is not None and rep.automorphism is not auto:
+        raise InputError("the representative realises a different automorphism")
+    counts = _legal_loop_counts(rep, g, length) if rep is not None else None
+    if counts is not None:
+        return _crossing_count_orbit(rep, g, length, counts, iterations, guard)
     values = [float(length(g))]
     w = g
     for k in range(1, iterations + 1):
         w = auto.apply(w)
         if len(w.syllables) > guard:
-            partial = GrowthReport(g, length.kind, values, k - 1, guard=guard)
-            raise ResourceLimitError(
-                f"word length exceeded the guard ({guard} syllables) at step {k}",
-                partial=partial,
-            )
+            message = f"word length exceeded the guard ({guard} syllables) at step {k}"
+            raise _tripped(g, length, values, guard, message)
         values.append(float(length(w)))
+    return GrowthReport(g, length.kind, values, iterations, guard=guard)
+
+
+def _tripped(
+    g: Word, length: LengthFunction, values: list[float], guard: int, message: str
+) -> ResourceLimitError:
+    """The guard error, carrying the lengths computed before the step that tripped it."""
+    partial = GrowthReport(g, length.kind, values, len(values) - 1, guard=guard)
+    return ResourceLimitError(message, partial=partial)
+
+
+def _legal_loop_counts(rep: TopologicalRepresentative, g: Word, length: LengthFunction) -> list[int] | None:
+    """Edge crossings of g's cyclically reduced loop when no iterate of it cancels, else None.
+
+    That holds for a tree length on a graph marked like the representative's,
+    when every edge image is legal (a train track) and the loop takes only
+    legal turns, its seam included: legal turns map to legal turns, so
+    f^k(loop) stays cyclically reduced and crosses edge i exactly
+    (M^k c)_i times (Bestvina-Handel 1992), and the marking identity makes
+    it a loop of g alpha^k.
+    """
+    graph = length.graph
+    if graph is None or not rep.graph.marks_like(graph):
+        return None
+    table = rep.legality()
+    if not verify_train_track(rep, table):
+        return None
+    core, _ = cyclically_reduce(graph.loop_of_element(g))
+    if not core.steps:
+        return None
+    turns = path_turns(graph, core) + [loop_seam_turn(graph, core)]
+    if not all(table.legal(t) for t in turns):
+        return None
+    return crossing_counts(core).tolist()
+
+
+def _crossing_count_orbit(
+    rep: TopologicalRepresentative,
+    g: Word,
+    length: LengthFunction,
+    counts: list[int],
+    iterations: int,
+    guard: int,
+) -> GrowthReport:
+    """Iterate c -> M c in exact integers and measure each c as ``path_length`` does."""
+    M = transition_matrix(rep)  # not rep.strata(): this path needs no eigendata that could fail
+    nonzero = [(int(i), int(j), int(M[i, j])) for i, j in zip(*np.nonzero(M))]
+    graph = length.graph
+    values = [graph.counts_length(counts)]
+    for k in range(1, iterations + 1):
+        image = [0] * len(counts)
+        for i, j, m in nonzero:
+            image[i] += m * counts[j]
+        counts = image
+        if sum(counts) > guard:
+            message = f"loop length exceeded the guard ({guard} darts) at step {k}"
+            raise _tripped(g, length, values, guard, message)
+        try:
+            value = graph.counts_length(counts)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise _tripped(g, length, values, guard, f"orbit length left the float range at step {k}")
+        values.append(value)
     return GrowthReport(g, length.kind, values, iterations, guard=guard)
 
 
@@ -181,9 +270,10 @@ def growth_report(
     iterations: int = 20,
     tolerance: float = 1e-2,
     guard: int = WORD_GUARD,
+    rep: TopologicalRepresentative | None = None,
 ) -> GrowthReport:
     """Sequence plus estimates in one call."""
-    return growth_rate_estimate(growth_sequence(auto, g, length, iterations, guard), tolerance)
+    return growth_rate_estimate(growth_sequence(auto, g, length, iterations, guard, rep), tolerance)
 
 
 # -- spectral and Lipschitz data ----------------------------------------------
@@ -323,7 +413,7 @@ def displacement_bracket(
     for g in sample:
         if not g.is_hyperbolic():
             continue
-        rpt = growth_report(rep.automorphism, g, length, iterations, tolerance)
+        rpt = growth_report(rep.automorphism, g, length, iterations, tolerance, rep=rep)
         reports.append(rpt)
         if not rpt.converged:
             continue
@@ -447,7 +537,7 @@ def bound_check(
                 product_bound *= max(1.0, float(A[i, j]))
     mu = dec.top_eigenvalue
     length = tree_length_function(metric)
-    report = growth_sequence(rep.automorphism, g, length, iterations)
+    report = growth_sequence(rep.automorphism, g, length, iterations, rep=rep)
     base = report.values[0]
     slack = 1 + LENGTH_TOL
     rows = []

@@ -60,6 +60,7 @@ class TopologicalRepresentative:
         self.vertex_conjugators = dict(vertex_conjugators or {})
         self._odd_images: dict[int, GraphPath] = {}
         self._strata: StrataDecomposition | None = None
+        self._legality = None
 
     # -- the map ----------------------------------------------------------
 
@@ -112,6 +113,18 @@ class TopologicalRepresentative:
             attach_eigendata(dec)
             self._strata = dec
         return self._strata
+
+    def legality(self):
+        """Turn legality, decided turn by turn on demand and memoised (cached).
+
+        Returns a ``legality.LegalityTable``; ``legality.classify_turns``
+        fills a fresh one with every turn.
+        """
+        if self._legality is None:
+            from .legality import LegalityTable  # the turn calculus builds on this module
+
+            self._legality = LegalityTable(self)
+        return self._legality
 
 
 def verify_representative(rep: TopologicalRepresentative) -> list[Violation]:

@@ -332,7 +332,14 @@ class MarkedMetricGraph:
 
     def path_length(self, p: GraphPath) -> float:
         """Sum over edges of crossings times length, correctly rounded (no drift on long paths)."""
-        return math.fsum(c * l for c, l in zip(crossing_counts(p).tolist(), self.lengths))
+        return self.counts_length(crossing_counts(p).tolist())
+
+    def counts_length(self, counts: Sequence[int]) -> float:
+        """Length of a path crossing edge i ``counts[i]`` times, as ``path_length`` sums it.
+
+        Raises OverflowError when a count is too large for a float.
+        """
+        return math.fsum(c * l for c, l in zip(counts, self.lengths))
 
     # -- marking ----------------------------------------------------------
 
@@ -383,6 +390,15 @@ class MarkedMetricGraph:
                     seen.add(u)
                     stack.append(u)
         return len(seen) == self.n_vertices
+
+    def marks_like(self, other: MarkedMetricGraph) -> bool:
+        """True when ``other`` differs from this graph at most in edge lengths and names."""
+
+        def key(graph):
+            marking = tuple((p.start, p.prefix, p.steps) for p in graph.free_marking + graph.factor_marking)
+            return (graph.group, graph.n_vertices, graph.edge_ends, graph.vertex_factor, graph.base, marking)
+
+        return other is self or key(other) == key(self)
 
     def betti_number(self) -> int:
         return self.n_edges - self.n_vertices + 1

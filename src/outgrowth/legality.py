@@ -6,7 +6,8 @@ simultaneous left action of the vertex group so that one twist is the
 identity.  With finite vertex groups the set of turns is finite, every
 derivative orbit is eventually periodic, and legality is decided exactly:
 a turn is illegal when some derivative iterate is degenerate (two equal
-directions), legal otherwise.
+directions), legal otherwise.  Tables decide turns on demand, so checking
+a few paths follows only the orbits those paths meet.
 
 The derivative of a direction twists the group element through the map's
 vertex isomorphism and composes it with the leading element of the image
@@ -17,7 +18,8 @@ nondegenerate images all along their orbits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, NonConvergenceError
 from .free_product import Word
@@ -27,8 +29,8 @@ from .graph_map import TopologicalRepresentative, r_length
 Direction = tuple[int, int]  # (outgoing dart, vertex-group twist)
 
 
-@dataclass(frozen=True, order=True)
-class Turn:
+class Turn(NamedTuple):
+    # a named tuple hashes and compares in C: following a derivative orbit hashes every turn on it
     vertex: int
     directions: tuple[Direction, Direction]
 
@@ -86,12 +88,50 @@ class TurnEntry:
     steps_to_degeneracy: int | None
 
 
-@dataclass
 class LegalityTable:
-    entries: dict[Turn, TurnEntry] = field(default_factory=dict)
+    """Turn legality, decided on demand and memoised in ``entries``.
+
+    Looking up an undecided turn follows its derivative orbit until the
+    orbit degenerates, repeats without degenerating, or meets a decided
+    turn, and records every turn met on the way.
+    """
+
+    def __init__(self, rep: TopologicalRepresentative):
+        self.rep = rep
+        self.entries: dict[Turn, TurnEntry] = {}
+
+    def entry(self, turn: Turn) -> TurnEntry:
+        """The turn's entry, deciding it and the undecided turns on its orbit first."""
+        entries = self.entries
+        if turn in entries:
+            return entries[turn]
+        chain: list[Turn] = []
+        on_chain: set[Turn] = set()
+        node = turn
+        while node not in entries:
+            if node.degenerate:
+                entries[node] = TurnEntry(node, False, True, 0)
+                break
+            if node in on_chain:
+                # periodic orbit with no degeneracy: everything on the chain is legal
+                for t in chain:
+                    entries[t] = TurnEntry(t, True, False, None)
+                return entries[turn]
+            on_chain.add(node)
+            chain.append(node)
+            node = derivative_turn(self.rep, node)
+        known = entries[node]
+        for p, t in enumerate(chain):
+            steps = (
+                known.steps_to_degeneracy + (len(chain) - p)
+                if known.steps_to_degeneracy is not None
+                else None
+            )
+            entries[t] = TurnEntry(t, known.legal, t.degenerate, steps)
+        return entries[turn]
 
     def legal(self, turn: Turn) -> bool:
-        return self.entries[turn].legal
+        return self.entry(turn).legal
 
     def __iter__(self):
         return iter(self.entries.values())
@@ -101,36 +141,10 @@ class LegalityTable:
 
 
 def classify_turns(rep: TopologicalRepresentative) -> LegalityTable:
-    """Decide legality of every turn by following its finite derivative orbit."""
-    table = LegalityTable()
-    for start in enumerate_turns(rep.graph):
-        if start in table.entries:
-            continue
-        chain: list[Turn] = []
-        position: dict[Turn, int] = {}
-        node = start
-        while True:
-            if node in table.entries:
-                known = table.entries[node]
-                for p, t in enumerate(chain):
-                    steps = (
-                        known.steps_to_degeneracy + (len(chain) - p)
-                        if known.steps_to_degeneracy is not None
-                        else None
-                    )
-                    table.entries[t] = TurnEntry(t, known.legal, t.degenerate, steps)
-                break
-            if node.degenerate:
-                table.entries[node] = TurnEntry(node, False, True, 0)
-                continue
-            if node in position:
-                # periodic orbit with no degeneracy: everything on the chain is legal
-                for t in chain:
-                    table.entries[t] = TurnEntry(t, True, False, None)
-                break
-            position[node] = len(chain)
-            chain.append(node)
-            node = derivative_turn(rep, node)
+    """A fresh table holding every turn, decided in enumeration order."""
+    table = LegalityTable(rep)
+    for turn in enumerate_turns(rep.graph):
+        table.entry(turn)
     return table
 
 
@@ -176,7 +190,7 @@ def is_r_legal(
 
     With ``cyclic=True`` the seam turn of a closed path is included.
     """
-    table = table if table is not None else classify_turns(rep)
+    table = table if table is not None else rep.legality()
     stratum_of = rep.strata().stratum_of
     turns = path_turns(rep.graph, p)
     if cyclic and p.steps:
@@ -209,7 +223,7 @@ def verify_train_track(
     Single edges contain no turns, so this is the operative content of
     "every edge is legal": iterated images never cancel.
     """
-    table = table if table is not None else classify_turns(rep)
+    table = table if table is not None else rep.legality()
     for m in range(rep.graph.n_edges):
         bad = is_legal_path(rep, table, rep.edge_images[m])
         if bad is not None:
@@ -385,7 +399,7 @@ def find_r_legal_hyperbolic(
     stratum = dec.strata[r - 1]
     if not stratum.growing:
         raise InputError(f"stratum {r} is a zero stratum")
-    table = classify_turns(rep)
+    table = rep.legality()
     inverter = inverter if inverter is not None else MarkingInverter(g)
     longest_legal: GraphPath | None = None
 

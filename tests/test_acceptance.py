@@ -180,7 +180,7 @@ def _char_poly_roots_max(blocks):
 
 
 def test_criterion_4_pf_oracle_suite():
-    with criterion(4, "power iteration matches char-poly roots on all small matrices", 10.0):
+    with criterion(4, "certified Perron roots match char-poly roots on all small matrices", 10.0):
         for size in (1, 2, 3):
             blocks = np.array(list(_irreducible_matrices(size)))
             values, vecs = pf_eigen_many(blocks.astype(float))

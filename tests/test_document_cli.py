@@ -367,6 +367,38 @@ def test_cli_exit_code_resource_guard():
     assert result.exit_code == 4
 
 
+def test_cli_growth_past_the_float_range_exits_with_the_guard_code():
+    args = ["growth", "golden_ratio_rose", "--element", "b", "--iterations", "2000", "--guard", str(10**401)]
+    result = runner.invoke(main, [*args, "--format", "json"])
+    assert result.exit_code == 4
+    assert isinstance(result.exception, SystemExit)
+    error = json.loads(result.output)["report"]["error"]
+    assert error["type"] == "ResourceLimitError" and error["exit_code"] == 4
+
+
+@pytest.mark.parametrize(
+    "map_change",
+    [
+        lambda text: text.split("[map]")[0],
+        # the identity map: iterating its crossing counts would give constant lengths
+        lambda text: text.replace("edge b = a b", "edge b = b").replace("edge a = b", "edge a = a"),
+    ],
+    ids=["no-map", "failing-map"],
+)
+def test_cli_growth_without_a_verified_map_iterates_words(tmp_path, map_change):
+    text = map_change(bundled_text("golden_ratio_rose"))
+    path = tmp_path / "golden_ratio_rose"
+    path.write_text(text)
+    doc = parse_document(text)
+    assert doc.representative is None or verify_representative(doc.representative)
+    args = ["growth", "--element", "b", "--iterations", "12"]
+    for fmt in ("text", "json", "csv"):
+        bundled = runner.invoke(main, [args[0], "golden_ratio_rose", *args[1:], "--format", fmt])
+        result = runner.invoke(main, [args[0], str(path), *args[1:], "--format", fmt])
+        assert result.exit_code == bundled.exit_code == 0
+        assert result.output == bundled.output
+
+
 def test_cli_exit_code_nonconvergence(tmp_path):
     text = IDENTITY_DOC.replace(
         "free = a b", "free = a b\nrelative-generators = a, b\nsearch-budget = 2"

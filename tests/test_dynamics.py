@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -21,6 +22,7 @@ from outgrowth import (
     index_total,
     lipschitz_constant,
     load_bundled,
+    make_turn,
     r_length,
     relative_length_function,
     rescale_family,
@@ -28,9 +30,12 @@ from outgrowth import (
     standard_rose,
     stretch_lower_bound,
     tree_length_function,
+    verify_representative,
+    verify_train_track,
 )
 from outgrowth.cli import default_sample
-from conftest import chord_text, load_text, random_hyperbolic, random_word, tower_text
+from outgrowth.document import parse_word
+from conftest import _rose_document, chord_text, load_text, random_hyperbolic, random_word, tower_text
 from test_graph_map import identity_representative
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -304,6 +309,113 @@ def test_elliptic_decay(c2f2, c3c3):
         tree = tree_length_function(doc.graph)
         rpt2 = growth_sequence(doc.automorphism, g, tree, 15)
         assert all(v == 0.0 for v in rpt2.values)
+
+
+# -- the train-track fast path ----------------------------------------------------------
+
+
+@pytest.fixture
+def apply_calls(monkeypatch):
+    """Counts Automorphism.apply calls, which only the word path makes."""
+    calls = []
+    original = Automorphism.apply
+
+    def counting(self, w):
+        calls.append(w)
+        return original(self, w)
+
+    monkeypatch.setattr(Automorphism, "apply", counting)
+    return calls
+
+
+def _fast_path_cases():
+    """(name, document, iterations) over the fixtures, chord roses and towers."""
+    for name in ("golden_ratio_rose", "polynomial_rose", "c3c3_swap", "c2f2_mixed"):
+        yield name, load_bundled(name), 16
+    for n in range(3, 7):
+        yield f"chord{n}", load_text(chord_text(n)), 20
+    for n in range(3, 9):
+        yield f"tower{n}", load_text(tower_text(n)), 12
+
+
+def test_fast_path_values_equal_word_path(apply_calls):
+    rng = random.Random(71)
+    fast_runs = 0
+    for name, doc, iterations in _fast_path_cases():
+        rep = doc.representative
+        assert verify_representative(rep) == []
+        sample = default_sample(doc) + [random_hyperbolic(doc.group, rng, 5) for _ in range(6)]
+        for metric in (doc.graph, assign_pf_metric(rep)):
+            length = tree_length_function(metric)
+            for g in sample:
+                word = growth_sequence(doc.automorphism, g, length, iterations)
+                del apply_calls[:]
+                fast = growth_sequence(doc.automorphism, g, length, iterations, rep=rep)
+                assert fast.values == word.values, (name, repr(g))
+                fast_runs += not apply_calls
+    assert fast_runs >= 200  # 256 of 286 runs; the rest take the word path
+
+
+def test_fast_path_runs_without_rewriting_words(golden, apply_calls):
+    rep = golden.representative
+    length = tree_length_function(golden.graph)
+    b = golden.group.free(1)
+    assert verify_representative(rep) == []
+    del apply_calls[:]
+    rpt = growth_report(golden.automorphism, b, length, 27, rep=rep)
+    assert apply_calls == []
+    fib = [1, 2]
+    while len(fib) < 28:
+        fib.append(fib[-1] + fib[-2])
+    assert rpt.values == [float(x) for x in fib]
+
+
+def test_fast_path_rejects_a_representative_of_another_automorphism(golden, poly):
+    length = tree_length_function(golden.graph)
+    with pytest.raises(InputError):
+        growth_sequence(golden.automorphism, golden.group.free(0), length, 5, rep=poly.representative)
+
+
+def test_illegal_loop_on_a_train_track_keeps_the_word_path(apply_calls):
+    # a train track whose turn {a1, a2} is illegal: both directions map to a1
+    doc = load_text(_rose_document([["a1", "a2"], ["a1", "a2", "a1"]], [["a1'", "a2"], ["a2'", "a1", "a1"]]))
+    rep = doc.representative
+    assert verify_representative(rep) == [] and verify_train_track(rep).ok
+    assert not rep.legality().legal(make_turn(doc.graph, 0, (0, 0), (2, 0)))
+    length = tree_length_function(doc.graph)
+    del apply_calls[:]
+    illegal = growth_sequence(doc.automorphism, parse_word(doc.group, "a2' a1"), length, 5, rep=rep)
+    assert illegal.values == [2.0, 1.0, 2.0, 5.0, 12.0, 29.0]
+    assert len(apply_calls) == 5
+    del apply_calls[:]
+    g = parse_word(doc.group, "a1 a2")
+    legal = growth_sequence(doc.automorphism, g, length, 5, rep=rep)
+    assert apply_calls == []
+    assert legal.values == growth_sequence(doc.automorphism, g, length, 5).values
+
+
+def test_fast_path_guard_partial_report_matches_word_path(golden, apply_calls):
+    length = tree_length_function(golden.graph)
+    a = golden.group.free(0)
+    with pytest.raises(ResourceLimitError) as word:
+        growth_sequence(golden.automorphism, a, length, 40, guard=200)
+    del apply_calls[:]
+    with pytest.raises(ResourceLimitError) as fast:
+        growth_sequence(golden.automorphism, a, length, 40, guard=200, rep=golden.representative)
+    assert apply_calls == []
+    assert fast.value.partial.to_record() == word.value.partial.to_record()
+
+
+def test_fast_path_length_leaving_the_float_range(golden):
+    length = tree_length_function(golden.graph)
+    with pytest.raises(ResourceLimitError) as err:
+        growth_sequence(
+            golden.automorphism, golden.group.free(1), length, 2000, guard=10**401, rep=golden.representative
+        )
+    partial = err.value.partial
+    assert len(partial.values) == partial.iterations + 1 < 2001
+    assert all(math.isfinite(v) for v in partial.values)
+    assert partial.values[-1] > 1e307
 
 
 # -- growth bound machinery ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from outgrowth import (
@@ -5,6 +7,7 @@ from outgrowth import (
     FiniteGroupTable,
     FreeProduct,
     InputError,
+    LegalityTable,
     MarkingInverter,
     TopologicalRepresentative,
     classify_turns,
@@ -13,6 +16,7 @@ from outgrowth import (
     enumerate_turns,
     find_r_legal_hyperbolic,
     is_r_legal,
+    load_bundled,
     make_turn,
     r_length,
     reduce_path,
@@ -21,8 +25,9 @@ from outgrowth import (
     verify_rtt,
     verify_train_track,
 )
-from outgrowth.legality import is_legal_path, loop_seam_turn, path_turns
+from outgrowth.legality import TurnEntry, is_legal_path, loop_seam_turn, path_turns
 
+from conftest import chord_text, load_text, tower_text
 from test_graph_map import identity_representative
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -143,6 +148,76 @@ def test_legal_turns_have_legal_images(golden, poly, c3c3, c2f2):
         for entry in table:
             if entry.legal:
                 assert table.legal(derivative_turn(rep, entry.turn))
+
+
+# The eager classification the lazy table replaced, kept as the reference for
+# entries, their order and steps_to_degeneracy.
+def reference_classify_turns(rep):
+    table = LegalityTable(rep)
+    for start in enumerate_turns(rep.graph):
+        if start in table.entries:
+            continue
+        chain = []
+        position = {}
+        node = start
+        while True:
+            if node in table.entries:
+                known = table.entries[node]
+                for p, t in enumerate(chain):
+                    steps = (
+                        known.steps_to_degeneracy + (len(chain) - p)
+                        if known.steps_to_degeneracy is not None
+                        else None
+                    )
+                    table.entries[t] = TurnEntry(t, known.legal, t.degenerate, steps)
+                break
+            if node.degenerate:
+                table.entries[node] = TurnEntry(node, False, True, 0)
+                continue
+            if node in position:
+                for t in chain:
+                    table.entries[t] = TurnEntry(t, True, False, None)
+                break
+            position[node] = len(chain)
+            chain.append(node)
+            node = derivative_turn(rep, node)
+    return table
+
+
+def _reference_representatives():
+    for name in ("golden_ratio_rose", "polynomial_rose", "c3c3_swap", "c2f2_mixed"):
+        yield load_bundled(name).representative
+    for n in range(3, 11):
+        yield load_text(chord_text(n)).representative
+        yield load_text(tower_text(n)).representative
+
+
+def test_classify_turns_matches_eager_reference():
+    rng = random.Random(5)
+    for rep in _reference_representatives():
+        reference = list(reference_classify_turns(rep).entries.items())
+        assert list(classify_turns(rep).entries.items()) == reference
+        # a lazy table decides each turn the same, whatever order it is asked in
+        lazy = LegalityTable(rep)
+        for turn, entry in rng.sample(reference, len(reference)):
+            assert lazy.entry(turn) == entry
+
+
+def test_verify_rtt_witnesses_unchanged(monkeypatch):
+    import outgrowth.legality as legality
+    from test_graph_map import _zero_stratum_representative
+
+    reps = [*_reference_representatives(), _zero_stratum_representative()]
+    lazy = [verify_rtt(rep, path_bound=3) for rep in reps]
+    monkeypatch.setattr(legality, "classify_turns", reference_classify_turns)
+    assert [verify_rtt(rep, path_bound=3) for rep in reps] == lazy
+
+
+def test_representative_caches_its_lazy_table(golden):
+    rep = golden.representative
+    assert rep.legality() is rep.legality()
+    assert verify_train_track(rep).ok
+    assert 0 < len(rep.legality()) <= len(classify_turns(rep))
 
 
 # -- legality of paths ------------------------------------------------------------------
