@@ -254,6 +254,14 @@ class MarkedMetricGraph:
             if edge_names is not None
             else tuple(f"e{i}" for i in range(len(self.edge_ends)))
         )
+        # darts leaving each vertex, in edge order; ends out of range are left to validate_graph
+        darts: list[list[int]] = [[] for _ in range(n_vertices)]
+        for m, (t, h) in enumerate(self.edge_ends):
+            if 0 <= t < n_vertices:
+                darts[t].append(2 * m)
+            if 0 <= h < n_vertices:
+                darts[h].append(2 * m + 1)
+        self._darts_at = tuple(tuple(ds) for ds in darts)
 
     # -- dart helpers ---------------------------------------------------
 
@@ -270,14 +278,9 @@ class MarkedMetricGraph:
     def dart_length(self, d: int) -> float:
         return self.lengths[d >> 1]
 
-    def darts_at(self, v: int) -> list[int]:
-        out = []
-        for m, (t, h) in enumerate(self.edge_ends):
-            if t == v:
-                out.append(2 * m)
-            if h == v:
-                out.append(2 * m + 1)
-        return out
+    def darts_at(self, v: int) -> tuple[int, ...]:
+        """Darts leaving v, in edge order (a loop gives 2m before 2m + 1)."""
+        return self._darts_at[v]
 
     def dart_str(self, d: int) -> str:
         return self.edge_names[d >> 1] + ("'" if d & 1 else "")

@@ -14,6 +14,11 @@ vertex isomorphism and composes it with the leading element of the image
 path, so that a degenerate derivative is exactly a cancellation in the
 image: a path is mapped without cancellation precisely when its turns have
 nondegenerate images all along their orbits.
+
+Relative train track injectivity is not decided exactly: the search walks
+every reduced connecting path up to a bound, so its verdict holds "up to
+the bound".  Paths that share a prefix share that prefix's tightened
+image, and each path extends its parent's image by one dart's.
 """
 
 from __future__ import annotations
@@ -268,7 +273,12 @@ def verify_rtt(
     Germ preservation and legality propagation are exact; injectivity on
     connecting paths in the lower filtration is checked for all reduced
     decorated paths up to ``path_bound`` darts (default: twice the edge
-    count), so that verdict is "verified up to the bound".
+    count), so that verdict is "verified up to the bound".  Paths that
+    share a prefix share its tightened image, so each path costs only the
+    image of its last dart.  A search that meets ``max_paths`` raises
+    ``NonConvergenceError`` whose ``best`` holds the verdicts decided so
+    far plus the stratum that ran out, with ``injectivity_ok`` None and
+    ``paths_checked`` equal to ``max_paths``.
     """
     g = rep.graph
     dec = rep.strata()
@@ -315,18 +325,33 @@ def verify_rtt(
                     break
         # (2) injectivity on connecting paths through the lower filtration
         v.injectivity_bound = bound
-        v.injectivity_ok = True
-        counterexample, checked = _rtt_injectivity(rep, dec, r, bound, max_paths)
+        try:
+            counterexample, checked = _rtt_injectivity(rep, dec, r, bound, max_paths)
+        except NonConvergenceError as err:
+            # best so far: the strata decided, and this one with injectivity undecided
+            v.paths_checked = max_paths
+            err.best = verdicts + [v]
+            raise
+        v.injectivity_ok = counterexample is None
+        v.injectivity_witness = counterexample
         v.paths_checked = checked
-        if counterexample is not None:
-            v.injectivity_ok = False
-            v.injectivity_witness = counterexample
         verdicts.append(v)
     return verdicts
 
 
 def _rtt_injectivity(rep, dec, r, bound, max_paths):
-    """Search T_{r-1} connecting paths whose image collapses; returns (witness, count)."""
+    """Search T_{r-1} connecting paths whose image collapses; returns (witness, count).
+
+    Depth first over the reduced decorated paths from the endpoints, the
+    children of a path pushed in (dart, element) order.  A child extends
+    its parent by one dart, so its tightened image extends the parent's:
+    an image is a prefix element plus a persistent stack of
+    ``(dart, element, below)`` cells, and extending by ``d e`` tightens
+    ``f(d)`` and the twisted ``e`` onto the parent's stack in O(|f(d)|),
+    sharing every cell below.  Paths are parent-linked chains
+    ``(parent, dart, element)`` under a root ``(None, start, prefix)``; only
+    a witness becomes a ``GraphPath``.
+    """
     g = rep.graph
     if r <= 1:
         return None, 0
@@ -343,33 +368,65 @@ def _rtt_injectivity(rep, dec, r, bound, max_paths):
     endpoints = touches_high & touches_low
     if not endpoints:
         return None, 0
+    mul, head = g.vertex_mul, g.dart_head
+    # per vertex: (dart, element, head, image prefix, image steps, twisted element)
+    extensions = []
+    for v in range(g.n_vertices):
+        row = []
+        for d in g.darts_at(v):
+            if (d >> 1) not in lower_edges:
+                continue
+            h = head(d)
+            img = rep.image_dart(d)
+            for e in range(g.vertex_order(h)):
+                row.append((d, e, h, img.prefix, img.steps, rep.image_element(h, e)))
+        extensions.append(tuple(row))
+    at_endpoint = [v in endpoints for v in range(g.n_vertices)]
+
+    def join(start, prefix, top, elem):
+        # the element after the last dart of the image, or its prefix while there is none
+        if top is None:
+            return mul(start, prefix, elem), None
+        d, e, below = top
+        return prefix, (d, mul(head(d), e, elem), below)
+
     checked = 0
-    stack: list[GraphPath] = []
+    # (path, length, end, dart that would backtrack, image start, image prefix, image stack)
+    stack = []
     for v in sorted(endpoints):
+        start = rep.vertex_images[v]
         for pre in range(g.vertex_order(v)):
-            stack.append(GraphPath(g, v, pre, ()))
+            stack.append(((None, v, pre), 0, v, -1, start, rep.image_element(v, pre), None))
     while stack:
-        p = stack.pop()
-        end = p.end
-        if p.steps and end in endpoints:
+        path, length, end, back, start, prefix, top = stack.pop()
+        if length and at_endpoint[end]:
             checked += 1
             if checked > max_paths:
                 raise NonConvergenceError(
                     f"injectivity search exceeded {max_paths} candidate paths"
                 )
-            image = reduce_path(rep.map_path(p))
-            if not image.steps and image.prefix == 0:
-                return p, checked
-        if len(p.steps) >= bound:
+            if top is None and prefix == 0:
+                steps = []
+                while path[0] is not None:
+                    path, d, e = path
+                    steps.append((d, e))
+                return GraphPath(g, path[1], path[2], tuple(reversed(steps))), checked
+        if length >= bound:
             continue
-        last = p.steps[-1] if p.steps else None
-        for d in g.darts_at(end):
-            if (d >> 1) not in lower_edges:
+        for d, e, h, img_prefix, img_steps, twist in extensions[end]:
+            if d == back:
                 continue
-            if last is not None and last[1] == 0 and d == last[0] ^ 1:
-                continue
-            for e in range(g.vertex_order(g.dart_head(d))):
-                stack.append(GraphPath(g, p.start, p.prefix, p.steps + ((d, e),)))
+            p, t = join(start, prefix, top, img_prefix) if img_prefix else (prefix, top)
+            for sd, se in img_steps:
+                if t is not None and t[1] == 0 and t[0] == sd ^ 1:
+                    t = t[2]
+                    if se:
+                        p, t = join(start, p, t, se)
+                else:
+                    t = (sd, se, t)
+            if twist:
+                p, t = join(start, p, t, twist)
+            stack.append(((path, d, e), length + 1, h, -1 if e else d ^ 1, start, p, t))
     return None, checked
 
 

@@ -11,10 +11,11 @@ from outgrowth import (
     cyclically_reduce,
     reduce_path,
     relative_conjugacy_length,
+    load_bundled,
     standard_rose,
     validate_graph,
 )
-from conftest import random_hyperbolic, random_word
+from conftest import chord_text, load_text, random_hyperbolic, random_word, tower_text
 
 
 # -- construction and validation ---------------------------------------------
@@ -64,6 +65,30 @@ def test_validate_disconnected():
     graph.free_marking = (graph.path(0, [(0, 0)]),)
     codes = {v.code for v in validate_graph(graph)}
     assert "disconnected" in codes
+
+
+def _scan_darts_at(graph, v):
+    """Darts leaving v, found by scanning every edge."""
+    out = []
+    for m, (t, h) in enumerate(graph.edge_ends):
+        if t == v:
+            out.append(2 * m)
+        if h == v:
+            out.append(2 * m + 1)
+    return out
+
+
+def test_darts_at_matches_edge_scan():
+    graphs = [load_bundled(name).graph
+              for name in ("golden_ratio_rose", "polynomial_rose", "c3c3_swap", "c2f2_mixed")]
+    for n in range(3, 11):
+        graphs += [load_text(chord_text(n)).graph, load_text(tower_text(n)).graph]
+    # a petal at a grouped vertex and a bridge between two
+    G = FreeProduct([FiniteGroupTable.cyclic(2, "P"), FiniteGroupTable.cyclic(3, "Q")], free_rank=1)
+    graphs.append(MarkedMetricGraph(G, 2, [(0, 1, 1.0), (1, 1, 1.0), (1, 0, 1.0)], [0, 1], 0))
+    for graph in graphs:
+        for v in range(graph.n_vertices):
+            assert list(graph.darts_at(v)) == _scan_darts_at(graph, v)
 
 
 # -- path reduction -------------------------------------------------------------

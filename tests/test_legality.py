@@ -1,14 +1,19 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outgrowth import (
     Automorphism,
     FiniteGroupTable,
     FreeProduct,
+    GraphPath,
     InputError,
     LegalityTable,
     MarkingInverter,
+    NonConvergenceError,
     TopologicalRepresentative,
     classify_turns,
     cyclically_reduce,
@@ -25,7 +30,8 @@ from outgrowth import (
     verify_rtt,
     verify_train_track,
 )
-from outgrowth.legality import TurnEntry, is_legal_path, loop_seam_turn, path_turns
+from outgrowth.document import parse_path
+from outgrowth.legality import TurnEntry, _rtt_injectivity, is_legal_path, loop_seam_turn, path_turns
 
 from conftest import chord_text, load_text, tower_text
 from test_graph_map import identity_representative
@@ -318,6 +324,167 @@ def test_rtt_injectivity_counterexample():
     for v in verdicts:
         if v.growing:
             assert v.injectivity_ok
+
+
+# The injectivity search the incremental one replaced: it maps and tightens
+# every candidate path from scratch.  Kept as the reference for witnesses,
+# path counts and the point where the cap raises.
+def reference_rtt_injectivity(rep, dec, r, bound, max_paths):
+    g = rep.graph
+    if r <= 1:
+        return None, 0
+    lower_edges = dec.filtration(r - 1)
+    stratum_edges = set(dec.strata[r - 1].edges)
+    touches_high = set()
+    touches_low = set()
+    for m in range(g.n_edges):
+        t, h = g.edge_ends[m]
+        if m in stratum_edges:
+            touches_high.update((t, h))
+        if m in lower_edges:
+            touches_low.update((t, h))
+    endpoints = touches_high & touches_low
+    if not endpoints:
+        return None, 0
+    checked = 0
+    stack: list[GraphPath] = []
+    for v in sorted(endpoints):
+        for pre in range(g.vertex_order(v)):
+            stack.append(GraphPath(g, v, pre, ()))
+    while stack:
+        p = stack.pop()
+        end = p.end
+        if p.steps and end in endpoints:
+            checked += 1
+            if checked > max_paths:
+                raise NonConvergenceError(
+                    f"injectivity search exceeded {max_paths} candidate paths"
+                )
+            image = reduce_path(rep.map_path(p))
+            if not image.steps and image.prefix == 0:
+                return p, checked
+        if len(p.steps) >= bound:
+            continue
+        last = p.steps[-1] if p.steps else None
+        for d in g.darts_at(end):
+            if (d >> 1) not in lower_edges:
+                continue
+            if last is not None and last[1] == 0 and d == last[0] ^ 1:
+                continue
+            for e in range(g.vertex_order(g.dart_head(d))):
+                stack.append(GraphPath(g, p.start, p.prefix, p.steps + ((d, e),)))
+    return None, checked
+
+
+def _injectivity_outcome(search, rep, r, bound, max_paths=200_000):
+    """(witness, paths checked), or the message when the search hits its cap."""
+    try:
+        return search(rep, rep.strata(), r, bound, max_paths)
+    except NonConvergenceError as err:
+        return str(err)
+
+
+def _assert_searches_agree(rep, bounds, max_paths=200_000):
+    for s in rep.strata().strata:
+        if not s.growing:
+            continue
+        for bound in bounds:
+            expected = _injectivity_outcome(reference_rtt_injectivity, rep, s.index, bound, max_paths)
+            got = _injectivity_outcome(_rtt_injectivity, rep, s.index, bound, max_paths)
+            assert got == expected, (s.index, bound)
+
+
+def _c2f2_variant(c2f2, a, b, sP):
+    """The c2f2_mixed graph and twist with other edge images (not always a homotopy equivalence)."""
+    rep = c2f2.representative
+    g = rep.graph
+    images = [parse_path(g, text, g.base) for text in (a, b, sP)]
+    return TopologicalRepresentative(
+        g, rep.automorphism, rep.vertex_images, images,
+        vertex_isos=rep.vertex_isos, vertex_conjugators=rep.vertex_conjugators,
+    )
+
+
+def test_rtt_injectivity_matches_reference_on_fixtures(c2f2):
+    for name in ("golden_ratio_rose", "polynomial_rose", "c3c3_swap", "c2f2_mixed"):
+        rep = load_bundled(name).representative
+        _assert_searches_agree(rep, [2 * rep.graph.n_edges, *range(1, 9)])
+    _assert_searches_agree(c2f2.representative, range(9, 11))
+
+
+def test_rtt_injectivity_matches_reference_on_towers():
+    # the capped cases compare where, and with what message, both searches give up
+    for n in range(3, 7):
+        _assert_searches_agree(load_text(tower_text(n)).representative, range(1, 9), max_paths=5_000)
+
+
+def test_rtt_injectivity_matches_reference_through_vertex_groups(c2f2):
+    # the lower filtration {a, sP} passes through vP with nontrivial P elements
+    through = _c2f2_variant(c2f2, "a", "b sP P:1 sP' a", "sP")
+    _assert_searches_agree(through, range(1, 9))
+    assert _injectivity_outcome(_rtt_injectivity, through, 3, 8) == (None, 193)
+    collapsing = _c2f2_variant(c2f2, "sP P:1 sP'", "b a", "sP")
+    _assert_searches_agree(collapsing, range(1, 9))
+
+
+def test_rtt_injectivity_cap_matches_reference(c2f2):
+    rep = c2f2.representative
+    message = "injectivity search exceeded 1000 candidate paths"
+    for search in (reference_rtt_injectivity, _rtt_injectivity):
+        with pytest.raises(NonConvergenceError, match=message):
+            search(rep, rep.strata(), 2, 10, 1000)
+
+
+def test_rtt_injectivity_finds_collapsing_paths(c2f2):
+    tower = load_text(tower_text(3)).representative
+    g = tower.graph
+    images = [parse_path(g, text, g.base) for text in ("a1", "a1", "a3 a2")]
+    squashed = TopologicalRepresentative(g, tower.automorphism, tower.vertex_images, images)
+    v3 = verify_rtt(squashed, path_bound=6)[2]
+    assert v3.stratum == 3 and v3.injectivity_ok is False
+    assert g.path_str(v3.injectivity_witness) == "a2' a2' a2' a1 a2 a2"
+    assert v3.paths_checked == 36
+
+    collapsing = _c2f2_variant(c2f2, "sP P:1 sP'", "b a", "sP")
+    witness, checked = _rtt_injectivity(collapsing, collapsing.strata(), 3, 8, 200_000)
+    assert collapsing.graph.path_str(witness) == "sP P:1 sP' a'"
+    assert checked == 2
+
+    for rep, w in ((squashed, v3.injectivity_witness), (collapsing, witness)):
+        image = reduce_path(rep.map_path(w))
+        assert image.steps == () and image.prefix == 0
+
+
+_rose_words = st.lists(
+    st.lists(st.integers(0, 5), min_size=1, max_size=3).filter(
+        lambda w: all(d != e ^ 1 for d, e in zip(w, w[1:]))
+    ),
+    min_size=3,
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=_rose_words, bound=st.integers(1, 5))
+def test_rtt_injectivity_matches_reference_on_random_rose_maps(words, bound):
+    F3 = FreeProduct(free_rank=3, free_names=["a", "b", "c"])
+    rose = standard_rose(F3)
+    images = [rose.path(0, [(d, 0) for d in w]) for w in words]
+    rep = TopologicalRepresentative(rose, Automorphism.identity(F3), [0], images)
+    _assert_searches_agree(rep, [bound])
+
+
+def test_rtt_cap_carries_best_so_far(c2f2):
+    rep = c2f2.representative
+    with pytest.raises(NonConvergenceError, match="^injectivity search exceeded 200000 candidate paths$") as info:
+        verify_rtt(rep, path_bound=12)
+    decided, ran_out = info.value.best
+    assert dataclasses.replace(decided, injectivity_bound=8) == verify_rtt(rep, path_bound=8)[0]
+    assert ran_out.stratum == 2 and ran_out.growing
+    assert ran_out.germs_ok and ran_out.legality_ok
+    assert ran_out.injectivity_ok is None and ran_out.injectivity_witness is None
+    assert ran_out.paths_checked == 200_000 and ran_out.injectivity_bound == 12
+    assert not ran_out.ok
 
 
 # -- r-legal hyperbolic elements -------------------------------------------------------
