@@ -30,7 +30,6 @@ from .graph_map import (
     TopologicalRepresentative,
     assign_pf_metric,
     attach_eigendata,
-    column_sum_bounds,
     pf_eigen,
     pf_eigen_many,
     r_length,

@@ -183,19 +183,6 @@ def parse_path(graph: MarkedMetricGraph, text: str, start: int, line: int = 0) -
     return GraphPath(graph, start, prefix, tuple(steps))
 
 
-def _emit_path(graph: MarkedMetricGraph, p: GraphPath) -> str:
-    parts = []
-    if p.prefix:
-        i = graph.vertex_factor[p.start]
-        parts.append(f"{graph.group.factor_names[i]}:{p.prefix}")
-    for d, e in p.steps:
-        parts.append(graph.dart_str(d))
-        if e:
-            i = graph.vertex_factor[graph.dart_head(d)]
-            parts.append(f"{graph.group.factor_names[i]}:{e}")
-    return " ".join(parts)
-
-
 def _float_str(x: float) -> str:
     return repr(float(x))
 
@@ -502,9 +489,9 @@ def emit_document(doc: InputDocument) -> str:
             f"{graph.vertex_names[h]} {_float_str(graph.lengths[m])}"
         )
     for j, p in enumerate(graph.free_marking):
-        lines.append(f"marking {group.free_names[j]} = {_emit_path(graph, p)}")
+        lines.append(f"marking {group.free_names[j]} = {graph.path_str(p, empty='')}")
     for i, p in enumerate(graph.factor_marking):
-        lines.append(f"marking {group.factor_names[i]} = {_emit_path(graph, p)}")
+        lines.append(f"marking {group.factor_names[i]} = {graph.path_str(p, empty='')}")
     lines += _emit_automorphism("automorphism", doc.automorphism)
     lines += _emit_automorphism("inverse", doc.automorphism.inverse)
     rep = doc.representative
@@ -526,8 +513,8 @@ def emit_document(doc: InputDocument) -> str:
                     f"twist-conjugator {graph.vertex_names[v]} = {group.factor_names[i]}:{c}"
                 )
         for m, ename in enumerate(graph.edge_names):
-            lines.append(f"edge {ename} = {_emit_path(graph, rep.edge_images[m])}")
-        lines.append(f"tether = {_emit_path(graph, rep.tether)}")
+            lines.append(f"edge {ename} = {graph.path_str(rep.edge_images[m], empty='')}")
+        lines.append(f"tether = {graph.path_str(rep.tether, empty='')}")
     return "\n".join(lines) + "\n"
 
 

@@ -11,9 +11,11 @@ tether path recording where the base point goes.  The representative is
 
 for every generator s, using literal equality of reduced paths.
 
-The transition matrix counts unoriented edge crossings of the images.  Its
-strongly connected blocks, ordered so that images only descend, cut the
-edges into strata whose Perron-Frobenius data drive everything downstream:
+The transition matrix counts unoriented edge crossings of the images.  One
+boolean reachability closure of it gives the strata: its symmetric part
+joins the edges of each strongly connected block, and the rest orders the
+blocks so that images only descend (sinks first, ties to the smallest
+edge).  The strata's Perron-Frobenius data drive everything downstream:
 eigenvector entries become edge lengths, the largest block eigenvalue is
 the spectral growth rate, and per-stratum weighted lengths feed the growth
 bounds.
@@ -132,6 +134,8 @@ def verify_representative(rep: TopologicalRepresentative) -> list[Violation]:
     g = rep.graph
     G = g.group
     out = list(validate_graph(g))
+    if any(v.code == "bad edge" for v in out):
+        return out  # the edge checks below index vertices by edge ends
     try:
         rep.automorphism.validate()
     except InputError as err:
@@ -256,105 +260,43 @@ class StrataDecomposition:
         return frozenset(e for s in self.strata[:r] for e in s.edges)
 
 
-def _scc(M: np.ndarray) -> list[list[int]]:
-    """Strongly connected components of the digraph j -> i when M[i, j] > 0.
-
-    Iterative Tarjan; component order is normalised afterwards, so only the
-    partition matters here.
-    """
-    n = M.shape[0]
-    succ = [[i for i in range(n) if M[i, j] > 0] for j in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comps
-
-
 def stratify(M: np.ndarray) -> StrataDecomposition:
-    """Order the strongly connected blocks of M so that images only descend.
+    """Cut the edges into strata, ordered so that images only descend.
 
-    Stratum 1 is lowest; whenever M[i, j] > 0 the stratum of i is <= the
-    stratum of j.  Ties in the topological order are broken by the smallest
-    contained edge index, so the result is independent of component
-    discovery order.  Eigenvalue data is attached separately.
+    ``reach[i, j]`` holds when edge i lies in the image of some iterate of
+    edge j: the reflexive closure of ``M > 0``, closed by Warshall's loop on
+    booleans.  Its symmetric part ``reach & reach.T`` joins the edges of one
+    strongly connected block, and the rest is the strictly-below relation.
+    Blocks are placed lowest first: each step places the block of the
+    smallest unplaced edge with nothing unplaced below it.  So stratum 1 is
+    lowest, whenever M[i, j] > 0 the stratum of i is <= the stratum of j,
+    and ties in the order go to the block with the smallest edge.
+    Eigenvalue data is attached separately.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError("transition matrix must be square")
     if M.size and (M < 0).any():
         raise InputError("transition matrix must be nonnegative")
-    comps = [sorted(c) for c in _scc(M)]
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    # arcs between components follow the arrows j -> i of the edge digraph
-    out_arcs: list[set[int]] = [set() for _ in comps]
-    in_arcs: list[set[int]] = [set() for _ in comps]
-    nz = np.argwhere(M > 0)
-    for i, j in nz:
-        ci, cj = comp_of[int(i)], comp_of[int(j)]
-        if ci != cj:
-            out_arcs[cj].add(ci)
-            in_arcs[ci].add(cj)
-    placed: list[int] = []
-    remaining = set(range(len(comps)))
-    pending_out = [set(s) for s in out_arcs]
-    while remaining:
-        sinks = [c for c in remaining if not pending_out[c]]
-        chosen = min(sinks, key=lambda c: comps[c][0])
-        placed.append(chosen)
-        remaining.discard(chosen)
-        for c in in_arcs[chosen]:
-            pending_out[c].discard(chosen)
+    n = M.shape[0]
+    reach = (M > 0) | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= reach[:, k, None] & reach[None, k, :]
+    same = reach & reach.T
+    below = reach & ~same
+    pending = below.sum(axis=0)  # per edge, the unplaced edges strictly below it
+    placed = np.zeros(n, dtype=bool)
     strata = []
-    stratum_of = [0] * M.shape[0]
-    for pos, ci in enumerate(placed, start=1):
-        edges = tuple(comps[ci])
+    stratum_of = [0] * n
+    while not placed.all():
+        members = np.flatnonzero(same[:, np.argmax(~placed & (pending == 0))])
+        placed[members] = True
+        pending -= below[members].sum(axis=0)
+        edges = tuple(members.tolist())
         block = M[np.ix_(edges, edges)]
-        growing = bool(block.any())
-        strata.append(Stratum(pos, edges, block, growing))
+        strata.append(Stratum(len(strata) + 1, edges, block, bool(block.any())))
         for e in edges:
-            stratum_of[e] = pos
+            stratum_of[e] = len(strata)
     return StrataDecomposition(M, tuple(strata), tuple(stratum_of))
 
 
@@ -482,12 +424,6 @@ def pf_eigen(block: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray]:
         return float(block[0, 0]), np.ones(1)
     values, vecs = pf_eigen_many(block[None], tol=tol)
     return float(values[0]), vecs[0]
-
-
-def column_sum_bounds(block: np.ndarray) -> tuple[float, float]:
-    """(min, max) column sums; the Perron eigenvalue lies between them."""
-    sums = np.asarray(block).sum(axis=0)
-    return float(sums.min()), float(sums.max())
 
 
 # -- metrics from eigenvectors ---------------------------------------------------

@@ -321,7 +321,8 @@ class MarkedMetricGraph:
     def path(self, start: int, items: Iterable[tuple[int, int]], prefix: int = 0) -> GraphPath:
         return GraphPath(self, start, prefix, tuple(items))
 
-    def path_str(self, p: GraphPath) -> str:
+    def path_str(self, p: GraphPath, empty: str = "(trivial)") -> str:
+        """The path in document syntax; ``empty`` stands for a path with no darts or element."""
         parts = []
         if p.prefix:
             i = self.vertex_factor[p.start]
@@ -331,7 +332,7 @@ class MarkedMetricGraph:
             if e:
                 i = self.vertex_factor[self.dart_head(d)]
                 parts.append(f"{self.group.factor_names[i]}:{e}")
-        return " ".join(parts) if parts else "(trivial)"
+        return " ".join(parts) if parts else empty
 
     def path_length(self, p: GraphPath) -> float:
         """Sum over edges of crossings times length, correctly rounded (no drift on long paths)."""
@@ -437,6 +438,9 @@ def validate_graph(graph: MarkedMetricGraph) -> list[Violation]:
     marking paths are checked exactly.
     """
     G = graph.group
+    for t, h in graph.edge_ends:
+        if not (0 <= t < graph.n_vertices and 0 <= h < graph.n_vertices):
+            return [Violation("bad edge", f"edge endpoints ({t},{h}) out of range")]
     out: list[Violation] = []
     if not graph.connected():
         out.append(Violation("disconnected", "underlying graph is not connected"))
@@ -472,10 +476,6 @@ def validate_graph(graph: MarkedMetricGraph) -> list[Violation]:
                 f"{len(assigned)} of {len(G.factors)} factors assigned to vertices",
             )
         )
-    for t, h in graph.edge_ends:
-        if not (0 <= t < graph.n_vertices and 0 <= h < graph.n_vertices):
-            out.append(Violation("bad edge", f"edge endpoints ({t},{h}) out of range"))
-            return out
     if len(graph.free_marking) != G.free_rank:
         out.append(Violation("marking", "one marking loop required per free generator"))
     if len(graph.factor_marking) != len(G.factors):

@@ -460,18 +460,6 @@ def find_r_legal_hyperbolic(
     inverter = inverter if inverter is not None else MarkingInverter(g)
     longest_legal: GraphPath | None = None
 
-    def loop_candidate(loop: GraphPath) -> Word | None:
-        if r_length(rep, loop, r) <= 0:
-            return None
-        if not is_r_legal(rep, loop, r, table, cyclic=True):
-            return None
-        dn, en = loop.steps[-1]
-        d1 = loop.steps[0][0]
-        if dn ^ 1 == d1 and g.vertex_mul(loop.start, en, loop.prefix) == 0:
-            return None  # not cyclically reduced
-        word = inverter.element_of_loop_at(loop)
-        return word if word.is_hyperbolic() else None
-
     for e in stratum.edges:
         path = GraphPath(g, g.dart_tail(2 * e), 0, ((2 * e, 0),))
         for _ in range(iteration_cap):
@@ -488,7 +476,8 @@ def find_r_legal_hyperbolic(
                         continue
                     steps = list(path.steps[i:j])
                     steps[-1] = (steps[-1][0], 0)
-                    word = loop_candidate(GraphPath(g, vertices[i], 0, tuple(steps)))
+                    loop = GraphPath(g, vertices[i], 0, tuple(steps))
+                    word = _accept_loop(rep, r, table, inverter, loop)
                     if word is not None:
                         return word
 
@@ -499,6 +488,21 @@ def find_r_legal_hyperbolic(
         f"no r-legal hyperbolic element found for stratum {r} within the caps",
         best=longest_legal,
     )
+
+
+def _accept_loop(rep, r, table, inverter, loop: GraphPath) -> Word | None:
+    """The element of a closed path that can answer ``find_r_legal_hyperbolic``, or None.
+
+    Such a loop is cyclically reduced, meets stratum r, is cyclically
+    r-legal and carries a hyperbolic element.
+    """
+    (dn, en), d1 = loop.steps[-1], loop.steps[0][0]
+    if dn ^ 1 == d1 and rep.graph.vertex_mul(loop.start, en, loop.prefix) == 0:
+        return None
+    if r_length(rep, loop, r) <= 0 or not is_r_legal(rep, loop, r, table, cyclic=True):
+        return None
+    word = inverter.element_of_loop_at(loop)
+    return word if word.is_hyperbolic() else None
 
 
 def _legal_loop_search(rep, r, table, inverter, loop_bound, max_nodes: int = 200_000):
@@ -521,13 +525,9 @@ def _legal_loop_search(rep, r, table, inverter, loop_bound, max_nodes: int = 200
             if seen > max_nodes:
                 return None
             if p.end == p.start:
-                dn, en = p.steps[-1]
-                d1 = p.steps[0][0]
-                if not (dn ^ 1 == d1 and g.vertex_mul(p.start, en, p.prefix) == 0):
-                    if r_length(rep, p, r) > 0 and is_r_legal(rep, p, r, table, cyclic=True):
-                        word = inverter.element_of_loop_at(p)
-                        if word.is_hyperbolic():
-                            return word
+                word = _accept_loop(rep, r, table, inverter, p)
+                if word is not None:
+                    return word
             if len(p.steps) >= bound:
                 continue
             last_d, last_e = p.steps[-1]

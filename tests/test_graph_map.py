@@ -10,9 +10,10 @@ from outgrowth import (
     Automorphism,
     InputError,
     NonConvergenceError,
+    StrataDecomposition,
+    Stratum,
     TopologicalRepresentative,
     assign_pf_metric,
-    column_sum_bounds,
     pf_eigen,
     pf_eigen_many,
     r_length,
@@ -23,6 +24,7 @@ from outgrowth import (
     transition_matrix,
     verify_representative,
 )
+from outgrowth.graph_map import collatz_wielandt
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -131,6 +133,129 @@ def test_stratify_zero_block():
     attach_eigendata(dec)
     assert dec.strata[0].eigenvalue == 0.0
     assert dec.strata[0].weights is None
+
+
+def _reference_scc(M: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of the digraph j -> i when M[i, j] > 0 (iterative Tarjan)."""
+    n = M.shape[0]
+    succ = [[i for i in range(n) if M[i, j] > 0] for j in range(n)]
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for k in range(pi, len(succ[v])):
+                w = succ[v][k]
+                if index[w] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return comps
+
+
+def reference_stratify(M: np.ndarray) -> StrataDecomposition:
+    """Tarjan's components, ordered by repeatedly placing the sink with the smallest edge.
+
+    The stratification ``stratify`` replaced; kept as the differential oracle.
+    """
+    M = np.asarray(M)
+    comps = [sorted(c) for c in _reference_scc(M)]
+    comp_of = {}
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    # arcs between components follow the arrows j -> i of the edge digraph
+    out_arcs: list[set[int]] = [set() for _ in comps]
+    in_arcs: list[set[int]] = [set() for _ in comps]
+    for i, j in np.argwhere(M > 0):
+        ci, cj = comp_of[int(i)], comp_of[int(j)]
+        if ci != cj:
+            out_arcs[cj].add(ci)
+            in_arcs[ci].add(cj)
+    placed: list[int] = []
+    remaining = set(range(len(comps)))
+    pending_out = [set(s) for s in out_arcs]
+    while remaining:
+        sinks = [c for c in remaining if not pending_out[c]]
+        chosen = min(sinks, key=lambda c: comps[c][0])
+        placed.append(chosen)
+        remaining.discard(chosen)
+        for c in in_arcs[chosen]:
+            pending_out[c].discard(chosen)
+    strata = []
+    stratum_of = [0] * M.shape[0]
+    for pos, ci in enumerate(placed, start=1):
+        edges = tuple(comps[ci])
+        block = M[np.ix_(edges, edges)]
+        strata.append(Stratum(pos, edges, block, bool(block.any())))
+        for e in edges:
+            stratum_of[e] = pos
+    return StrataDecomposition(M, tuple(strata), tuple(stratum_of))
+
+
+def assert_same_stratification(M):
+    got, want = stratify(M), reference_stratify(M)
+    assert got.stratum_of == want.stratum_of
+    assert len(got.strata) == len(want.strata)
+    for s, t in zip(got.strata, want.strata):
+        assert (s.index, s.edges, s.growing) == (t.index, t.edges, t.growing)
+        assert all(type(e) is int for e in s.edges)
+        assert s.block.dtype == t.block.dtype and np.array_equal(s.block, t.block)
+
+
+def test_stratify_matches_reference_random():
+    rng = np.random.default_rng(6)
+    for _ in range(2000):
+        n = int(rng.integers(0, 12))
+        density = rng.random()
+        M = rng.integers(1, 3, size=(n, n)) * (rng.random((n, n)) < density)
+        assert_same_stratification(M)
+
+
+def test_stratify_matches_reference_fixtures(golden, poly, c3c3, c2f2):
+    reps = [doc.representative for doc in (golden, poly, c3c3, c2f2)]
+    reps.append(_zero_stratum_representative())
+    for rep in reps:
+        assert_same_stratification(transition_matrix(rep))
+
+
+@pytest.mark.parametrize("n", [3, 10, 25, 50, 100, 110, 200])
+def test_stratify_matches_reference_families(n):
+    for text in (chord_text(n), tower_text(n)):
+        M = transition_matrix(load_text(text).representative)
+        assert_same_stratification(M)
+        assert_same_stratification(M[::-1, ::-1])  # the smallest edge now sits on top
 
 
 def test_block_triangularity_random():
@@ -282,7 +407,7 @@ def test_column_sum_sandwich_random():
         M = np.array([[rng.randrange(4) for _ in range(n)] for _ in range(n)])
         M += np.roll(np.eye(n, dtype=int), 1, axis=0)  # force a cycle: irreducible
         mu, _ = pf_eigen(M)
-        lo, hi = column_sum_bounds(M)
+        (lo,), (hi,) = collatz_wielandt(M, np.ones(n))
         assert lo - 1e-9 <= mu <= hi + 1e-9
 
 

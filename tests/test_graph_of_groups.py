@@ -3,6 +3,7 @@ import random
 import pytest
 
 from outgrowth import (
+    Automorphism,
     FiniteGroupTable,
     FreeProduct,
     GraphPath,
@@ -12,8 +13,10 @@ from outgrowth import (
     reduce_path,
     relative_conjugacy_length,
     load_bundled,
+    TopologicalRepresentative,
     standard_rose,
     validate_graph,
+    verify_representative,
 )
 from conftest import chord_text, load_text, random_hyperbolic, random_word, tower_text
 
@@ -65,6 +68,15 @@ def test_validate_disconnected():
     graph.free_marking = (graph.path(0, [(0, 0)]),)
     codes = {v.code for v in validate_graph(graph)}
     assert "disconnected" in codes
+
+
+@pytest.mark.parametrize("end", [3, -1])
+def test_validate_bad_edge_end(end):
+    G = FreeProduct(free_rank=1, free_names=["x"])
+    graph = MarkedMetricGraph(G, 1, [(0, end, 1.0)], [None], 0)
+    assert [v.code for v in validate_graph(graph)] == ["bad edge"]
+    rep = TopologicalRepresentative(graph, Automorphism.identity(G), [0], [graph.path(0, [(0, 0)])])
+    assert [v.code for v in verify_representative(rep)] == ["bad edge"]
 
 
 def _scan_darts_at(graph, v):
