@@ -66,9 +66,6 @@ class TopologicalRepresentative:
 
     # -- the map ----------------------------------------------------------
 
-    def image_vertex(self, v: int) -> int:
-        return self.vertex_images[v]
-
     def image_element(self, v: int, g: int) -> int:
         """Effective vertex twist: conjugated isomorphism image of g in G_{f(v)}."""
         if g == 0:
@@ -117,10 +114,10 @@ class TopologicalRepresentative:
         return self._strata
 
     def legality(self):
-        """Turn legality, decided turn by turn on demand and memoised (cached).
+        """Turn legality from the gates of the derivative on directions (cached).
 
-        Returns a ``legality.LegalityTable``; ``legality.classify_turns``
-        fills a fresh one with every turn.
+        Returns a ``legality.LegalityTable``, which memoises the turns asked
+        for; ``legality.classify_turns`` fills a fresh one with every turn.
         """
         if self._legality is None:
             from .legality import LegalityTable  # the turn calculus builds on this module

@@ -3,17 +3,14 @@
 A direction at a vertex is an outgoing dart together with a vertex-group
 twist; a turn is an unordered pair of directions, normalised under the
 simultaneous left action of the vertex group so that one twist is the
-identity.  With finite vertex groups the set of turns is finite, every
-derivative orbit is eventually periodic, and legality is decided exactly:
-a turn is illegal when some derivative iterate is degenerate (two equal
-directions), legal otherwise.  Tables decide turns on demand, so checking
-a few paths follows only the orbits those paths meet.
-
-The derivative of a direction twists the group element through the map's
-vertex isomorphism and composes it with the leading element of the image
-path, so that a degenerate derivative is exactly a cancellation in the
-image: a path is mapped without cancellation precisely when its turns have
-nondegenerate images all along their orbits.
+identity.  The derivative ``Df`` sends a direction to the first direction
+of its image path, twisting the group element through the map's vertex
+isomorphism and composing it with the image's leading element, so that a
+degenerate image turn is exactly a cancellation in the image.  With finite
+vertex groups ``Df`` is a function on finitely many directions, and
+legality is decided exactly (Bestvina-Handel 1992): a turn is illegal when
+some power of ``Df`` sends its two directions to the same direction.  The
+classes of directions that end up together are the gates.
 
 Relative train track injectivity is not decided exactly: the search walks
 every reduced connecting path up to a bound, so its verdict holds "up to
@@ -35,7 +32,7 @@ Direction = tuple[int, int]  # (outgoing dart, vertex-group twist)
 
 
 class Turn(NamedTuple):
-    # a named tuple hashes and compares in C: following a derivative orbit hashes every turn on it
+    # a named tuple hashes and compares in C: turns key the memo and sort the enumeration
     vertex: int
     directions: tuple[Direction, Direction]
 
@@ -71,18 +68,21 @@ def enumerate_turns(graph: MarkedMetricGraph) -> list[Turn]:
     return sorted(turns)
 
 
+def _derivative_direction(rep: TopologicalRepresentative, v: int, direction: Direction) -> Direction:
+    """Df on one direction at v: the first dart of its image path, twisted."""
+    d, tw = direction
+    img = rep.image_dart(d)
+    if not img.steps:
+        raise InputError(f"edge {rep.graph.edge_names[d >> 1]} maps to a point")
+    twist = rep.graph.vertex_mul(rep.vertex_images[v], rep.image_element(v, tw), img.prefix)
+    return img.steps[0][0], twist
+
+
 def derivative_turn(rep: TopologicalRepresentative, turn: Turn) -> Turn:
     """Image turn: each direction goes to the initial direction of its image path."""
-    g = rep.graph
     v = turn.vertex
-    image_v = rep.vertex_images[v]
-    new_dirs = []
-    for d, tw in turn.directions:
-        img = rep.image_dart(d)
-        first = img.steps[0][0]
-        twist = g.vertex_mul(image_v, rep.image_element(v, tw), img.prefix)
-        new_dirs.append((first, twist))
-    return make_turn(g, image_v, new_dirs[0], new_dirs[1])
+    d1, d2 = (_derivative_direction(rep, v, x) for x in turn.directions)
+    return make_turn(rep.graph, rep.vertex_images[v], d1, d2)
 
 
 @dataclass
@@ -94,46 +94,45 @@ class TurnEntry:
 
 
 class LegalityTable:
-    """Turn legality, decided on demand and memoised in ``entries``.
+    """Turn legality from the gates of the derivative, memoised in ``entries``.
 
-    Looking up an undecided turn follows its derivative orbit until the
-    orbit degenerates, repeats without degenerating, or meets a decided
-    turn, and records every turn met on the way.
+    ``Df`` is tabulated on directions numbered vertex by vertex.  It is
+    injective on its periodic directions, so two directions that ever meet
+    meet within as many steps as there are directions, and ``gate``, a power
+    of ``Df`` at least that count, joins exactly those.  A turn is legal when
+    its directions have different gates, and otherwise its
+    ``steps_to_degeneracy`` counts the steps until they meet.  An edge
+    mapping to a point has no derivative and raises ``InputError``.
     """
 
     def __init__(self, rep: TopologicalRepresentative):
         self.rep = rep
         self.entries: dict[Turn, TurnEntry] = {}
+        g = rep.graph
+        directions = [
+            (d, tw) for v in range(g.n_vertices) for d in g.darts_at(v) for tw in range(g.vertex_order(v))
+        ]
+        self._index = index = {x: i for i, x in enumerate(directions)}
+        self._df = df = [index[_derivative_direction(rep, g.dart_tail(x[0]), x)] for x in directions]
+        gate = df
+        for _ in range(len(df).bit_length()):
+            gate = [gate[i] for i in gate]
+        self._gate = gate
 
     def entry(self, turn: Turn) -> TurnEntry:
-        """The turn's entry, deciding it and the undecided turns on its orbit first."""
-        entries = self.entries
-        if turn in entries:
-            return entries[turn]
-        chain: list[Turn] = []
-        on_chain: set[Turn] = set()
-        node = turn
-        while node not in entries:
-            if node.degenerate:
-                entries[node] = TurnEntry(node, False, True, 0)
-                break
-            if node in on_chain:
-                # periodic orbit with no degeneracy: everything on the chain is legal
-                for t in chain:
-                    entries[t] = TurnEntry(t, True, False, None)
-                return entries[turn]
-            on_chain.add(node)
-            chain.append(node)
-            node = derivative_turn(self.rep, node)
-        known = entries[node]
-        for p, t in enumerate(chain):
-            steps = (
-                known.steps_to_degeneracy + (len(chain) - p)
-                if known.steps_to_degeneracy is not None
-                else None
-            )
-            entries[t] = TurnEntry(t, known.legal, t.degenerate, steps)
-        return entries[turn]
+        """The turn's entry, deciding it first if it is new."""
+        entry = self.entries.get(turn)
+        if entry is None:
+            x, y = (self._index[d] for d in turn.directions)
+            if self._gate[x] != self._gate[y]:
+                entry = TurnEntry(turn, True, False, None)
+            else:
+                steps = 0
+                while x != y:
+                    x, y, steps = self._df[x], self._df[y], steps + 1
+                entry = TurnEntry(turn, False, turn.degenerate, steps)
+            self.entries[turn] = entry
+        return entry
 
     def legal(self, turn: Turn) -> bool:
         return self.entry(turn).legal
@@ -200,10 +199,13 @@ def is_r_legal(
     turns = path_turns(rep.graph, p)
     if cyclic and p.steps:
         turns.append(loop_seam_turn(rep.graph, p))
-    for t in turns:
-        e1, e2 = t.edges()
-        if stratum_of[e1] == r == stratum_of[e2] and not table.legal(t):
-            return False
+    return all(_turn_r_ok(table, stratum_of, r, t) for t in turns)
+
+
+def _turn_r_ok(table: LegalityTable, stratum_of, r: int, t: Turn) -> bool:
+    e1, e2 = t.edges()
+    if stratum_of[e1] == r == stratum_of[e2]:
+        return table.legal(t)
     return True
 
 
@@ -256,13 +258,6 @@ class RttStratumVerdict:
         return bool(self.germs_ok and self.legality_ok and self.injectivity_ok)
 
 
-def _turn_r_ok(table: LegalityTable, stratum_of, r: int, t: Turn) -> bool:
-    e1, e2 = t.edges()
-    if stratum_of[e1] == r == stratum_of[e2]:
-        return table.legal(t)
-    return True
-
-
 def verify_rtt(
     rep: TopologicalRepresentative,
     path_bound: int | None = None,
@@ -270,19 +265,20 @@ def verify_rtt(
 ) -> list[RttStratumVerdict]:
     """Verify the three relative-train-track properties on every growing stratum.
 
-    Germ preservation and legality propagation are exact; injectivity on
-    connecting paths in the lower filtration is checked for all reduced
-    decorated paths up to ``path_bound`` darts (default: twice the edge
-    count), so that verdict is "verified up to the bound".  Paths that
-    share a prefix share its tightened image, so each path costs only the
-    image of its last dart.  A search that meets ``max_paths`` raises
-    ``NonConvergenceError`` whose ``best`` holds the verdicts decided so
-    far plus the stratum that ran out, with ``injectivity_ok`` None and
-    ``paths_checked`` equal to ``max_paths``.
+    Germ preservation and r-legal edge images are exact; the derivative then
+    keeps r-legal turns r-legal, as legal turns have legal images and images
+    only descend.  Injectivity on connecting paths in the lower filtration
+    is checked for all reduced decorated paths up to ``path_bound`` darts
+    (default: twice the edge count), so that verdict is "verified up to the
+    bound".  Paths that share a prefix share its tightened image, so each
+    path costs only the image of its last dart.  A search that meets
+    ``max_paths`` raises ``NonConvergenceError`` whose ``best`` holds the
+    verdicts decided so far plus the stratum that ran out, with
+    ``injectivity_ok`` None and ``paths_checked`` equal to ``max_paths``.
     """
     g = rep.graph
     dec = rep.strata()
-    table = classify_turns(rep)
+    table = rep.legality()
     bound = path_bound if path_bound is not None else 2 * g.n_edges
     stratum_of = dec.stratum_of
     verdicts = []
@@ -302,27 +298,13 @@ def verify_rtt(
                 v.germs_ok = False
                 v.germ_witness = e
                 break
-        # (3) r-legality: images of stratum edges are r-legal, and the
-        # derivative keeps turns r-legal
+        # (3) r-legality: images of stratum edges are r-legal
         v.legality_ok = True
         for e in s.edges:
             if not is_r_legal(rep, rep.edge_images[e], r, table):
                 v.legality_ok = False
                 v.legality_witness = is_legal_path(rep, table, rep.edge_images[e])
                 break
-        if v.legality_ok:
-            lower = dec.filtration(r)
-            for entry in table:
-                t = entry.turn
-                e1, e2 = t.edges()
-                if e1 not in lower or e2 not in lower:
-                    continue
-                if not _turn_r_ok(table, stratum_of, r, t):
-                    continue
-                if not _turn_r_ok(table, stratum_of, r, derivative_turn(rep, t)):
-                    v.legality_ok = False
-                    v.legality_witness = t
-                    break
         # (2) injectivity on connecting paths through the lower filtration
         v.injectivity_bound = bound
         try:

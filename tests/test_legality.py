@@ -31,7 +31,14 @@ from outgrowth import (
     verify_train_track,
 )
 from outgrowth.document import parse_path
-from outgrowth.legality import TurnEntry, _rtt_injectivity, is_legal_path, loop_seam_turn, path_turns
+from outgrowth.legality import (
+    TurnEntry,
+    _rtt_injectivity,
+    _turn_r_ok,
+    is_legal_path,
+    loop_seam_turn,
+    path_turns,
+)
 
 from conftest import chord_text, load_text, tower_text
 from test_graph_map import identity_representative
@@ -156,8 +163,9 @@ def test_legal_turns_have_legal_images(golden, poly, c3c3, c2f2):
                 assert table.legal(derivative_turn(rep, entry.turn))
 
 
-# The eager classification the lazy table replaced, kept as the reference for
-# entries, their order and steps_to_degeneracy.
+# The orbit-walking classification the gate table replaced: it follows each
+# turn's derivative orbit and records every turn met on the way.  Kept as the
+# reference for legality and steps_to_degeneracy.
 def reference_classify_turns(rep):
     table = LegalityTable(rep)
     for start in enumerate_turns(rep.graph):
@@ -202,7 +210,9 @@ def test_classify_turns_matches_eager_reference():
     rng = random.Random(5)
     for rep in _reference_representatives():
         reference = list(reference_classify_turns(rep).entries.items())
-        assert list(classify_turns(rep).entries.items()) == reference
+        table = classify_turns(rep)
+        assert table.entries == dict(reference)
+        assert list(table.entries) == enumerate_turns(rep.graph)
         # a lazy table decides each turn the same, whatever order it is asked in
         lazy = LegalityTable(rep)
         for turn, entry in rng.sample(reference, len(reference)):
@@ -210,13 +220,22 @@ def test_classify_turns_matches_eager_reference():
 
 
 def test_verify_rtt_witnesses_unchanged(monkeypatch):
-    import outgrowth.legality as legality
     from test_graph_map import _zero_stratum_representative
 
     reps = [*_reference_representatives(), _zero_stratum_representative()]
     lazy = [verify_rtt(rep, path_bound=3) for rep in reps]
-    monkeypatch.setattr(legality, "classify_turns", reference_classify_turns)
+    monkeypatch.setattr(TopologicalRepresentative, "legality", reference_classify_turns)
     assert [verify_rtt(rep, path_bound=3) for rep in reps] == lazy
+
+
+def test_edge_mapping_to_a_point_is_named():
+    tower = load_text(tower_text(3)).representative
+    g = tower.graph
+    images = (g.trivial_path(0),) + tower.edge_images[1:]
+    squashed = TopologicalRepresentative(g, tower.automorphism, tower.vertex_images, images)
+    for check in (LegalityTable, classify_turns, verify_train_track, verify_rtt):
+        with pytest.raises(InputError, match="^edge a1 maps to a point$"):
+            check(squashed)
 
 
 def test_representative_caches_its_lazy_table(golden):
@@ -464,14 +483,51 @@ _rose_words = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(words=_rose_words, bound=st.integers(1, 5))
-def test_rtt_injectivity_matches_reference_on_random_rose_maps(words, bound):
+def _rose_map(words):
+    """The rank-3 rose map sending each petal to a reduced word in the darts."""
     F3 = FreeProduct(free_rank=3, free_names=["a", "b", "c"])
     rose = standard_rose(F3)
     images = [rose.path(0, [(d, 0) for d in w]) for w in words]
-    rep = TopologicalRepresentative(rose, Automorphism.identity(F3), [0], images)
-    _assert_searches_agree(rep, [bound])
+    return TopologicalRepresentative(rose, Automorphism.identity(F3), [0], images)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=_rose_words, bound=st.integers(1, 5))
+def test_rtt_injectivity_matches_reference_on_random_rose_maps(words, bound):
+    _assert_searches_agree(_rose_map(words), [bound])
+
+
+# verify_rtt no longer checks that the derivative keeps turns r-legal: a legal
+# turn has a legal image, and a turn with an edge below stratum r maps to one,
+# because images only descend.  These tests keep that condition.
+def _assert_derivative_keeps_turns_r_legal(rep):
+    dec = rep.strata()
+    table = classify_turns(rep)
+    for s in dec.strata:
+        if not s.growing:
+            continue
+        lower = dec.filtration(s.index)
+        for t in table.entries:
+            if all(e in lower for e in t.edges()) and _turn_r_ok(table, dec.stratum_of, s.index, t):
+                assert _turn_r_ok(table, dec.stratum_of, s.index, derivative_turn(rep, t)), (s.index, t)
+
+
+def test_derivative_keeps_turns_r_legal(c2f2):
+    reps = [
+        *_reference_representatives(),
+        _c2f2_variant(c2f2, "a", "b sP P:1 sP' a", "sP"),
+        _c2f2_variant(c2f2, "sP P:1 sP'", "b a", "sP"),
+    ]
+    for rep in reps:
+        _assert_derivative_keeps_turns_r_legal(rep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=_rose_words)
+def test_gates_keep_turns_r_legal_on_random_rose_maps(words):
+    rep = _rose_map(words)
+    assert classify_turns(rep).entries == reference_classify_turns(rep).entries
+    _assert_derivative_keeps_turns_r_legal(rep)
 
 
 def test_rtt_cap_carries_best_so_far(c2f2):
