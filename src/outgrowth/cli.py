@@ -210,14 +210,14 @@ def growth(input_arg, element, iterations, length_kind, guard, fmt):
     def run():
         doc = _load(input_arg)
         g = parse_word(doc.group, element)
-        rep = None
         if length_kind == "relative":
             length = relative_length_function(doc.group)
         else:
             length = tree_length_function(doc.graph)
-            # a verified map lets legal loops iterate by crossing counts; otherwise words are rewritten
-            if doc.representative is not None and not verify_representative(doc.representative):
-                rep = doc.representative
+        # a verified map lets legal loops iterate by crossing counts; otherwise words are rewritten
+        rep = None
+        if doc.representative is not None and not verify_representative(doc.representative):
+            rep = doc.representative
         rpt = growth_report(doc.automorphism, g, length, iterations, guard=guard, rep=rep)
         rows = [
             {

@@ -12,12 +12,15 @@ hyperbolic conjugacy classes certifies.
 
 Orbit lengths come one of two ways.  The word path rewrites g alpha^k at
 every step and measures the word, under a guard on its syllables.  Given a
-verified representative, a tree length takes the train-track fast path
-when every edge image is legal and the loop of g is cyclically legal: no
-iterate of the loop cancels, so its crossing vector evolves as
-c_{k+1} = M c_k, kept in exact integers, and each length is summed from it
-exactly as on the word path, so both give the same floats.  The guard then
-counts the loop's darts, and a length past the float range trips it too.
+verified representative, a length with a marked graph takes the
+train-track fast path when every edge image is legal and the loop of g is
+cyclically legal: no iterate of the loop cancels, so its crossing vector
+evolves as c_{k+1} = M c_k, kept in exact integers, and each length is
+summed from it exactly as on the word path, so both give the same floats.
+The guard then counts the loop's darts, and a length past the float range
+trips it too.  Tree lengths carry their graph, and so does relative length
+without an extended generating set: on hyperbolic elements it is the
+translation length on the standard rose.
 
 The displacement bracket squeezes the minimal Lipschitz displacement
 between a certified lower bound from growth estimates and the smallest
@@ -38,7 +41,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .free_product import Automorphism, Word, relative_conjugacy_length
-from .graph_of_groups import LENGTH_TOL, MarkedMetricGraph, crossing_counts, cyclically_reduce
+from .graph_of_groups import LENGTH_TOL, MarkedMetricGraph, crossing_counts, cyclically_reduce, standard_rose
 from .graph_map import TopologicalRepresentative, assign_pf_metric, transition_matrix
 from .legality import loop_seam_turn, path_turns, verify_train_track
 
@@ -65,7 +68,7 @@ class LengthFunction:
         self.evaluate = evaluate
         self.elliptic_bound = elliptic_bound
         self.hyperbolic_floor = hyperbolic_floor
-        self.graph = graph  # the marked metric graph a tree length measures on
+        self.graph = graph  # a marked metric graph whose translation length this length equals
 
     def __call__(self, w: Word) -> float:
         return self.evaluate(w)
@@ -75,8 +78,16 @@ class LengthFunction:
 
 
 def relative_length_function(group) -> LengthFunction:
-    """Relative conjugacy length over E u Ghat: C = 1, floor 1."""
-    return LengthFunction("relative", lambda w: float(relative_conjugacy_length(w)), 1.0, 1.0)
+    """Relative conjugacy length over E u Ghat: C = 1, floor 1.
+
+    Without an extended generating set, a hyperbolic element's relative
+    conjugacy length is its translation length on ``standard_rose(group)``
+    (unit petals, half-length spokes), so the length carries that graph and
+    its orbits can take the train-track fast path.  Elliptic elements are
+    still measured by ``relative_conjugacy_length``, at 0 or 1.
+    """
+    graph = standard_rose(group) if group.relative_generators is None else None
+    return LengthFunction("relative", lambda w: float(relative_conjugacy_length(w)), 1.0, 1.0, graph)
 
 
 def tree_length_function(graph: MarkedMetricGraph) -> LengthFunction:
@@ -127,15 +138,18 @@ def growth_sequence(
 ) -> GrowthReport:
     """Lengths along the orbit g, g.alpha, ..., g.alpha^K (estimates not yet filled).
 
-    Given a verified representative ``rep`` of ``auto``, a tree length whose
-    loop of g is cyclically legal on a train track takes the crossing-count
-    fast path (``_legal_loop_counts``); every other orbit rewrites the word
-    at each step and measures it.  Both give the same floats.  Raises
+    Given a verified representative ``rep`` of ``auto``, a length with a
+    marked graph whose loop of g is cyclically legal on a train track takes
+    the crossing-count fast path (``_legal_loop_counts``); every other orbit
+    rewrites the word at each step and measures it.  Both give the same
+    floats.  Raises InputError when the guard is below 1, and
     ResourceLimitError carrying the partial report when an iterate exceeds
     the guard: syllables of the word, or darts of the loop on the fast path.
     """
     if iterations < 1:
         raise InputError("growth sequences need at least one iteration")
+    if guard < 1:
+        raise InputError(f"the guard must be at least 1, not {guard}")
     if rep is not None and rep.automorphism is not auto:
         raise InputError("the representative realises a different automorphism")
     counts = _legal_loop_counts(rep, g, length) if rep is not None else None
@@ -163,12 +177,13 @@ def _tripped(
 def _legal_loop_counts(rep: TopologicalRepresentative, g: Word, length: LengthFunction) -> list[int] | None:
     """Edge crossings of g's cyclically reduced loop when no iterate of it cancels, else None.
 
-    That holds for a tree length on a graph marked like the representative's,
-    when every edge image is legal (a train track) and the loop takes only
-    legal turns, its seam included: legal turns map to legal turns, so
-    f^k(loop) stays cyclically reduced and crosses edge i exactly
-    (M^k c)_i times (Bestvina-Handel 1992), and the marking identity makes
-    it a loop of g alpha^k.
+    That holds for a length with a marked graph (``LengthFunction.graph``,
+    whose translation length it equals on hyperbolic elements) marked like
+    the representative's, when every edge image is legal (a train track)
+    and the loop takes only legal turns, its seam included: legal turns map
+    to legal turns, so f^k(loop) stays cyclically reduced and crosses edge i
+    exactly (M^k c)_i times (Bestvina-Handel 1992), and the marking identity
+    makes it a loop of g alpha^k.
     """
     graph = length.graph
     if graph is None or not rep.graph.marks_like(graph):

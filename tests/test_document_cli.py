@@ -367,6 +367,16 @@ def test_cli_exit_code_resource_guard():
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("guard", ["0", "-5"])
+@pytest.mark.parametrize("length", ["tree", "relative"])
+def test_cli_growth_rejects_a_guard_below_one(guard, length):
+    args = ["growth", "golden_ratio_rose", "--element", "a", "--length", length, "--guard", guard]
+    result = runner.invoke(main, [*args, "--format", "json"])
+    assert result.exit_code == 2
+    error = json.loads(result.output)["report"]["error"]
+    assert error["type"] == "InputError" and "guard" in error["message"]
+
+
 def test_cli_growth_past_the_float_range_exits_with_the_guard_code():
     args = ["growth", "golden_ratio_rose", "--element", "b", "--iterations", "2000", "--guard", str(10**401)]
     result = runner.invoke(main, [*args, "--format", "json"])

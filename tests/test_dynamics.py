@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from outgrowth import (
     Automorphism,
@@ -33,9 +35,10 @@ from outgrowth import (
     verify_representative,
     verify_train_track,
 )
-from outgrowth.cli import default_sample
+from outgrowth.cli import default_sample, main
 from outgrowth.document import parse_word
 from conftest import _rose_document, chord_text, load_text, random_hyperbolic, random_word, tower_text
+from test_document_cli import IDENTITY_DOC
 from test_graph_map import identity_representative
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -404,6 +407,104 @@ def test_fast_path_guard_partial_report_matches_word_path(golden, apply_calls):
         growth_sequence(golden.automorphism, a, length, 40, guard=200, rep=golden.representative)
     assert apply_calls == []
     assert fast.value.partial.to_record() == word.value.partial.to_record()
+
+
+def test_relative_fast_path_reports_equal_word_path(apply_calls):
+    # relative length is the translation length on the standard rose, the graph
+    # of every fixture, so hyperbolic orbits on a train track iterate crossing counts
+    rng = random.Random(83)
+    fast_runs = 0
+    for name in ("golden_ratio_rose", "polynomial_rose", "c3c3_swap", "c2f2_mixed"):
+        doc = load_bundled(name)
+        length = relative_length_function(doc.group)
+        assert doc.representative.graph.marks_like(length.graph)
+        for _ in range(200):
+            g = random_hyperbolic(doc.group, rng, 6)
+            k = rng.randint(1, 12)
+            word = growth_report(doc.automorphism, g, length, k)
+            del apply_calls[:]
+            fast = growth_report(doc.automorphism, g, length, k, rep=doc.representative)
+            assert fast.to_record() == word.to_record(), (name, repr(g), k)
+            fast_runs += not apply_calls
+    assert fast_runs >= 600  # 646 of 800 runs; the rest take the word path
+
+
+def test_relative_fast_path_keeps_elliptic_elements_on_the_word_path(c2f2, c3c3, apply_calls):
+    rng = random.Random(89)
+    for doc in (c2f2, c3c3):
+        G = doc.group
+        length = relative_length_function(G)
+        for i in range(len(G.factors)):
+            for _ in range(5):
+                g = G.factor_element(i, 1).conjugate(random_word(G, rng, 4))
+                word = growth_report(doc.automorphism, g, length, 8)
+                del apply_calls[:]
+                fast = growth_report(doc.automorphism, g, length, 8, rep=doc.representative)
+                assert len(apply_calls) == 8
+                assert fast.to_record() == word.to_record()
+                assert fast.values == [1.0] * 9
+
+
+def test_relative_length_with_extended_generators_keeps_the_word_path(apply_calls):
+    # with E = {a, b, ab}, "a b a b" has relative length 2 but tree length 4
+    text = IDENTITY_DOC.replace("free = a b", "free = a b\nrelative-generators = a, b, a b")
+    doc = load_text(text)
+    length = relative_length_function(doc.group)
+    assert length.graph is None
+    g = parse_word(doc.group, "a b a b")
+    del apply_calls[:]
+    rpt = growth_sequence(doc.automorphism, g, length, 6, rep=doc.representative)
+    assert len(apply_calls) == 6
+    assert rpt.values == [2.0] * 7
+    assert rpt.values == growth_sequence(doc.automorphism, g, length, 6).values
+
+
+@pytest.mark.parametrize("letter", [0, 1])
+def test_relative_fast_path_guard_partial_report_matches_word_path(golden, apply_calls, letter):
+    length = relative_length_function(golden.group)
+    g = golden.group.free(letter)
+    with pytest.raises(ResourceLimitError) as word:
+        growth_sequence(golden.automorphism, g, length, 40, guard=200)
+    del apply_calls[:]
+    with pytest.raises(ResourceLimitError) as fast:
+        growth_sequence(golden.automorphism, g, length, 40, guard=200, rep=golden.representative)
+    assert apply_calls == []
+    assert "darts" in str(fast.value) and "syllables" in str(word.value)
+    assert fast.value.partial.to_record() == word.value.partial.to_record()
+
+
+def test_relative_orbits_run_without_rewriting_words(golden, c2f2, apply_calls):
+    fib = [1, 2]
+    while len(fib) < 28:
+        fib.append(fib[-1] + fib[-2])
+    del apply_calls[:]
+    length = relative_length_function(golden.group)
+    rpt = growth_sequence(golden.automorphism, golden.group.free(1), length, 27, rep=golden.representative)
+    assert apply_calls == []
+    assert rpt.values == [float(x) for x in fib]
+    g = parse_word(c2f2.group, "P:1 a")
+    length = relative_length_function(c2f2.group)
+    rpt = growth_sequence(c2f2.automorphism, g, length, 25, rep=c2f2.representative)
+    assert apply_calls == []
+    assert rpt.values == [1.0 + x for x in [1] + fib[:25]]
+    # loading and verifying the document rewrite a few words; the orbit adds none
+    args = ["growth", "golden_ratio_rose", "--element", "b", "--length", "relative", "--format", "json"]
+    setup = []
+    for iterations in ("1", "27"):
+        del apply_calls[:]
+        result = CliRunner().invoke(main, [*args, "--iterations", iterations])
+        assert result.exit_code == 0
+        setup.append(len(apply_calls))
+    assert setup[0] == setup[1]
+    assert json.loads(result.output)["report"]["values"] == [float(x) for x in fib]
+
+
+@pytest.mark.parametrize("guard", [0, -5])
+def test_growth_sequence_rejects_a_guard_below_one(golden, guard):
+    for length in (relative_length_function(golden.group), tree_length_function(golden.graph)):
+        for rep in (None, golden.representative):
+            with pytest.raises(InputError, match="guard"):
+                growth_sequence(golden.automorphism, golden.group.free(0), length, 5, guard=guard, rep=rep)
 
 
 def test_fast_path_length_leaving_the_float_range(golden):
