@@ -59,10 +59,51 @@ def _require_verified(doc: InputDocument):
     return doc.representative
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, through the C encoder.
+
+    ``indent`` makes ``json`` fall back to its pure-Python encoder, so each
+    run of scalars (a list of scalars, a flat dict, or a list of non-empty
+    flat dicts) goes to the C encoder in one call without it.  Its
+    separators carry the newline and the indent: ``ensure_ascii`` escapes
+    every control character, so each raw newline in the output is a
+    separator.  Other containers recurse here; ``pad`` is the newline and
+    indent of the current level.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if {type(v) for v in obj.values()} <= _SCALARS:
+            flat = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+            return "{" + inner + flat[1:-1] + pad + "}"
+        # each key as json writes it: quoted, with numbers and constants converted
+        items = (json.dumps({k: None})[1:-7] + ": " + _json(v, inner) for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = {type(x) for x in obj}
+        if types <= _SCALARS:
+            flat = json.dumps(obj, separators=("," + inner, ": "))
+            return "[" + inner + flat[1:-1] + pad + "]"
+        if types == {dict} and all(obj) and {type(v) for x in obj for v in x.values()} <= _SCALARS:
+            # one separator for keys and dicts: only a dict boundary has "}" before it and "{" after
+            deep = inner + "  "
+            flat = json.dumps(obj, sort_keys=True, separators=("," + deep, ": "))
+            body = flat[2:-2].replace("}," + deep + "{", inner + "}," + inner + "{" + deep)
+            return "[" + inner + "{" + deep + body + inner + "}" + pad + "]"
+        return "[" + inner + ("," + inner).join(_json(x, inner) for x in obj) + pad + "]"
+    return json.dumps(obj)
+
+
 def _emit(fmt: str, command: str, record: dict, rows: list[dict], text: list[str]) -> None:
     header = f"outgrowth {__version__} {command}"
     if fmt == "json":
-        out = json.dumps({"version": header, "report": record}, indent=2, sort_keys=True)
+        out = _json({"version": header, "report": record})
     elif fmt == "csv":
         out = f"# {header}"
         if rows:
@@ -81,10 +122,7 @@ def _emit(fmt: str, command: str, record: dict, rows: list[dict], text: list[str
 def _fail(fmt: str, command: str, err: Exception, code: int) -> None:
     record = {"error": {"type": type(err).__name__, "message": str(err), "exit_code": code}}
     if fmt == "json":
-        click.echo(
-            json.dumps({"version": f"outgrowth {__version__} {command}", "report": record}, indent=2, sort_keys=True),
-            file=sys.stdout,
-        )
+        click.echo(_json({"version": f"outgrowth {__version__} {command}", "report": record}), file=sys.stdout)
     else:
         click.echo(f"error ({type(err).__name__}): {err}", file=sys.stderr)
     sys.exit(code)
@@ -154,14 +192,22 @@ def analyze(input_arg, fmt):
                     else " ".join(f"{graph.edge_names[e]}={s.weights[e]!r}" for e in sorted(s.weights)),
                 }
             )
+        labels = {
+            (d, tw): _direction_text(graph, v, (d, tw))
+            for v in range(graph.n_vertices)
+            for d in graph.darts_at(v)
+            for tw in range(graph.vertex_order(v))
+        }
+        names = graph.vertex_names
+        # entries fill in enumeration order, which is sorted
         turn_rows = [
             {
-                "turn": turn_text(graph, entry.turn),
+                "turn": f"{names[v]}:{{{labels[d1]},{labels[d2]}}}",
                 "legal": entry.legal,
                 "degenerate": entry.degenerate,
                 "steps_to_degeneracy": entry.steps_to_degeneracy,
             }
-            for entry in sorted(table, key=lambda e: e.turn)
+            for (v, (d1, d2)), entry in table.entries.items()
         ]
         record = {
             "input": doc.name,
@@ -172,21 +218,23 @@ def analyze(input_arg, fmt):
             "legality": turn_rows,
             "parameters": {"pf_tolerance": 1e-12},
         }
-        text = [f"strata: {dec.count}  top eigenvalue: {dec.top_eigenvalue!r} at stratum {dec.top_stratum}"]
-        for row in strata_rows:
-            grow = "growing" if row["growing"] else "zero"
-            text.append(
-                f"  stratum {row['stratum']} ({grow}): edges [{row['edges']}] eigenvalue {row['eigenvalue']!r}"
-            )
-            if row["weights"]:
-                text.append(f"    weights: {row['weights']}")
-        legal_count = sum(1 for r in turn_rows if r["legal"])
-        text.append(f"turns: {len(turn_rows)} ({legal_count} legal)")
-        for r in turn_rows:
-            status = "legal" if r["legal"] else (
-                "degenerate" if r["degenerate"] else f"illegal in {r['steps_to_degeneracy']} step(s)"
-            )
-            text.append(f"  {r['turn']}: {status}")
+        text = []
+        if fmt == "text":
+            text.append(f"strata: {dec.count}  top eigenvalue: {dec.top_eigenvalue!r} at stratum {dec.top_stratum}")
+            for row in strata_rows:
+                grow = "growing" if row["growing"] else "zero"
+                text.append(
+                    f"  stratum {row['stratum']} ({grow}): edges [{row['edges']}] eigenvalue {row['eigenvalue']!r}"
+                )
+                if row["weights"]:
+                    text.append(f"    weights: {row['weights']}")
+            legal_count = sum(1 for r in turn_rows if r["legal"])
+            text.append(f"turns: {len(turn_rows)} ({legal_count} legal)")
+            for r in turn_rows:
+                status = "legal" if r["legal"] else (
+                    "degenerate" if r["degenerate"] else f"illegal in {r['steps_to_degeneracy']} step(s)"
+                )
+                text.append(f"  {r['turn']}: {status}")
         _emit(fmt, "analyze", record, strata_rows, text)
 
     _guarded(fmt, "analyze", run)
@@ -288,7 +336,13 @@ def displacement(input_arg, n_grid, iterations, sample, fmt):
 
 @main.command()
 @click.argument("input_arg", metavar="INPUT")
-@click.option("--rtt-bound", default=None, type=int, help="path bound for the injectivity check")
+@click.option(
+    "--rtt-bound",
+    default=None,
+    type=int,
+    help="path bound for the injectivity check [default: twice the edge count]; "
+    "a search past 200,000 paths exits 3",
+)
 @format_option
 def verify(input_arg, rtt_bound, fmt):
     """Train track and relative train track verdicts for the representative."""
@@ -403,17 +457,17 @@ def examples(fmt):
     _emit(fmt, "examples", record, rows, text)
 
 
-def turn_text(graph: MarkedMetricGraph, turn) -> str:
-    def direction(d):
-        dart, twist = d
-        s = graph.dart_str(dart)
-        if twist:
-            i = graph.vertex_factor[turn.vertex]
-            s += f"[{graph.group.factor_names[i]}:{twist}]"
-        return s
+def _direction_text(graph: MarkedMetricGraph, v: int, direction) -> str:
+    dart, twist = direction
+    s = graph.dart_str(dart)
+    if twist:
+        s += f"[{graph.group.factor_names[graph.vertex_factor[v]]}:{twist}]"
+    return s
 
-    d1, d2 = turn.directions
-    return f"{graph.vertex_names[turn.vertex]}:{{{direction(d1)},{direction(d2)}}}"
+
+def turn_text(graph: MarkedMetricGraph, turn) -> str:
+    d1, d2 = (_direction_text(graph, turn.vertex, d) for d in turn.directions)
+    return f"{graph.vertex_names[turn.vertex]}:{{{d1},{d2}}}"
 
 
 if __name__ == "__main__":

@@ -68,7 +68,12 @@ class LengthFunction:
         self.evaluate = evaluate
         self.elliptic_bound = elliptic_bound
         self.hyperbolic_floor = hyperbolic_floor
-        self.graph = graph  # a marked metric graph whose translation length this length equals
+        self._graph = graph
+
+    @property
+    def graph(self) -> MarkedMetricGraph | None:
+        """A marked metric graph whose translation length this length equals, or None."""
+        return self._graph
 
     def __call__(self, w: Word) -> float:
         return self.evaluate(w)
@@ -77,17 +82,28 @@ class LengthFunction:
         return f"<length {self.kind}>"
 
 
+class _RelativeLength(LengthFunction):
+    def __init__(self, group):
+        super().__init__("relative", lambda w: float(relative_conjugacy_length(w)), 1.0, 1.0, standard_rose(group))
+        self._group = group
+
+    @property
+    def graph(self) -> MarkedMetricGraph | None:
+        # read at every use, so an orbit started after set_relative_generators takes the word path
+        return self._graph if self._group.relative_generators is None else None
+
+
 def relative_length_function(group) -> LengthFunction:
     """Relative conjugacy length over E u Ghat: C = 1, floor 1.
 
     Without an extended generating set, a hyperbolic element's relative
     conjugacy length is its translation length on ``standard_rose(group)``
     (unit petals, half-length spokes), so the length carries that graph and
-    its orbits can take the train-track fast path.  Elliptic elements are
-    still measured by ``relative_conjugacy_length``, at 0 or 1.
+    its orbits can take the train-track fast path.  The generating set is
+    read when an orbit starts, not when the length is made.  Elliptic
+    elements are still measured by ``relative_conjugacy_length``, at 0 or 1.
     """
-    graph = standard_rose(group) if group.relative_generators is None else None
-    return LengthFunction("relative", lambda w: float(relative_conjugacy_length(w)), 1.0, 1.0, graph)
+    return _RelativeLength(group)
 
 
 def tree_length_function(graph: MarkedMetricGraph) -> LengthFunction:

@@ -10,7 +10,10 @@ degenerate image turn is exactly a cancellation in the image.  With finite
 vertex groups ``Df`` is a function on finitely many directions, and
 legality is decided exactly (Bestvina-Handel 1992): a turn is illegal when
 some power of ``Df`` sends its two directions to the same direction.  The
-classes of directions that end up together are the gates.
+classes of directions that end up together are the gates.  Turns are
+enumerated in sorted order, and an illegal turn's meeting time is memoised
+on its pair of directions, so deciding every turn costs a small constant
+per turn.
 
 Relative train track injectivity is not decided exactly: the search walks
 every reduced connecting path up to a bound, so its verdict holds "up to
@@ -32,7 +35,7 @@ Direction = tuple[int, int]  # (outgoing dart, vertex-group twist)
 
 
 class Turn(NamedTuple):
-    # a named tuple hashes and compares in C: turns key the memo and sort the enumeration
+    # a named tuple hashes and compares in C: turns key the table and sort at grouped vertices
     vertex: int
     directions: tuple[Direction, Direction]
 
@@ -56,16 +59,24 @@ def make_turn(graph: MarkedMetricGraph, v: int, d1: Direction, d2: Direction) ->
 
 
 def enumerate_turns(graph: MarkedMetricGraph) -> list[Turn]:
-    """All turns of the graph, one representative per vertex-group orbit."""
-    turns: set[Turn] = set()
+    """All turns of the graph, one representative per vertex-group orbit, sorted.
+
+    At a vertex with no group the turns are the pairs ``(d_i, d_j)``, i <= j,
+    of its sorted darts with twist 0, emitted in that order; a vertex with a
+    group normalises each pair by ``make_turn`` and sorts its own turns.
+    Vertices come in order, so the whole list is sorted.
+    """
+    turns: list[Turn] = []
+    new_turn = tuple.__new__  # Turn's own __new__ is a Python call per turn
     for v in range(graph.n_vertices):
-        dirs = [
-            (d, g) for d in graph.darts_at(v) for g in range(graph.vertex_order(v))
-        ]
-        for i, d1 in enumerate(dirs):
-            for d2 in dirs[i:]:
-                turns.add(make_turn(graph, v, d1, d2))
-    return sorted(turns)
+        darts = sorted(graph.darts_at(v))
+        if graph.vertex_table(v) is None:
+            dirs = [(d, 0) for d in darts]
+            turns += [new_turn(Turn, (v, (d1, d2))) for i, d1 in enumerate(dirs) for d2 in dirs[i:]]
+        else:
+            dirs = [(d, g) for d in darts for g in range(graph.vertex_order(v))]
+            turns += sorted({make_turn(graph, v, d1, d2) for i, d1 in enumerate(dirs) for d2 in dirs[i:]})
+    return turns
 
 
 def _derivative_direction(rep: TopologicalRepresentative, v: int, direction: Direction) -> Direction:
@@ -85,7 +96,7 @@ def derivative_turn(rep: TopologicalRepresentative, turn: Turn) -> Turn:
     return make_turn(rep.graph, rep.vertex_images[v], d1, d2)
 
 
-@dataclass
+@dataclass(slots=True)
 class TurnEntry:
     turn: Turn
     legal: bool
@@ -101,8 +112,11 @@ class LegalityTable:
     meet within as many steps as there are directions, and ``gate``, a power
     of ``Df`` at least that count, joins exactly those.  A turn is legal when
     its directions have different gates, and otherwise its
-    ``steps_to_degeneracy`` counts the steps until they meet.  An edge
-    mapping to a point has no derivative and raises ``InputError``.
+    ``steps_to_degeneracy`` is their meeting time, ``meet(x, x) = 0`` and
+    ``meet(x, y) = 1 + meet(Df x, Df y)``.  Meeting times are memoised on
+    unordered pairs of direction indices, so lazy ``entry`` calls and a full
+    ``classify_turns`` walk each pair at most once.  An edge mapping to a
+    point has no derivative and raises ``InputError``.
     """
 
     def __init__(self, rep: TopologicalRepresentative):
@@ -118,21 +132,39 @@ class LegalityTable:
         for _ in range(len(df).bit_length()):
             gate = [gate[i] for i in gate]
         self._gate = gate
+        self._meet: dict[tuple[int, int], int] = {}  # (x, y), x < y, same gate -> meeting time
 
     def entry(self, turn: Turn) -> TurnEntry:
         """The turn's entry, deciding it first if it is new."""
         entry = self.entries.get(turn)
         if entry is None:
-            x, y = (self._index[d] for d in turn.directions)
-            if self._gate[x] != self._gate[y]:
-                entry = TurnEntry(turn, True, False, None)
-            else:
-                steps = 0
-                while x != y:
-                    x, y, steps = self._df[x], self._df[y], steps + 1
-                entry = TurnEntry(turn, False, turn.degenerate, steps)
-            self.entries[turn] = entry
+            d1, d2 = turn.directions
+            steps = self._meeting_time(self._index[d1], self._index[d2])
+            entry = self.entries[turn] = TurnEntry(turn, steps is None, steps == 0, steps)
         return entry
+
+    def _meeting_time(self, x: int, y: int) -> int | None:
+        """Steps until powers of Df join directions x and y, or None when their gates differ."""
+        if x == y:
+            return 0
+        if self._gate[x] != self._gate[y]:
+            return None
+        df, memo = self._df, self._meet
+        chain = []
+        pair = (x, y) if x < y else (y, x)
+        while pair not in memo:
+            chain.append(pair)
+            x, y = df[pair[0]], df[pair[1]]
+            if x == y:
+                steps = 0
+                break
+            pair = (x, y) if x < y else (y, x)
+        else:
+            steps = memo[pair]
+        for pair in reversed(chain):
+            steps += 1
+            memo[pair] = steps
+        return steps
 
     def legal(self, turn: Turn) -> bool:
         return self.entry(turn).legal

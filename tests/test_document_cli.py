@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from outgrowth import (
     InputError,
@@ -18,8 +20,8 @@ from outgrowth import (
     parse_document,
     verify_representative,
 )
-from outgrowth.cli import main
-from conftest import tower_text
+from outgrowth.cli import _json, main
+from conftest import chord_text, tower_text
 
 IDENTITY_DOC = """
 [presentation]
@@ -429,3 +431,47 @@ def test_cli_validation_failure_on_broken_map(tmp_path):
     result = runner.invoke(main, ["analyze", str(path)])
     assert result.exit_code == 2
     assert "marking" in result.output
+
+
+# -- JSON emission ---------------------------------------------------------------------
+
+
+_TRICKY_TEXT = ['"', "\\", "\\n", "\n", "\x00\x1f\x7f", "é ☃ \U0001d11e", "},\n      {", '"},\n    {"', ""]
+_TEXT = st.text(st.sampled_from('ab"\\\n\t\x00\x1f é☃\U0001d11e{}[],: ')) | st.sampled_from(_TRICKY_TEXT)
+_JSON_SCALARS = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e308]),
+)
+_FLAT_DICTS = st.dictionaries(_TEXT, _JSON_SCALARS)
+_RECORDS = st.recursive(
+    _JSON_SCALARS | _FLAT_DICTS | st.lists(_FLAT_DICTS) | st.lists(st.dictionaries(_TEXT, _JSON_SCALARS, min_size=1)),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RECORDS)
+@example({"report": {"legality": [{"turn": "},\n      {", "legal": True}, {"turn": "x", "steps": None}]}})
+@example([[], {}, (), [{}], [{"a": 1}, {}], [[]], ({"b": -0.0},)])
+@example({"m": [[1, 0], [0, 1]], "n": {0: [True], 2.5: None}, "o": {None: [1e308, float("nan")]}})
+def test_json_emitter_equals_indented_dumps(record):
+    assert _json(record) == json.dumps(record, indent=2, sort_keys=True)
+
+
+def test_analyze_json_never_takes_the_pure_python_encoder(monkeypatch, tmp_path):
+    path = tmp_path / "chord25.gog"
+    path.write_text(chord_text(25))
+    calls = []
+    python_encoder = json.encoder._make_iterencode
+    monkeypatch.setattr(json.encoder, "_make_iterencode", lambda *a, **k: calls.append(1) or python_encoder(*a, **k))
+    result = runner.invoke(main, ["analyze", str(path), "--format", "json"])
+    assert result.exit_code == 0
+    assert len(json.loads(result.output)["report"]["legality"]) == 25 * 51
+    assert calls == []
+    json.dumps([1], indent=2)  # the patch does see the indented encoder
+    assert calls == [1]

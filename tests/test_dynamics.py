@@ -459,6 +459,22 @@ def test_relative_length_with_extended_generators_keeps_the_word_path(apply_call
     assert rpt.values == growth_sequence(doc.automorphism, g, length, 6).values
 
 
+def test_relative_length_reads_generators_when_the_orbit_starts(apply_calls):
+    # a length made before set_relative_generators must not keep the rose's fast path
+    doc = load_bundled("golden_ratio_rose")  # a fresh group: the session fixture stays untouched
+    G = doc.group
+    length = relative_length_function(G)
+    G.set_relative_generators([parse_word(G, w) for w in ("a", "b", "a b")])
+    assert length.graph is None
+    g = parse_word(G, "a b")
+    word = growth_report(doc.automorphism, g, length, 3)
+    del apply_calls[:]
+    with_rep = growth_report(doc.automorphism, g, length, 3, rep=doc.representative)
+    assert len(apply_calls) == 3
+    assert with_rep.to_record() == word.to_record()
+    assert word.values == [1.0, 2.0, 3.0, 5.0]  # on the rose: 2, 3, 5, 8
+
+
 @pytest.mark.parametrize("letter", [0, 1])
 def test_relative_fast_path_guard_partial_report_matches_word_path(golden, apply_calls, letter):
     length = relative_length_function(golden.group)

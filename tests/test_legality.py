@@ -30,8 +30,10 @@ from outgrowth import (
     verify_rtt,
     verify_train_track,
 )
+from outgrowth import legality
 from outgrowth.document import parse_path
 from outgrowth.legality import (
+    Turn,
     TurnEntry,
     _rtt_injectivity,
     _turn_r_ok,
@@ -85,6 +87,41 @@ def test_turn_normalisation_collapses_group_orbit(c3c3):
     assert t1 == t2 == t3
     assert not t1.degenerate
     assert make_turn(graph, v, (d, 1), (d, 1)).degenerate
+
+
+# The enumeration the ordered one replaced: every pair of directions at a
+# vertex normalised by make_turn, deduplicated in a set and sorted.  Kept as
+# the reference for the turns and their order.
+def reference_enumerate_turns(graph):
+    turns = set()
+    for v in range(graph.n_vertices):
+        dirs = [(d, g) for d in graph.darts_at(v) for g in range(graph.vertex_order(v))]
+        for i, d1 in enumerate(dirs):
+            for d2 in dirs[i:]:
+                turns.add(make_turn(graph, v, d1, d2))
+    return sorted(turns)
+
+
+def _assert_enumeration_matches_reference(graph):
+    turns = enumerate_turns(graph)
+    assert turns == reference_enumerate_turns(graph)
+    assert all(type(t) is Turn for t in turns)
+
+
+def test_enumerate_turns_matches_reference():
+    reps = [*_reference_representatives(), *_large_representatives()]
+    for rep in reps:
+        _assert_enumeration_matches_reference(rep.graph)
+
+
+def test_enumerating_an_ungrouped_rose_makes_no_make_turn_calls(monkeypatch, c2f2):
+    calls = []
+    normalise = legality.make_turn
+    monkeypatch.setattr(legality, "make_turn", lambda *args: calls.append(args) or normalise(*args))
+    assert len(enumerate_turns(load_text(chord_text(25)).graph)) == 25 * 51
+    assert calls == []
+    enumerate_turns(c2f2.graph)  # a grouped vertex still normalises its pairs
+    assert calls
 
 
 # -- derivatives --------------------------------------------------------------------
@@ -217,6 +254,25 @@ def test_classify_turns_matches_eager_reference():
         lazy = LegalityTable(rep)
         for turn, entry in rng.sample(reference, len(reference)):
             assert lazy.entry(turn) == entry
+
+
+def _large_representatives():
+    for n in (25, 50):
+        yield load_text(chord_text(n)).representative
+        yield load_text(tower_text(n)).representative
+
+
+def test_meeting_times_match_reference_on_long_chains():
+    # on a tower, Df walks a_i' down to a_1', so turns meet after up to n - 1 steps
+    rng = random.Random(13)
+    for n in (12, 25, 50):
+        rep = load_text(tower_text(n)).representative
+        reference = reference_classify_turns(rep).entries
+        assert max(e.steps_to_degeneracy or 0 for e in reference.values()) == n - 1
+        assert classify_turns(rep).entries == reference
+        lazy = LegalityTable(rep)
+        for turn in rng.sample(list(reference), len(reference)):
+            assert lazy.entry(turn) == reference[turn]
 
 
 def test_verify_rtt_witnesses_unchanged(monkeypatch):
@@ -528,6 +584,17 @@ def test_gates_keep_turns_r_legal_on_random_rose_maps(words):
     rep = _rose_map(words)
     assert classify_turns(rep).entries == reference_classify_turns(rep).entries
     _assert_derivative_keeps_turns_r_legal(rep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=_rose_words, seed=st.integers(0, 2**16))
+def test_enumeration_and_lazy_table_match_reference_on_random_rose_maps(words, seed):
+    rep = _rose_map(words)
+    _assert_enumeration_matches_reference(rep.graph)
+    reference = list(reference_classify_turns(rep).entries.items())
+    lazy = LegalityTable(rep)
+    for turn, entry in random.Random(seed).sample(reference, len(reference)):
+        assert lazy.entry(turn) == entry
 
 
 def test_rtt_cap_carries_best_so_far(c2f2):
