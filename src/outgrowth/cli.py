@@ -17,20 +17,18 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .document import InputDocument, parse_document
+from .document import InputDocument, parse_document, parse_word
 from .dynamics import (
     bound_check,
     displacement_bracket,
     growth_report,
     relative_length_function,
-    spectral_growth_rate,
     tree_length_function,
 )
 from .errors import InputError, NonConvergenceError, ResourceLimitError
 from .examples import BUNDLED, bundled_text
 from .free_product import Word, word_str
 from .graph_map import verify_representative
-from .document import parse_word
 from .legality import classify_turns, verify_rtt, verify_train_track
 from .graph_of_groups import MarkedMetricGraph
 

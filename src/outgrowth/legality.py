@@ -19,17 +19,22 @@ Relative train track injectivity is not decided exactly: the search walks
 every reduced connecting path up to a bound, so its verdict holds "up to
 the bound".  Paths that share a prefix share that prefix's tightened
 image, and each path extends its parent's image by one dart's.
+
+Stratum-legal hyperbolic elements are found by an exhaustive cycle search
+in the digraph of r-legal turns, so ``InputError`` there means that no
+cyclically r-legal loop crosses the stratum.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InputError, NonConvergenceError
 from .free_product import Word
-from .graph_of_groups import GraphPath, MarkedMetricGraph, MarkingInverter, reduce_path
-from .graph_map import TopologicalRepresentative, r_length
+from .graph_of_groups import GraphPath, MarkedMetricGraph, MarkingInverter
+from .graph_map import TopologicalRepresentative
 
 Direction = tuple[int, int]  # (outgoing dart, vertex-group twist)
 
@@ -297,17 +302,21 @@ def verify_rtt(
 ) -> list[RttStratumVerdict]:
     """Verify the three relative-train-track properties on every growing stratum.
 
-    Germ preservation and r-legal edge images are exact; the derivative then
-    keeps r-legal turns r-legal, as legal turns have legal images and images
-    only descend.  Injectivity on connecting paths in the lower filtration
-    is checked for all reduced decorated paths up to ``path_bound`` darts
-    (default: twice the edge count), so that verdict is "verified up to the
-    bound".  Paths that share a prefix share its tightened image, so each
-    path costs only the image of its last dart.  A search that meets
+    Germ preservation and r-legal edge images are exact, and the legality
+    witness is the first turn of an edge image that is not r-legal; the
+    derivative then keeps r-legal turns r-legal, as legal turns have legal
+    images and images only descend.  Injectivity on connecting paths in the
+    lower filtration is checked for all reduced decorated paths up to
+    ``path_bound`` darts (default: twice the edge count; a bound below 1
+    raises ``InputError``), so that verdict is "verified up to the bound".
+    Paths that share a prefix share its tightened image, so each path costs
+    only the image of its last dart.  A search that meets
     ``max_paths`` raises ``NonConvergenceError`` whose ``best`` holds the
     verdicts decided so far plus the stratum that ran out, with
     ``injectivity_ok`` None and ``paths_checked`` equal to ``max_paths``.
     """
+    if path_bound is not None and path_bound < 1:
+        raise InputError(f"the path bound must be at least 1, not {path_bound}")
     g = rep.graph
     dec = rep.strata()
     table = rep.legality()
@@ -333,9 +342,11 @@ def verify_rtt(
         # (3) r-legality: images of stratum edges are r-legal
         v.legality_ok = True
         for e in s.edges:
-            if not is_r_legal(rep, rep.edge_images[e], r, table):
+            turns = path_turns(g, rep.edge_images[e])
+            bad = next((t for t in turns if not _turn_r_ok(table, stratum_of, r, t)), None)
+            if bad is not None:
                 v.legality_ok = False
-                v.legality_witness = is_legal_path(rep, table, rep.edge_images[e])
+                v.legality_witness = bad
                 break
         # (2) injectivity on connecting paths through the lower filtration
         v.injectivity_bound = bound
@@ -447,21 +458,19 @@ def _rtt_injectivity(rep, dec, r, bound, max_paths):
 # -- producing legal hyperbolic elements ----------------------------------------
 
 
-def find_r_legal_hyperbolic(
-    rep: TopologicalRepresentative,
-    r: int,
-    iteration_cap: int = 16,
-    inverter: MarkingInverter | None = None,
-    loop_bound: int | None = None,
-) -> Word:
-    """An r-legal hyperbolic element meeting stratum r.
+def find_r_legal_hyperbolic(rep: TopologicalRepresentative, r: int) -> Word:
+    """A hyperbolic element carried by a cyclically r-legal loop through stratum r.
 
-    First iterates the map on stratum edges and looks for closed subpaths
-    of the reduced images whose element is hyperbolic and whose loop is
-    r-legal (seam included).  Permutation-like strata whose edge images
-    never close up fall back to a direct breadth-first search for r-legal
-    loops in the filtration.  The element g returned scales exactly:
-    the stratum length of g alpha^k is mu_r^k times that of g.
+    Such loops are the cycles of a digraph on the steps ``(dart, element)``
+    of the filtration T_r, with an arc from ``(d, e)`` to ``(d2, e2)`` when
+    ``d2`` leaves the head of ``d`` without backtracking and the turn
+    between them is r-legal.  A breadth-first search from each stratum-r
+    step, in (dart, element) order, stops at the first arc back to its
+    start, so the loop found is a shortest one through that step.  It is
+    cyclically reduced, so its element g is hyperbolic, and it scales
+    exactly: the stratum length of g alpha^k is mu_r^k times that of g.
+    When no search closes a cycle there is no such loop, and ``InputError``
+    is raised.
     """
     g = rep.graph
     dec = rep.strata()
@@ -471,89 +480,39 @@ def find_r_legal_hyperbolic(
     if not stratum.growing:
         raise InputError(f"stratum {r} is a zero stratum")
     table = rep.legality()
-    inverter = inverter if inverter is not None else MarkingInverter(g)
-    longest_legal: GraphPath | None = None
-
-    for e in stratum.edges:
-        path = GraphPath(g, g.dart_tail(2 * e), 0, ((2 * e, 0),))
-        for _ in range(iteration_cap):
-            path = reduce_path(rep.map_path(path))
-            if longest_legal is None or len(path.steps) > len(longest_legal.steps):
-                if is_legal_path(rep, table, path) is None:
-                    longest_legal = path
-            vertices = [path.start] + [g.dart_head(d) for d, _ in path.steps]
-            n = len(path.steps)
-            for span in range(1, n + 1):
-                for i in range(0, n - span + 1):
-                    j = i + span
-                    if vertices[i] != vertices[j]:
-                        continue
-                    steps = list(path.steps[i:j])
-                    steps[-1] = (steps[-1][0], 0)
-                    loop = GraphPath(g, vertices[i], 0, tuple(steps))
-                    word = _accept_loop(rep, r, table, inverter, loop)
-                    if word is not None:
-                        return word
-
-    word = _legal_loop_search(rep, r, table, inverter, loop_bound)
-    if word is not None:
-        return word
-    raise NonConvergenceError(
-        f"no r-legal hyperbolic element found for stratum {r} within the caps",
-        best=longest_legal,
-    )
-
-
-def _accept_loop(rep, r, table, inverter, loop: GraphPath) -> Word | None:
-    """The element of a closed path that can answer ``find_r_legal_hyperbolic``, or None.
-
-    Such a loop is cyclically reduced, meets stratum r, is cyclically
-    r-legal and carries a hyperbolic element.
-    """
-    (dn, en), d1 = loop.steps[-1], loop.steps[0][0]
-    if dn ^ 1 == d1 and rep.graph.vertex_mul(loop.start, en, loop.prefix) == 0:
-        return None
-    if r_length(rep, loop, r) <= 0 or not is_r_legal(rep, loop, r, table, cyclic=True):
-        return None
-    word = inverter.element_of_loop_at(loop)
-    return word if word.is_hyperbolic() else None
-
-
-def _legal_loop_search(rep, r, table, inverter, loop_bound, max_nodes: int = 200_000):
-    """Breadth-first search for an r-legal hyperbolic loop in the filtration T_r."""
-    g = rep.graph
-    dec = rep.strata()
     allowed = dec.filtration(r)
-    bound = loop_bound if loop_bound is not None else 2 * g.n_edges + 2
-    stratum_edges = set(dec.strata[r - 1].edges)
-    frontier: list[GraphPath] = []
-    for e in sorted(stratum_edges):
-        for d in (2 * e, 2 * e + 1):
-            for elem in range(g.vertex_order(g.dart_head(d))):
-                frontier.append(GraphPath(g, g.dart_tail(d), 0, ((d, elem),)))
-    seen = 0
-    while frontier:
-        next_frontier = []
-        for p in frontier:
-            seen += 1
-            if seen > max_nodes:
-                return None
-            if p.end == p.start:
-                word = _accept_loop(rep, r, table, inverter, p)
-                if word is not None:
-                    return word
-            if len(p.steps) >= bound:
-                continue
-            last_d, last_e = p.steps[-1]
-            for d in g.darts_at(p.end):
-                if (d >> 1) not in allowed:
-                    continue
-                if last_e == 0 and d == last_d ^ 1:
-                    continue
-                turn = make_turn(g, p.end, (last_d ^ 1, 0), (d, last_e))
-                if not _turn_r_ok(table, dec.stratum_of, r, turn):
-                    continue
-                for elem in range(g.vertex_order(g.dart_head(d))):
-                    next_frontier.append(GraphPath(g, p.start, p.prefix, p.steps + ((d, elem),)))
-        frontier = next_frontier
-    return None
+    arcs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+    def successors(step):
+        out = arcs.get(step)
+        if out is None:
+            d, e = step
+            v = g.dart_head(d)
+            out = arcs[step] = [
+                (d2, e2)
+                for d2 in g.darts_at(v)
+                if (d2 >> 1) in allowed
+                and not (e == 0 and d2 == d ^ 1)
+                and _turn_r_ok(table, dec.stratum_of, r, make_turn(g, v, (d ^ 1, 0), (d2, e)))
+                for e2 in range(g.vertex_order(g.dart_head(d2)))
+            ]
+        return out
+
+    darts = sorted(d for m in stratum.edges for d in (2 * m, 2 * m + 1))
+    for start in [(d, e) for d in darts for e in range(g.vertex_order(g.dart_head(d)))]:
+        parent = {start: None}
+        queue = deque([start])
+        while queue:
+            step = queue.popleft()
+            for nxt in successors(step):
+                if nxt == start:
+                    steps = []
+                    while step is not None:
+                        steps.append(step)
+                        step = parent[step]
+                    loop = GraphPath(g, g.dart_tail(start[0]), 0, tuple(reversed(steps)))
+                    return MarkingInverter(g).element_of_loop_at(loop)
+                if nxt not in parent:
+                    parent[nxt] = step
+                    queue.append(nxt)
+    raise InputError(f"stratum {r} has no r-legal hyperbolic loop")

@@ -379,6 +379,19 @@ def test_cli_growth_rejects_a_guard_below_one(guard, length):
     assert error["type"] == "InputError" and "guard" in error["message"]
 
 
+@pytest.mark.parametrize("bound", ["-3", "0"])
+def test_cli_verify_rejects_an_rtt_bound_below_one(bound):
+    result = runner.invoke(main, ["verify", "c2f2_mixed", "--rtt-bound", bound, "--format", "json"])
+    assert result.exit_code == 2
+    error = json.loads(result.output)["report"]["error"]
+    assert error == {
+        "type": "InputError",
+        "message": f"the path bound must be at least 1, not {bound}",
+        "exit_code": 2,
+    }
+    assert "must be at least 1" in runner.invoke(main, ["verify", "c2f2_mixed", "--rtt-bound", bound]).output
+
+
 def test_cli_growth_past_the_float_range_exits_with_the_guard_code():
     args = ["growth", "golden_ratio_rose", "--element", "b", "--iterations", "2000", "--guard", str(10**401)]
     result = runner.invoke(main, [*args, "--format", "json"])

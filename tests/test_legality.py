@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from outgrowth import (
@@ -401,6 +401,23 @@ def test_rtt_injectivity_counterexample():
             assert v.injectivity_ok
 
 
+def test_rtt_legality_witness_is_a_turn_of_the_stratum():
+    # a -> a', b -> c, c -> a' b' c': the image of c turns at {a, b'} first,
+    # but a is in stratum 1; the r-illegal turn is {b, c'} (Df b = Df c' = c)
+    rep = _rose_map([[1], [4], [1, 3, 5]])
+    assert rep.strata().stratum_of == (1, 2, 2)
+    v = verify_rtt(rep)[1]
+    assert not v.legality_ok
+    assert v.legality_witness == make_turn(rep.graph, 0, (2, 0), (5, 0))
+    assert not rep.legality().legal(v.legality_witness)
+
+
+@pytest.mark.parametrize("bound", [-3, 0])
+def test_rtt_rejects_a_path_bound_below_one(golden, bound):
+    with pytest.raises(InputError, match=f"^the path bound must be at least 1, not {bound}$"):
+        verify_rtt(golden.representative, path_bound=bound)
+
+
 # The injectivity search the incremental one replaced: it maps and tightens
 # every candidate path from scratch.  Kept as the reference for witnesses,
 # path counts and the point where the cap raises.
@@ -553,6 +570,18 @@ def test_rtt_injectivity_matches_reference_on_random_rose_maps(words, bound):
     _assert_searches_agree(_rose_map(words), [bound])
 
 
+@settings(max_examples=200, deadline=None)
+@given(words=_rose_words)
+@example(words=[[1], [4], [1, 3, 5]])
+def test_rtt_legality_witnesses_are_illegal_turns_of_their_stratum(words):
+    rep = _rose_map(words)
+    stratum_of = rep.strata().stratum_of
+    for v in verify_rtt(rep, path_bound=1):
+        if v.legality_witness is not None:
+            assert not rep.legality().legal(v.legality_witness)
+            assert [stratum_of[e] for e in v.legality_witness.edges()] == [v.stratum] * 2
+
+
 # verify_rtt no longer checks that the derivative keeps turns r-legal: a legal
 # turn has a legal image, and a turn with an edge below stratum r maps to one,
 # because images only descend.  These tests keep that condition.
@@ -668,6 +697,155 @@ def test_find_r_legal_rejects_zero_stratum():
     zero_index = [s.index for s in dec.strata if not s.growing][0]
     with pytest.raises(InputError):
         find_r_legal_hyperbolic(rep, zero_index)
+
+
+# The two-phase search the cycle search replaced: it scans closed subpaths of
+# iterated stratum-edge images, then falls back to a breadth-first search
+# capped in loop length and node count.  Kept as the reference: whenever it
+# finds a word, the exhaustive cycle search must find one too.
+def reference_find_r_legal_hyperbolic(rep, r, iteration_cap=16, inverter=None, loop_bound=None):
+    g = rep.graph
+    dec = rep.strata()
+    if not 1 <= r <= dec.count:
+        raise InputError(f"no stratum {r}")
+    stratum = dec.strata[r - 1]
+    if not stratum.growing:
+        raise InputError(f"stratum {r} is a zero stratum")
+    table = rep.legality()
+    inverter = inverter if inverter is not None else MarkingInverter(g)
+    longest_legal = None
+
+    for e in stratum.edges:
+        path = GraphPath(g, g.dart_tail(2 * e), 0, ((2 * e, 0),))
+        for _ in range(iteration_cap):
+            path = reduce_path(rep.map_path(path))
+            if longest_legal is None or len(path.steps) > len(longest_legal.steps):
+                if is_legal_path(rep, table, path) is None:
+                    longest_legal = path
+            vertices = [path.start] + [g.dart_head(d) for d, _ in path.steps]
+            n = len(path.steps)
+            for span in range(1, n + 1):
+                for i in range(0, n - span + 1):
+                    j = i + span
+                    if vertices[i] != vertices[j]:
+                        continue
+                    steps = list(path.steps[i:j])
+                    steps[-1] = (steps[-1][0], 0)
+                    loop = GraphPath(g, vertices[i], 0, tuple(steps))
+                    word = _reference_accept_loop(rep, r, table, inverter, loop)
+                    if word is not None:
+                        return word
+
+    word = _reference_legal_loop_search(rep, r, table, inverter, loop_bound)
+    if word is not None:
+        return word
+    raise NonConvergenceError(
+        f"no r-legal hyperbolic element found for stratum {r} within the caps",
+        best=longest_legal,
+    )
+
+
+def _reference_accept_loop(rep, r, table, inverter, loop):
+    (dn, en), d1 = loop.steps[-1], loop.steps[0][0]
+    if dn ^ 1 == d1 and rep.graph.vertex_mul(loop.start, en, loop.prefix) == 0:
+        return None
+    if r_length(rep, loop, r) <= 0 or not is_r_legal(rep, loop, r, table, cyclic=True):
+        return None
+    word = inverter.element_of_loop_at(loop)
+    return word if word.is_hyperbolic() else None
+
+
+def _reference_legal_loop_search(rep, r, table, inverter, loop_bound, max_nodes=200_000):
+    g = rep.graph
+    dec = rep.strata()
+    allowed = dec.filtration(r)
+    bound = loop_bound if loop_bound is not None else 2 * g.n_edges + 2
+    stratum_edges = set(dec.strata[r - 1].edges)
+    frontier = []
+    for e in sorted(stratum_edges):
+        for d in (2 * e, 2 * e + 1):
+            for elem in range(g.vertex_order(g.dart_head(d))):
+                frontier.append(GraphPath(g, g.dart_tail(d), 0, ((d, elem),)))
+    seen = 0
+    while frontier:
+        next_frontier = []
+        for p in frontier:
+            seen += 1
+            if seen > max_nodes:
+                return None
+            if p.end == p.start:
+                word = _reference_accept_loop(rep, r, table, inverter, p)
+                if word is not None:
+                    return word
+            if len(p.steps) >= bound:
+                continue
+            last_d, last_e = p.steps[-1]
+            for d in g.darts_at(p.end):
+                if (d >> 1) not in allowed:
+                    continue
+                if last_e == 0 and d == last_d ^ 1:
+                    continue
+                turn = make_turn(g, p.end, (last_d ^ 1, 0), (d, last_e))
+                if not _turn_r_ok(table, dec.stratum_of, r, turn):
+                    continue
+                for elem in range(g.vertex_order(g.dart_head(d))):
+                    next_frontier.append(GraphPath(g, p.start, p.prefix, p.steps + ((d, elem),)))
+        frontier = next_frontier
+    return None
+
+
+def _assert_r_legal_hyperbolic(rep, r, word):
+    """The word's cyclically reduced loop lies in T_r, crosses stratum r, and turns r-legally."""
+    g = rep.graph
+    dec = rep.strata()
+    assert word.is_hyperbolic()
+    core, _ = cyclically_reduce(g.loop_of_element(word))
+    edges = {d >> 1 for d, _ in core.steps}
+    assert edges <= dec.filtration(r)
+    assert any(dec.stratum_of[m] == r for m in edges)
+    closed = core.steps + ((core.steps[0][0], g.vertex_mul(core.start, core.steps[-1][1], core.prefix)),)
+    for (d, e), (d2, _) in zip(closed, closed[1:]):
+        assert not (e == 0 and d2 == d ^ 1)
+    assert is_r_legal(rep, core, r, cyclic=True)
+
+
+def _assert_search_finds_what_the_reference_finds(rep, **caps):
+    for s in rep.strata().strata:
+        if not s.growing:
+            continue
+        try:
+            expected = reference_find_r_legal_hyperbolic(rep, s.index, **caps)
+        except NonConvergenceError:
+            expected = None
+        try:
+            word = find_r_legal_hyperbolic(rep, s.index)
+        except InputError:
+            assert expected is None
+            continue
+        _assert_r_legal_hyperbolic(rep, s.index, word)
+
+
+def test_r_legal_search_matches_reference():
+    for rep in _reference_representatives():
+        _assert_search_finds_what_the_reference_finds(rep)
+    _assert_search_finds_what_the_reference_finds(load_text(chord_text(25)).representative)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=_rose_words)
+def test_r_legal_search_matches_reference_on_random_rose_maps(words):
+    _assert_search_finds_what_the_reference_finds(_rose_map(words), iteration_cap=4)
+
+
+def test_r_legal_search_proves_there_is_no_loop():
+    # a -> b, b -> b b a': Df joins a, a', b and b' in one gate, so every turn
+    # of stratum 1 = {a, b} is illegal and T_1 holds no r-legal loop
+    rep = _rose_map([[2], [2, 2, 1], [5]])
+    assert rep.strata().stratum_of == (1, 1, 2)
+    with pytest.raises(InputError, match="^stratum 1 has no r-legal hyperbolic loop$"):
+        find_r_legal_hyperbolic(rep, 1)
+    with pytest.raises(NonConvergenceError):
+        reference_find_r_legal_hyperbolic(rep, 1, iteration_cap=4)
 
 
 def test_r_legal_paths_map_to_r_legal(golden, c2f2):
