@@ -338,8 +338,7 @@ def displacement(input_arg, n_grid, iterations, sample, fmt):
     "--rtt-bound",
     default=None,
     type=int,
-    help="path bound for the injectivity check [default: twice the edge count]; "
-    "a search past 200,000 paths exits 3",
+    help="path bound for the injectivity check [default: twice the edge count]",
 )
 @format_option
 def verify(input_arg, rtt_bound, fmt):

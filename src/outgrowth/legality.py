@@ -15,10 +15,11 @@ enumerated in sorted order, and an illegal turn's meeting time is memoised
 on its pair of directions, so deciding every turn costs a small constant
 per turn.
 
-Relative train track injectivity is not decided exactly: the search walks
-every reduced connecting path up to a bound, so its verdict holds "up to
-the bound".  Paths that share a prefix share that prefix's tightened
-image, and each path extends its parent's image by one dart's.
+Relative train track injectivity up to a bound is decided exactly: a
+shortest connecting path whose image tightens to a point is found by
+context-free reachability over the positions in the edge images, at a
+cost that does not depend on the bound, and only its length is compared
+with the bound.
 
 Stratum-legal hyperbolic elements are found by an exhaustive cycle search
 in the digraph of r-legal turns, so ``InputError`` there means that no
@@ -31,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InputError, NonConvergenceError
+from .errors import InputError
 from .free_product import Word
 from .graph_of_groups import GraphPath, MarkedMetricGraph, MarkingInverter
 from .graph_map import TopologicalRepresentative
@@ -295,25 +296,20 @@ class RttStratumVerdict:
         return bool(self.germs_ok and self.legality_ok and self.injectivity_ok)
 
 
-def verify_rtt(
-    rep: TopologicalRepresentative,
-    path_bound: int | None = None,
-    max_paths: int = 200_000,
-) -> list[RttStratumVerdict]:
+def verify_rtt(rep: TopologicalRepresentative, path_bound: int | None = None) -> list[RttStratumVerdict]:
     """Verify the three relative-train-track properties on every growing stratum.
 
     Germ preservation and r-legal edge images are exact, and the legality
     witness is the first turn of an edge image that is not r-legal; the
     derivative then keeps r-legal turns r-legal, as legal turns have legal
     images and images only descend.  Injectivity on connecting paths in the
-    lower filtration is checked for all reduced decorated paths up to
-    ``path_bound`` darts (default: twice the edge count; a bound below 1
-    raises ``InputError``), so that verdict is "verified up to the bound".
-    Paths that share a prefix share its tightened image, so each path costs
-    only the image of its last dart.  A search that meets
-    ``max_paths`` raises ``NonConvergenceError`` whose ``best`` holds the
-    verdicts decided so far plus the stratum that ran out, with
-    ``injectivity_ok`` None and ``paths_checked`` equal to ``max_paths``.
+    lower filtration holds up to ``path_bound`` darts (default: twice the
+    edge count; a bound below 1 raises ``InputError``) when no reduced
+    decorated connecting path of at most that many darts has an image that
+    tightens to a point.  That is decided exactly, from a shortest such
+    path, at a cost that does not depend on the bound, and the witness is
+    that path when it is no longer than the bound.  ``paths_checked`` is
+    the number of paths the bounded predicate covers, counted in closed form.
     """
     if path_bound is not None and path_bound < 1:
         raise InputError(f"the path bound must be at least 1, not {path_bound}")
@@ -350,32 +346,21 @@ def verify_rtt(
                 break
         # (2) injectivity on connecting paths through the lower filtration
         v.injectivity_bound = bound
-        try:
-            counterexample, checked = _rtt_injectivity(rep, dec, r, bound, max_paths)
-        except NonConvergenceError as err:
-            # best so far: the strata decided, and this one with injectivity undecided
-            v.paths_checked = max_paths
-            err.best = verdicts + [v]
-            raise
-        v.injectivity_ok = counterexample is None
-        v.injectivity_witness = counterexample
-        v.paths_checked = checked
+        shortest, v.paths_checked = _rtt_injectivity(rep, dec, r, bound)
+        v.injectivity_ok = shortest is None or len(shortest) > bound
+        if not v.injectivity_ok:
+            v.injectivity_witness = shortest
         verdicts.append(v)
     return verdicts
 
 
-def _rtt_injectivity(rep, dec, r, bound, max_paths):
-    """Search T_{r-1} connecting paths whose image collapses; returns (witness, count).
+def _rtt_injectivity(rep, dec, r, bound):
+    """The shortest T_{r-1} connecting path whose image tightens to a point, and a path count.
 
-    Depth first over the reduced decorated paths from the endpoints, the
-    children of a path pushed in (dart, element) order.  A child extends
-    its parent by one dart, so its tightened image extends the parent's:
-    an image is a prefix element plus a persistent stack of
-    ``(dart, element, below)`` cells, and extending by ``d e`` tightens
-    ``f(d)`` and the twisted ``e`` onto the parent's stack in O(|f(d)|),
-    sharing every cell below.  Paths are parent-linked chains
-    ``(parent, dart, element)`` under a root ``(None, start, prefix)``; only
-    a witness becomes a ``GraphPath``.
+    Returns ``(witness, checked)``: the witness is a shortest reduced
+    decorated connecting path in the lower filtration whose image tightens
+    to the trivial path, or None when no path of any length does, and
+    ``checked`` counts the connecting paths of 1 to ``bound`` darts.
     """
     g = rep.graph
     if r <= 1:
@@ -393,66 +378,158 @@ def _rtt_injectivity(rep, dec, r, bound, max_paths):
     endpoints = touches_high & touches_low
     if not endpoints:
         return None, 0
-    mul, head = g.vertex_mul, g.dart_head
-    # per vertex: (dart, element, head, image prefix, image steps, twisted element)
-    extensions = []
-    for v in range(g.n_vertices):
-        row = []
-        for d in g.darts_at(v):
-            if (d >> 1) not in lower_edges:
-                continue
-            h = head(d)
-            img = rep.image_dart(d)
-            for e in range(g.vertex_order(h)):
-                row.append((d, e, h, img.prefix, img.steps, rep.image_element(h, e)))
-        extensions.append(tuple(row))
-    at_endpoint = [v in endpoints for v in range(g.n_vertices)]
+    lower_darts = [d for m in sorted(lower_edges) for d in (2 * m, 2 * m + 1)]
+    return (
+        _shortest_collapsing_path(rep, lower_darts, endpoints),
+        _connecting_path_count(g, lower_darts, endpoints, bound),
+    )
 
-    def join(start, prefix, top, elem):
-        # the element after the last dart of the image, or its prefix while there is none
-        if top is None:
-            return mul(start, prefix, elem), None
-        d, e, below = top
-        return prefix, (d, mul(head(d), e, elem), below)
 
+def _connecting_path_count(g, lower_darts, endpoints, bound):
+    """Reduced decorated paths of 1 to ``bound`` lower darts between endpoints, any prefix.
+
+    Every element after a dart has the same extensions, except that
+    ``(d, 0)`` may not go on by ``d ^ 1``.  So ``count[d]`` is the number of
+    paths ending in d followed by one given element, and the counts of the
+    next length are ``into[tail(d)] - count[d ^ 1]``, where ``into[v]``
+    counts the paths ending at v with every element.
+    """
+    order = g.vertex_order
+    count = {d: order(g.dart_tail(d)) if g.dart_tail(d) in endpoints else 0 for d in lower_darts}
     checked = 0
-    # (path, length, end, dart that would backtrack, image start, image prefix, image stack)
-    stack = []
-    for v in sorted(endpoints):
-        start = rep.vertex_images[v]
-        for pre in range(g.vertex_order(v)):
-            stack.append(((None, v, pre), 0, v, -1, start, rep.image_element(v, pre), None))
-    while stack:
-        path, length, end, back, start, prefix, top = stack.pop()
-        if length and at_endpoint[end]:
-            checked += 1
-            if checked > max_paths:
-                raise NonConvergenceError(
-                    f"injectivity search exceeded {max_paths} candidate paths"
-                )
-            if top is None and prefix == 0:
-                steps = []
-                while path[0] is not None:
-                    path, d, e = path
-                    steps.append((d, e))
-                return GraphPath(g, path[1], path[2], tuple(reversed(steps))), checked
-        if length >= bound:
-            continue
-        for d, e, h, img_prefix, img_steps, twist in extensions[end]:
-            if d == back:
+    for length in range(1, bound + 1):
+        into = [0] * g.n_vertices
+        for d, c in count.items():
+            h = g.dart_head(d)
+            into[h] += c * order(h)
+        checked += sum(into[v] for v in endpoints)
+        if length < bound:
+            count = {d: into[g.dart_tail(d)] - count[d ^ 1] for d in lower_darts}
+    return checked
+
+
+def _shortest_collapsing_path(rep, lower_darts, endpoints):
+    """A shortest reduced connecting path whose image tightens to the trivial path, or None.
+
+    The images of connecting paths are the label sequences of paths in one
+    graph.  Each lower dart's image is a chain of nodes, one per position,
+    joined by its dart letters and its nontrivial element letters.  A
+    control node ``(vertex, dart that would backtrack)`` enters the chain of
+    every other lower dart leaving its vertex, through the image's leading
+    element, at cost 1: that move is one dart of the path.  The chain of d
+    ends in a control node at its head for each element e after d, through
+    the image's last element times the twist of e.  An endpoint has a start
+    node, entered from its prefixes, that is no control node, so a path has
+    at least one dart.
+
+    An item ``(p, q, x)`` says that some label path from p to q tightens to
+    the bare vertex-group element x.  Items grow by an element letter, and
+    by a dart letter s, a balanced item from the node after s that tightens
+    to the identity, then the letter ``s ^ 1``: cancelling darts nest, so a
+    word tightens to an element exactly when it parses so (Reps 1998).
+    Items settle in order of least cost, and a cost never falls when items
+    combine (Knuth 1977), so the first item from a start to an endpoint's
+    control node with the identity gives a shortest path, unfolded from
+    back-pointers.  Balanced items start at every node after a dart letter
+    at cost 0.  There are finitely many items, so "none" is decided.
+    """
+    g = rep.graph
+    mul, head = g.vertex_mul, g.dart_head
+    vertex = []  # node -> vertex of its image position
+    moves = []  # node -> [(node, element letter, cost, step (d, e) of the path or None)]
+    dart_out = []  # node -> (dart letter, node after it), or None
+
+    def new_node(v):
+        vertex.append(v)
+        moves.append([])
+        dart_out.append(None)
+        return len(vertex) - 1
+
+    after_letter = {}  # node after a dart letter -> that letter
+    control: dict[tuple[int, int], int] = {}
+    entry = {}  # lower dart -> (first node of its image chain, the image's leading element)
+    for d in lower_darts:
+        img = rep.image_dart(d)
+        node = first = new_node(img.start)
+        elem = 0
+        for sd, se in img.steps:
+            if elem:
+                node, prev = new_node(vertex[node]), node
+                moves[prev].append((node, elem, 0, None))
+            node, prev = new_node(head(sd)), node
+            dart_out[prev] = (sd, node)
+            after_letter[node] = sd
+            elem = se
+        entry[d] = first, img.prefix
+        h = head(d)
+        for e in range(g.vertex_order(h)):
+            key = (h, -1 if e else d ^ 1)
+            if key not in control:
+                control[key] = new_node(rep.vertex_images[h])
+            moves[node].append((control[key], mul(vertex[node], elem, rep.image_element(h, e)), 0, (d, e)))
+    starts = {new_node(rep.vertex_images[v]): v for v in sorted(endpoints)}
+    for (v, back), node in [*control.items(), *(((v, -1), s) for s, v in starts.items())]:
+        moves[node] += [(*entry[d], 1, None) for d in g.darts_at(v) if d in entry and d != back]
+    accepting = {c for (v, _), c in control.items() if v in endpoints}
+
+    # buckets[cost]: (item, back-pointer) in the order found; lists grow while they are walked
+    buckets: list[list] = [[((s, s, rep.image_element(v, pre)), (0, pre, None)) for s, v in starts.items()
+                            for pre in range(g.vertex_order(v))]]
+    buckets[0] += [((y, y, 0), None) for y in after_letter]
+    settled = {}  # item -> back-pointer: (0, prefix, None), (1, item, step) or (2, left item, balanced item)
+    waiting = {y: [] for y in after_letter}  # settled (cost, item) ending just before the letter into y
+    closing = {y: [] for y in after_letter}  # settled (cost, balanced item from y, node after s ^ 1)
+
+    def push(item, cost, back):
+        while len(buckets) <= cost:
+            buckets.append([])
+        buckets[cost].append((item, back))
+
+    for cost, bucket in enumerate(buckets):
+        for item, back in bucket:
+            if item in settled:
                 continue
-            p, t = join(start, prefix, top, img_prefix) if img_prefix else (prefix, top)
-            for sd, se in img_steps:
-                if t is not None and t[1] == 0 and t[0] == sd ^ 1:
-                    t = t[2]
-                    if se:
-                        p, t = join(start, p, t, se)
-                else:
-                    t = (sd, se, t)
-            if twist:
-                p, t = join(start, p, t, twist)
-            stack.append(((path, d, e), length + 1, h, -1 if e else d ^ 1, start, p, t))
-    return None, checked
+            settled[item] = back
+            p, q, x = item
+            if not x and q in accepting and p in starts:
+                return _unfold_path(g, settled, item, starts[p])
+            v = vertex[q]
+            for t, elem, w, step in moves[q]:
+                nxt = (p, t, mul(v, x, elem))
+                if nxt not in settled:
+                    push(nxt, cost + w, (1, item, step))
+            out = dart_out[q]
+            if out is None:
+                continue
+            s, y = out
+            waiting[y].append((cost, item))
+            for c, bal, z in closing[y]:
+                push((p, z, x), cost + c, (2, item, bal))
+            if not x and p in after_letter and s == after_letter[p] ^ 1:
+                closing[p].append((cost, item, y))
+                for c, left in waiting[p]:
+                    push((left[0], y, left[2]), c + cost, (2, left, item))
+    return None
+
+
+def _unfold_path(g, settled, item, start):
+    """The path steps an item's back-pointers record, from right to left on a stack."""
+    steps = []
+    stack = [item]
+    while stack:
+        back = settled[stack.pop()]
+        if back is None:
+            continue
+        kind, a, b = back
+        if kind == 0:
+            prefix = a
+        elif kind == 1:
+            if b is not None:
+                steps.append(b)
+            stack.append(a)
+        else:
+            stack += (a, b)
+    return GraphPath(g, start, prefix, tuple(reversed(steps)))
 
 
 # -- producing legal hyperbolic elements ----------------------------------------

@@ -392,6 +392,32 @@ def test_cli_verify_rejects_an_rtt_bound_below_one(bound):
     assert "must be at least 1" in runner.invoke(main, ["verify", "c2f2_mixed", "--rtt-bound", bound]).output
 
 
+def test_cli_verify_decides_c2f2_past_the_old_path_cap():
+    result = runner.invoke(main, ["verify", "c2f2_mixed", "--rtt-bound", "12", "--format", "json"])
+    assert result.exit_code == 0
+    rows = json.loads(result.output)["report"]["relative_train_track"]
+    assert [row["ok"] for row in rows] == [True, True]
+    assert rows[1]["injectivity_ok"] is True and rows[1]["paths_checked"] == 1_062_880
+
+
+def _rose_paths(petals: int, bound: int) -> int:
+    """Reduced paths of 1 to ``bound`` darts in a rose with no vertex group."""
+    return sum(2 * petals * (2 * petals - 1) ** (k - 1) for k in range(1, bound + 1))
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_cli_verify_decides_towers_at_the_default_bound(tmp_path, n):
+    path = tmp_path / f"tower{n}.gog"
+    path.write_text(tower_text(n))
+    result = runner.invoke(main, ["verify", str(path), "--format", "json"])
+    assert result.exit_code == 0
+    rows = json.loads(result.output)["report"]["relative_train_track"]
+    assert [row["stratum"] for row in rows] == list(range(1, n + 1))
+    for row in rows[1:]:
+        assert row["injectivity_ok"] is True and row["injectivity_bound"] == 2 * n
+        assert row["paths_checked"] == _rose_paths(row["stratum"] - 1, 2 * n)
+
+
 def test_cli_growth_past_the_float_range_exits_with_the_guard_code():
     args = ["growth", "golden_ratio_rose", "--element", "b", "--iterations", "2000", "--guard", str(10**401)]
     result = runner.invoke(main, [*args, "--format", "json"])

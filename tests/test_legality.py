@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -418,9 +417,9 @@ def test_rtt_rejects_a_path_bound_below_one(golden, bound):
         verify_rtt(golden.representative, path_bound=bound)
 
 
-# The injectivity search the incremental one replaced: it maps and tightens
-# every candidate path from scratch.  Kept as the reference for witnesses,
-# path counts and the point where the cap raises.
+# The exhaustive injectivity search: it maps and tightens every candidate
+# path from scratch, depth first, up to the bound and a path cap.  Kept as
+# the reference for verdicts, path counts and least witness lengths.
 def reference_rtt_injectivity(rep, dec, r, bound, max_paths):
     g = rep.graph
     if r <= 1:
@@ -468,29 +467,58 @@ def reference_rtt_injectivity(rep, dec, r, bound, max_paths):
     return None, checked
 
 
-def _injectivity_outcome(search, rep, r, bound, max_paths=200_000):
-    """(witness, paths checked), or the message when the search hits its cap."""
+def _injectivity_outcome(rep, r, bound, max_paths=200_000):
+    """The reference's (witness, paths checked), or its message when it hits its cap."""
     try:
-        return search(rep, rep.strata(), r, bound, max_paths)
+        return reference_rtt_injectivity(rep, rep.strata(), r, bound, max_paths)
     except NonConvergenceError as err:
         return str(err)
 
 
+def _assert_collapses(rep, path):
+    image = reduce_path(rep.map_path(path))
+    assert path.is_reduced() and image.steps == () and image.prefix == 0
+
+
 def _assert_searches_agree(rep, bounds, max_paths=200_000):
-    for s in rep.strata().strata:
+    """The shortest collapsing path against the reference at every bound.
+
+    Either finds a path up to the bound exactly when the other does; the
+    shortest path is reduced, tightens to the trivial path and is as long
+    as the least bound at which the reference finds one; with no path both
+    count the same paths.  Where the reference gives up, more paths than its
+    cap are counted.
+    """
+    dec = rep.strata()
+    for s in dec.strata:
         if not s.growing:
             continue
         for bound in bounds:
-            expected = _injectivity_outcome(reference_rtt_injectivity, rep, s.index, bound, max_paths)
-            got = _injectivity_outcome(_rtt_injectivity, rep, s.index, bound, max_paths)
-            assert got == expected, (s.index, bound)
+            shortest, checked = _rtt_injectivity(rep, dec, s.index, bound)
+            expected = _injectivity_outcome(rep, s.index, bound, max_paths)
+            if isinstance(expected, str):
+                assert checked > max_paths, (s.index, bound)
+                continue
+            witness, count = expected
+            found = shortest is not None and len(shortest) <= bound
+            assert found == (witness is not None), (s.index, bound)
+            if found:
+                assert checked >= count
+            else:
+                assert checked == count, (s.index, bound)
+        shortest, _ = _rtt_injectivity(rep, dec, s.index, 1)
+        if shortest is not None:
+            _assert_collapses(rep, shortest)
+            n = len(shortest)
+            assert _injectivity_outcome(rep, s.index, n, max_paths)[0] is not None
+            assert n == 1 or _injectivity_outcome(rep, s.index, n - 1, max_paths)[0] is None
 
 
 def _c2f2_variant(c2f2, a, b, sP):
     """The c2f2_mixed graph and twist with other edge images (not always a homotopy equivalence)."""
     rep = c2f2.representative
     g = rep.graph
-    images = [parse_path(g, text, g.base) for text in (a, b, sP)]
+    images = [text if isinstance(text, GraphPath) else parse_path(g, text, g.base) for text in (a, b, sP)]
     return TopologicalRepresentative(
         g, rep.automorphism, rep.vertex_images, images,
         vertex_isos=rep.vertex_isos, vertex_conjugators=rep.vertex_conjugators,
@@ -505,7 +533,7 @@ def test_rtt_injectivity_matches_reference_on_fixtures(c2f2):
 
 
 def test_rtt_injectivity_matches_reference_on_towers():
-    # the capped cases compare where, and with what message, both searches give up
+    # where the reference gives up at its cap, the search still decides
     for n in range(3, 7):
         _assert_searches_agree(load_text(tower_text(n)).representative, range(1, 9), max_paths=5_000)
 
@@ -514,17 +542,18 @@ def test_rtt_injectivity_matches_reference_through_vertex_groups(c2f2):
     # the lower filtration {a, sP} passes through vP with nontrivial P elements
     through = _c2f2_variant(c2f2, "a", "b sP P:1 sP' a", "sP")
     _assert_searches_agree(through, range(1, 9))
-    assert _injectivity_outcome(_rtt_injectivity, through, 3, 8) == (None, 193)
+    assert _rtt_injectivity(through, through.strata(), 3, 8) == (None, 193)
+    assert _injectivity_outcome(through, 3, 8) == (None, 193)
     collapsing = _c2f2_variant(c2f2, "sP P:1 sP'", "b a", "sP")
     _assert_searches_agree(collapsing, range(1, 9))
 
 
 def test_rtt_injectivity_cap_matches_reference(c2f2):
+    # the reference gives up at its cap; the search decides, with no collapsing path at all
     rep = c2f2.representative
-    message = "injectivity search exceeded 1000 candidate paths"
-    for search in (reference_rtt_injectivity, _rtt_injectivity):
-        with pytest.raises(NonConvergenceError, match=message):
-            search(rep, rep.strata(), 2, 10, 1000)
+    with pytest.raises(NonConvergenceError, match="injectivity search exceeded 1000 candidate paths"):
+        reference_rtt_injectivity(rep, rep.strata(), 2, 10, 1000)
+    assert _rtt_injectivity(rep, rep.strata(), 2, 10) == (None, 118_096)
 
 
 def test_rtt_injectivity_finds_collapsing_paths(c2f2):
@@ -532,19 +561,59 @@ def test_rtt_injectivity_finds_collapsing_paths(c2f2):
     g = tower.graph
     images = [parse_path(g, text, g.base) for text in ("a1", "a1", "a3 a2")]
     squashed = TopologicalRepresentative(g, tower.automorphism, tower.vertex_images, images)
+    witness, checked = reference_rtt_injectivity(squashed, squashed.strata(), 3, 6, 200_000)
+    assert g.path_str(witness) == "a2' a2' a2' a1 a2 a2"
+    assert checked == 36
     v3 = verify_rtt(squashed, path_bound=6)[2]
     assert v3.stratum == 3 and v3.injectivity_ok is False
-    assert g.path_str(v3.injectivity_witness) == "a2' a2' a2' a1 a2 a2"
-    assert v3.paths_checked == 36
+    assert g.path_str(v3.injectivity_witness) == "a1 a2'"
+    assert v3.paths_checked == 4 * (1 + 3 + 9 + 27 + 81 + 243)  # every path up to the bound, as with none
+    assert verify_rtt(squashed, path_bound=1)[2].injectivity_ok is True
 
     collapsing = _c2f2_variant(c2f2, "sP P:1 sP'", "b a", "sP")
-    witness, checked = _rtt_injectivity(collapsing, collapsing.strata(), 3, 8, 200_000)
+    witness, checked = reference_rtt_injectivity(collapsing, collapsing.strata(), 3, 8, 200_000)
     assert collapsing.graph.path_str(witness) == "sP P:1 sP' a'"
     assert checked == 2
+    shortest, _ = _rtt_injectivity(collapsing, collapsing.strata(), 3, 8)
+    assert collapsing.graph.path_str(shortest) == "a a"
 
-    for rep, w in ((squashed, v3.injectivity_witness), (collapsing, witness)):
-        image = reduce_path(rep.map_path(w))
-        assert image.steps == () and image.prefix == 0
+    for rep, w in ((squashed, v3.injectivity_witness), (collapsing, shortest), (collapsing, witness)):
+        _assert_collapses(rep, w)
+
+
+@st.composite
+def _c2f2_image(draw, end):
+    """A reduced path from v0 to ``end`` on the c2f2_mixed graph, with P:0 or P:1 after each sP."""
+    steps = []
+    at = 0  # v0; vP is 1, and its only dart is sP' (5)
+    for _ in range(draw(st.integers(1, 4))):
+        darts = [5] if at else [0, 1, 2, 3, 4]
+        if steps and steps[-1][1] == 0:
+            darts = [d for d in darts if d != steps[-1][0] ^ 1]
+        if not darts:  # sP P:0 cannot go on
+            break
+        d = draw(st.sampled_from(darts))
+        steps.append((d, draw(st.integers(0, 1)) if d == 4 else 0))
+        at = 1 if d == 4 else 0
+    if at != end:
+        if end == 0:
+            if steps[-1] == (4, 0):
+                steps[-1] = (4, 1)
+            steps.append((5, 0))
+        elif steps[-1] == (5, 0):
+            steps.pop()
+        else:
+            steps.append((4, draw(st.integers(0, 1))))
+    return tuple(steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_c2f2_image(0), b=_c2f2_image(0), sP=_c2f2_image(1))
+@example(a=((4, 1), (5, 0)), b=((2, 0), (0, 0)), sP=((4, 0),))  # a a collapses
+def test_rtt_injectivity_matches_reference_on_random_maps_through_vertex_groups(c2f2, a, b, sP):
+    g = c2f2.graph
+    rep = _c2f2_variant(c2f2, *(GraphPath(g, 0, 0, steps) for steps in (a, b, sP)))
+    _assert_searches_agree(rep, range(1, 7))
 
 
 _rose_words = st.lists(
@@ -626,17 +695,14 @@ def test_enumeration_and_lazy_table_match_reference_on_random_rose_maps(words, s
         assert lazy.entry(turn) == entry
 
 
-def test_rtt_cap_carries_best_so_far(c2f2):
+def test_rtt_decides_past_the_old_path_cap(c2f2):
     rep = c2f2.representative
-    with pytest.raises(NonConvergenceError, match="^injectivity search exceeded 200000 candidate paths$") as info:
-        verify_rtt(rep, path_bound=12)
-    decided, ran_out = info.value.best
-    assert dataclasses.replace(decided, injectivity_bound=8) == verify_rtt(rep, path_bound=8)[0]
-    assert ran_out.stratum == 2 and ran_out.growing
-    assert ran_out.germs_ok and ran_out.legality_ok
-    assert ran_out.injectivity_ok is None and ran_out.injectivity_witness is None
-    assert ran_out.paths_checked == 200_000 and ran_out.injectivity_bound == 12
-    assert not ran_out.ok
+    with pytest.raises(NonConvergenceError, match="^injectivity search exceeded 200000 candidate paths$"):
+        reference_rtt_injectivity(rep, rep.strata(), 2, 12, 200_000)
+    verdicts = verify_rtt(rep, path_bound=12)
+    assert [v.stratum for v in verdicts] == [1, 2] and all(v.ok for v in verdicts)
+    assert verdicts[1].injectivity_ok and verdicts[1].injectivity_witness is None
+    assert verdicts[1].paths_checked == 1_062_880 and verdicts[1].injectivity_bound == 12
 
 
 # -- r-legal hyperbolic elements -------------------------------------------------------
