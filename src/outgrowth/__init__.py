@@ -56,7 +56,6 @@ from .dynamics import (
     GrowthReport,
     LengthFunction,
     bound_check,
-    coefficient_A,
     coefficient_matrix,
     displacement_bracket,
     growth_rate_estimate,

@@ -489,16 +489,6 @@ def coefficient_matrix(
     return A
 
 
-def coefficient_A(
-    rep: TopologicalRepresentative, r: int, i: int, metric: MarkedMetricGraph | None = None
-) -> float:
-    """One stratum-interaction coefficient (r <= i is the meaningful range)."""
-    dec = rep.strata()
-    if not (1 <= r <= dec.count and 1 <= i <= dec.count):
-        raise InputError("stratum index out of range")
-    return float(coefficient_matrix(rep, metric)[r - 1, i - 1])
-
-
 def index_count(k: int, r: int, m: int) -> int:
     """Number of non-decreasing k-tuples drawn from {r, ..., m}."""
     if not (1 <= r <= m and k >= 1):
@@ -522,9 +512,6 @@ class BoundReport:
     stratum_rows: list[dict]
     ok: bool
     iterations: int
-
-    def polynomial(self, k: int) -> float:
-        return self.product_bound * index_total(k, self.coefficients.shape[0])
 
     def to_record(self) -> dict:
         return {

@@ -364,20 +364,6 @@ class Word:
             break
         return Word(G, tuple(syls[lo:hi])), G.word(conj)
 
-    def canonical_cyclic(self) -> Word:
-        """Lexicographically minimal rotation of the cyclically reduced core.
-
-        Deterministic representative of the conjugacy class for hyperbolic
-        words (two cyclically reduced words of syllable length >= 2 are
-        conjugate exactly when they are rotations of each other).
-        """
-        core, _ = self.cyclic_form()
-        syls = core.syllables
-        if len(syls) < 2:
-            return core
-        best = min(syls[r:] + syls[:r] for r in range(len(syls)))
-        return Word(self.group, best)
-
     def is_hyperbolic(self) -> bool:
         """True unless the word is conjugate into a factor (or trivial)."""
         core, _ = self.cyclic_form()

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, NonConvergenceError
+from .errors import InputError
 from .free_product import FREE, FreeProduct, Word
 
 #: comparison tolerance for metric equalities; combinatorial facts never use it
@@ -63,9 +63,6 @@ class GraphPath:
         if not self.steps:
             return self.start
         return self.graph.dart_head(self.steps[-1][0])
-
-    def darts(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.steps)
 
     def __len__(self):
         return len(self.steps)
@@ -275,9 +272,6 @@ class MarkedMetricGraph:
     def dart_head(self, d: int) -> int:
         return self.edge_ends[d >> 1][1 - (d & 1)]
 
-    def dart_length(self, d: int) -> float:
-        return self.lengths[d >> 1]
-
     def darts_at(self, v: int) -> tuple[int, ...]:
         """Darts leaving v, in edge order (a loop gives 2m before 2m + 1)."""
         return self._darts_at[v]
@@ -371,11 +365,6 @@ class MarkedMetricGraph:
         core, _ = cyclically_reduce(self.loop_of_element(w))
         return self.path_length(core)
 
-    def elliptic_witness(self, w: Word) -> int | None:
-        """For elliptic w, the vertex-group element its loop collapses to."""
-        core, _ = cyclically_reduce(self.loop_of_element(w))
-        return core.prefix if not core.steps else None
-
     # -- validity -----------------------------------------------------------
 
     def connected(self) -> bool:
@@ -433,9 +422,9 @@ class MarkedMetricGraph:
 def validate_graph(graph: MarkedMetricGraph) -> list[Violation]:
     """Structural diagnostics; an empty list means the graph is valid.
 
-    The marking is certified at the level of rank and factor counts (a full
-    isomorphism check is a word problem); reducedness and endpoints of the
-    marking paths are checked exactly.
+    The marking is certified at the level of rank and factor counts;
+    reducedness and endpoints of the marking paths are checked exactly.
+    Whether the marking is an isomorphism is decided by ``MarkingInverter``.
     """
     G = graph.group
     for t, h in graph.edge_ends:
@@ -526,21 +515,25 @@ def standard_rose(group: FreeProduct) -> MarkedMetricGraph:
 class MarkingInverter:
     """Translate reduced loops at the base back into group elements.
 
-    A spanning tree turns the fundamental group of the graph of groups into
-    a standard basis: one loop generator per non-tree edge and one
-    conjugated copy of each vertex group.  Each basis loop is matched to a
-    group word by a breadth-first search through marked images; decomposing
-    an arbitrary reduced loop over the basis and substituting those words
-    inverts the marking.  The search honours the presentation's budget and
-    reports non-convergence instead of guessing.
+    The marking paths, each edge labelled by a group word, are wedged at the
+    base and folded until the wedge maps one to one onto the graph
+    (Stallings, "Topology of finite graphs", 1983; with vertex groups,
+    Kapovich-Weidmann-Miasnikov, "Foldings, graphs of groups and the
+    membership problem", 2005).  Folds keep the word of every loop at the
+    base a preimage of the loop it reads, so the marking is an isomorphism
+    exactly when the folded wedge is the graph (up to trees without vertex
+    groups), and then the words along a loop's unique lift multiply to its
+    unique preimage.  Otherwise ``InputError`` is raised.  Nothing is
+    searched: each marking dart is folded away at most once, at the cost of
+    a few word products, so the time grows with the marking's length times
+    the length of the words it inverts to.  The graph is expected to pass
+    ``validate_graph``.
     """
 
-    def __init__(self, graph: MarkedMetricGraph, budget: int = 6, cap: int = 200_000):
+    def __init__(self, graph: MarkedMetricGraph):
         self.graph = graph
-        self.budget = budget
-        self.cap = cap
         self._tree_paths = self._spanning_tree()
-        self._basis = self._basis_words()
+        self._lift, self._groups = self._fold()
 
     def _spanning_tree(self) -> list[GraphPath]:
         g = self.graph
@@ -561,97 +554,123 @@ class MarkingInverter:
     def tree_path(self, v: int) -> GraphPath:
         return self._tree_paths[v]
 
-    def _basis_loop(self, dart: int) -> GraphPath:
-        g = self.graph
-        step = GraphPath(g, g.dart_tail(dart), 0, ((dart, 0),))
-        return reduce_path(self.tree_path(g.dart_tail(dart)) * step * self.tree_path(g.dart_head(dart)).inverse())
-
-    def _vertex_loop(self, v: int, a: int) -> GraphPath:
-        g = self.graph
-        mid = GraphPath(g, v, a, ())
-        return reduce_path(self.tree_path(v) * mid * self.tree_path(v).inverse())
-
-    def _tree_darts(self) -> set[int]:
-        g = self.graph
-        darts = set()
-        for v in range(g.n_vertices):
-            for d, _ in self._tree_paths[v].steps:
-                darts.add(d)
-                darts.add(d ^ 1)
-        return darts
-
-    def _basis_words(self) -> dict[GraphPath, Word]:
+    def _fold(self) -> tuple[dict[int, tuple[int, int, Word]], dict[int, dict[int, Word]]]:
         g, G = self.graph, self.graph.group
-        tree = self._tree_darts()
-        targets: dict[GraphPath, None] = {}
-        self._nontree_loop: dict[int, GraphPath] = {}
-        for m in range(g.n_edges):
-            if 2 * m not in tree:
-                loop = self._basis_loop(2 * m)
-                self._nontree_loop[2 * m] = loop
-                targets[loop] = None
-        self._vertex_loops: dict[tuple[int, int], GraphPath] = {}
-        for v in range(g.n_vertices):
-            for a in range(1, g.vertex_order(v)):
-                loop = self._vertex_loop(v, a)
-                self._vertex_loops[(v, a)] = loop
-                targets[loop] = None
-        found: dict[GraphPath, Word] = {}
-        alphabet = [G.free(j, s) for j in range(G.free_rank) for s in (1, -1)]
-        alphabet += [
-            G.factor_element(i, a)
-            for i in range(len(G.factors))
-            for a in range(1, G.factors[i].order)
-        ]
-        seen: dict[Word, GraphPath] = {G.identity(): g.loop_of_element(G.identity())}
-        frontier = [G.identity()]
-        depth = 0
-        while targets.keys() - found.keys() and frontier and depth < self.budget:
-            depth += 1
-            nxt = []
-            for w in frontier:
-                base_loop = seen[w]
-                for s in alphabet:
-                    ws = w * s
-                    if ws in seen:
-                        continue
-                    if len(seen) > self.cap:
-                        raise NonConvergenceError(
-                            f"marking inversion exceeded {self.cap} candidate words"
-                        )
-                    loop = reduce_path(base_loop * g.loop_of_element(s))
-                    seen[ws] = loop
-                    nxt.append(ws)
-                    if loop in targets and loop not in found:
-                        found[loop] = ws
-            frontier = nxt
-        missing = [loop for loop in targets if loop not in found]
-        if missing:
-            raise NonConvergenceError(
-                f"marking inversion: {len(missing)} basis loop(s) not matched within budget {self.budget}"
-            )
-        return found
+        one = G.identity()
+        not_iso = "the marking is not an isomorphism"
+        # Wedge vertex u lies over graph vertex img[u] (None once merged away) and
+        # carries the edge ends at[u] and the subgroup K[u] as {element: word},
+        # either trivial or the whole vertex group.
+        # Edge m has ends 2m and 2m + 1; end i sits at ends[i][0] and leaves over
+        # dart ends[i][1] with element ends[i][2]: end 2m reads ``a d b``, with b
+        # the inverse of end 2m + 1's element, as the word words[m].
+        img, K, at, ends, words = [], [], [], [], []
+
+        def vertex(v):
+            img.append(v)
+            K.append({0: one})
+            at.append(set())
+            return len(img) - 1
+
+        def wedge(p, word, end):
+            # p's darts as a chain of new edges from the base to ``end``; the first carries ``word``
+            u, a = 0, p.prefix
+            for n, (d, b) in enumerate(p.steps):
+                h = end if n == len(p.steps) - 1 else vertex(g.dart_head(d))
+                at[u].add(len(ends))
+                at[h].add(len(ends) + 1)
+                ends.extend(([u, d, a], [h, d ^ 1, g.vertex_inv(g.dart_head(d), b)]))
+                words.append(word if n == 0 else one)
+                u, a = h, 0
+
+        def attach(u, group, c, w):
+            # K[u] becomes c group c^-1, with each word wa read as w wa w^-1; a vertex meets at
+            # most one factor, because two would map their infinite free product into a finite group
+            if len(K[u]) > 1:
+                raise InputError(not_iso)
+            v, ci, wi = img[u], g.vertex_inv(img[u], c), w.inverse()
+            K[u] = {g.vertex_mul(v, g.vertex_mul(v, c, a), ci): w * wa * wi for a, wa in group.items()}
+
+        def word(i):
+            return words[i >> 1] if i & 1 == 0 else words[i >> 1].inverse()
+
+        def fold(u, i1, i2):
+            # ends i1, i2 leave u over one dart with a2 a1^-1 in K[u]: delete i2's edge,
+            # re-express its head at i1's head and return that head; never merge the base away
+            if ends[i2 ^ 1][0] == 0:
+                i1, i2 = i2, i1
+            h1, h2 = ends[i1 ^ 1][0], ends[i2 ^ 1][0]
+            if h1 == h2:  # lowers the first Betti number, which no fold raises again
+                raise InputError(not_iso)
+            v, x = img[u], img[h1]
+            k = g.vertex_mul(v, ends[i2][2], g.vertex_inv(v, ends[i1][2]))
+            # edge 2 reads k (edge 1) c, and c reads delta
+            c = g.vertex_mul(x, ends[i1 ^ 1][2], g.vertex_inv(x, ends[i2 ^ 1][2]))
+            delta = word(i1).inverse() * K[u][k].inverse() * word(i2)
+            at[u].discard(i2)
+            at[h2].discard(i2 ^ 1)
+            di = delta.inverse()
+            for i in at[h2]:
+                ends[i][0] = h1
+                ends[i][2] = g.vertex_mul(x, c, ends[i][2])
+                m = i >> 1
+                words[m] = delta * words[m] if i & 1 == 0 else words[m] * di
+            at[h1] |= at[h2]
+            img[h2] = None
+            if len(K[h2]) > 1:
+                attach(h1, K[h2], c, delta)
+            return h1
+
+        vertex(g.base)
+        for j, p in enumerate(g.free_marking):
+            wedge(p, G.free(j), 0)  # a loop without darts is left out, and the Betti number tells
+        for i, p in enumerate(g.factor_marking):
+            # the factor sits at a new vertex, or conjugated by the prefix at the base
+            t, x = (vertex(p.end), 0) if p.steps else (0, p.prefix)
+            attach(t, {a: G.factor_element(i, a) for a in range(g.vertex_order(p.end))}, x, one)
+            wedge(p, one, t)
+        todo = list(range(len(img)))
+        while todo:
+            u = todo.pop()
+            if img[u] is None:
+                continue
+            # ends over one dart fold when their elements agree or K[u] is whole
+            first: dict[tuple[int, int], int] = {}
+            for i in at[u]:
+                _, d, a = ends[i]
+                i1 = first.setdefault((d, a if len(K[u]) == 1 else 0), i)
+                if i1 != i:
+                    todo += [u, fold(u, i1, i)]
+                    break
+
+        live = [u for u, v in enumerate(img) if v is not None]
+        covered = {img[u] for u in live}
+        lift = {ends[i][1]: (ends[i][2], ends[i ^ 1][2], word(i)) for u in live for i in at[u]}
+        if (
+            len(covered) < len(live)  # two wedge vertices over one graph vertex
+            or len(lift) < sum(len(at[u]) for u in live)  # a dart covered twice
+            or any(len(K[u]) < g.vertex_order(img[u]) for u in live)  # a vertex group covered in part
+            or len(lift) // 2 - len(live) + 1 != g.betti_number()
+            or any(f is not None and v not in covered for v, f in enumerate(g.vertex_factor))
+        ):
+            raise InputError(not_iso)
+        return lift, {img[u]: K[u] for u in live}
 
     def element_of_loop(self, loop: GraphPath) -> Word:
-        """The group element whose marked image is the given reduced loop at base."""
-        g, G = self.graph, self.graph.group
+        """The unique group element whose marked image is the given loop at the base."""
+        g = self.graph
         if loop.start != g.base or loop.end != g.base:
             raise InputError("marking inversion requires a loop at the base vertex")
         loop = reduce_path(loop)
-        parts: list[Word] = []
-        if loop.prefix:
-            parts.append(self._basis[self._vertex_loops[(g.base, loop.prefix)]])
+        # x is the element still to read at v, before the end leaving over the next dart
+        v, x, parts = g.base, loop.prefix, []
         for d, e in loop.steps:
-            if d in self._nontree_loop:
-                parts.append(self._basis[self._nontree_loop[d]])
-            elif (d ^ 1) in self._nontree_loop:
-                parts.append(self._basis[self._nontree_loop[d ^ 1]].inverse())
-            if e:
-                parts.append(self._basis[self._vertex_loops[(g.dart_head(d), e)]])
-        word = G.identity()
-        for p in parts:
-            word = word * p
-        return word
+            a, far, w = self._lift[d]
+            parts += (self._groups[v][g.vertex_mul(v, x, g.vertex_inv(v, a))], w)
+            v = g.dart_head(d)
+            x = g.vertex_mul(v, far, e)
+        parts.append(self._groups[v][x])
+        return g.group.word(parts)
 
     def element_of_loop_at(self, loop: GraphPath) -> Word:
         """As ``element_of_loop`` but for a loop based anywhere, via a tree path."""

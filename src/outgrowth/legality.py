@@ -546,8 +546,9 @@ def find_r_legal_hyperbolic(rep: TopologicalRepresentative, r: int) -> Word:
     start, so the loop found is a shortest one through that step.  It is
     cyclically reduced, so its element g is hyperbolic, and it scales
     exactly: the stratum length of g alpha^k is mu_r^k times that of g.
-    When no search closes a cycle there is no such loop, and ``InputError``
-    is raised.
+    The loop is turned into g by ``MarkingInverter``.  ``InputError`` is
+    raised when no search closes a cycle, so there is no such loop, and
+    when the marking is not an isomorphism; ``NonConvergenceError`` never is.
     """
     g = rep.graph
     dec = rep.strata()

@@ -13,7 +13,6 @@ from outgrowth import (
     ResourceLimitError,
     assign_pf_metric,
     bound_check,
-    coefficient_A,
     coefficient_matrix,
     cyclically_reduce,
     displacement_bracket,
@@ -539,20 +538,20 @@ def test_fast_path_length_leaving_the_float_range(golden):
 
 
 def test_coefficient_single_stratum(golden):
-    assert coefficient_A(golden.representative, 1, 1) == pytest.approx(GOLDEN, abs=1e-9)
+    assert coefficient_matrix(golden.representative)[0, 0] == pytest.approx(GOLDEN, abs=1e-9)
 
 
 def test_coefficient_polynomial(poly):
     rep = poly.representative
-    assert coefficient_A(rep, 1, 2) == 1.0
-    assert coefficient_A(rep, 2, 2) == 1.0
-    assert coefficient_A(rep, 2, 1) == 0.0
+    assert coefficient_matrix(rep)[0, 1] == 1.0
+    assert coefficient_matrix(rep)[1, 1] == 1.0
+    assert coefficient_matrix(rep)[1, 0] == 0.0
 
 
 def test_coefficient_disjoint_strata(c2f2):
     rep = c2f2.representative
-    assert coefficient_A(rep, 1, 2) == 0.0
-    assert coefficient_A(rep, 2, 1) == 0.0
+    assert coefficient_matrix(rep)[0, 1] == 0.0
+    assert coefficient_matrix(rep)[1, 0] == 0.0
 
 
 def test_coefficient_diagonal_is_eigenvalue(golden, poly, c3c3, c2f2):
@@ -561,7 +560,7 @@ def test_coefficient_diagonal_is_eigenvalue(golden, poly, c3c3, c2f2):
         dec = rep.strata()
         for s in dec.strata:
             if s.growing:
-                assert coefficient_A(rep, s.index, s.index) == pytest.approx(
+                assert coefficient_matrix(rep)[s.index - 1, s.index - 1] == pytest.approx(
                     s.eigenvalue, rel=1e-9
                 )
 
@@ -642,7 +641,7 @@ LONG_GRID = [1.0 + 5 * i for i in range(200)]
 
 
 def loop_image_ratio(rep, metric, m):
-    return sum(metric.dart_length(d) for d, _ in rep.edge_images[m].steps) / metric.lengths[m]
+    return sum(metric.lengths[d >> 1] for d, _ in rep.edge_images[m].steps) / metric.lengths[m]
 
 
 def loop_lipschitz(rep, metric):

@@ -431,7 +431,7 @@ def test_assign_pf_metric_golden(golden):
     metric = assign_pf_metric(golden.representative)
     assert metric.lengths[0] == pytest.approx(1 / GOLDEN, abs=1e-9)
     assert metric.lengths[1] == 1.0
-    image_b = sum(metric.dart_length(d) for d, _ in golden.representative.edge_images[1].steps)
+    image_b = sum(metric.lengths[d >> 1] for d, _ in golden.representative.edge_images[1].steps)
     assert image_b / metric.lengths[1] == pytest.approx(GOLDEN, abs=1e-9)
 
 

@@ -28,6 +28,7 @@ from outgrowth import (
     verify_representative,
     verify_rtt,
     verify_train_track,
+    word_str,
 )
 from outgrowth import legality
 from outgrowth.document import parse_path
@@ -901,6 +902,40 @@ def test_r_legal_search_matches_reference():
 @given(words=_rose_words)
 def test_r_legal_search_matches_reference_on_random_rose_maps(words):
     _assert_search_finds_what_the_reference_finds(_rose_map(words), iteration_cap=4)
+
+
+SKEW_MARKED_ROSE = """\
+[presentation]
+free = a b
+[graph]
+vertices = v0
+base = v0
+edge a = v0 v0 1.0
+edge b = v0 v0 1.0
+marking a = a
+marking b = b a a a a a a a
+[automorphism]
+free a = a
+free b = b
+[inverse]
+free a = a
+free b = b
+[map]
+vertex v0 = v0
+edge a = a
+edge b = b
+tether =
+"""
+
+
+def test_r_legal_search_inverts_a_skew_marking():
+    # the loop b reads the element b a^-7, whose basis word is past the old inverter's depth-6 search
+    rep = load_text(SKEW_MARKED_ROSE).representative
+    assert verify_representative(rep) == []
+    for r, expected in ((1, "a"), (2, "b a' a' a' a' a' a' a'")):
+        word = find_r_legal_hyperbolic(rep, r)
+        assert word_str(word) == expected
+        _assert_r_legal_hyperbolic(rep, r, word)
 
 
 def test_r_legal_search_proves_there_is_no_loop():
