@@ -47,6 +47,7 @@ from .legality import (
     find_r_legal_hyperbolic,
     is_r_legal,
     make_turn,
+    turn_columns,
     verify_rtt,
     verify_train_track,
 )

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import click
@@ -29,7 +30,7 @@ from .errors import InputError, NonConvergenceError, ResourceLimitError
 from .examples import BUNDLED, bundled_text
 from .free_product import Word, word_str
 from .graph_map import verify_representative
-from .legality import classify_turns, verify_rtt, verify_train_track
+from .legality import turn_columns, verify_rtt, verify_train_track
 from .graph_of_groups import MarkedMetricGraph
 
 EXIT_VALIDATION = 2
@@ -58,18 +59,21 @@ def _require_verified(doc: InputDocument):
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+_CONSTANT_TYPES = frozenset({bool, type(None)})
 
 
 def _json(obj, pad: str = "\n") -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, through the C encoder.
 
     ``indent`` makes ``json`` fall back to its pure-Python encoder, so each
-    run of scalars (a list of scalars, a flat dict, or a list of non-empty
-    flat dicts) goes to the C encoder in one call without it.  Its
-    separators carry the newline and the indent: ``ensure_ascii`` escapes
-    every control character, so each raw newline in the output is a
-    separator.  Other containers recurse here; ``pad`` is the newline and
-    indent of the current level.
+    run of scalars (a list of scalars or a flat dict) goes to the C encoder
+    in one call without it, and a list of flat dicts that share one set of
+    keys goes column by column (``_json_rows``).  Its separators carry the
+    newline and the indent: ``ensure_ascii`` escapes every control
+    character, so each raw newline in the output is a separator.  Other
+    containers recurse here; ``pad`` is the newline and indent of the
+    current level.
     """
     inner = pad + "  "
     if isinstance(obj, dict):
@@ -88,14 +92,45 @@ def _json(obj, pad: str = "\n") -> str:
         if types <= _SCALARS:
             flat = json.dumps(obj, separators=("," + inner, ": "))
             return "[" + inner + flat[1:-1] + pad + "]"
-        if types == {dict} and all(obj) and {type(v) for x in obj for v in x.values()} <= _SCALARS:
-            # one separator for keys and dicts: only a dict boundary has "}" before it and "{" after
-            deep = inner + "  "
-            flat = json.dumps(obj, sort_keys=True, separators=("," + deep, ": "))
-            body = flat[2:-2].replace("}," + deep + "{", inner + "}," + inner + "{" + deep)
-            return "[" + inner + "{" + deep + body + inner + "}" + pad + "]"
+        if types == {dict}:
+            rows = _json_rows(obj, pad)
+            if rows is not None:
+                return rows
         return "[" + inner + ("," + inner).join(_json(x, inner) for x in obj) + pad + "]"
     return json.dumps(obj)
+
+
+def _json_rows(rows: list[dict], pad: str) -> str | None:
+    """``_json`` of non-empty flat dicts with one set of str keys, or None for other dicts.
+
+    The rows are split into one column per key.  A column of booleans and
+    nulls maps to the constants, so no string is built per row; the keys
+    and the other columns are encoded together by one C call whose item
+    separator is a newline, and split there.  The rows are then interleaved
+    with the separators that open each value.
+    """
+    keys = sorted(rows[0]) if set(map(type, rows[0])) == {str} else None
+    if not keys or set(map(len, rows)) != {len(keys)}:
+        return None
+    try:
+        columns = [[x[k] for x in rows] for k in keys]
+    except KeyError:
+        return None
+    kinds = [set(map(type, col)) for col in columns]
+    if not all(kind <= _SCALARS for kind in kinds):
+        return None
+    coded = [col for col, kind in zip(columns, kinds) if not kind <= _CONSTANT_TYPES]
+    text = iter(json.dumps([*keys, *chain.from_iterable(coded)], separators=("\n", ":"))[1:-1].split("\n"))
+    names = [name + ": " for name in islice(text, len(keys))]
+    encoded = [
+        list(map(_CONSTANTS.__getitem__, col)) if kind <= _CONSTANT_TYPES else list(islice(text, len(rows)))
+        for col, kind in zip(columns, kinds)
+    ]
+    inner, deep = pad + "  ", pad + "    "
+    seps = [inner + "}," + inner + "{" + deep + names[0]] + ["," + deep + name for name in names[1:]]
+    parts = chain.from_iterable(zip(*(x for sep, col in zip(seps, encoded) for x in (repeat(sep), col))))
+    next(parts)  # the first row opens the list, not after a row
+    return "".join(chain(("[" + inner + "{" + deep + names[0],), parts, (inner + "}" + pad + "]",)))
 
 
 def _emit(fmt: str, command: str, record: dict, rows: list[dict], text: list[str]) -> None:
@@ -176,7 +211,6 @@ def analyze(input_arg, fmt):
         rep = _require_verified(doc)
         dec = rep.strata()
         graph = doc.graph
-        table = classify_turns(rep)
         strata_rows = []
         for s in dec.strata:
             strata_rows.append(
@@ -190,22 +224,19 @@ def analyze(input_arg, fmt):
                     else " ".join(f"{graph.edge_names[e]}={s.weights[e]!r}" for e in sorted(s.weights)),
                 }
             )
-        labels = {
-            (d, tw): _direction_text(graph, v, (d, tw))
-            for v in range(graph.n_vertices)
-            for d in graph.darts_at(v)
-            for tw in range(graph.vertex_order(v))
-        }
+        turns = turn_columns(rep.legality())
+        labels = [_direction_text(graph, graph.dart_tail(x[0]), x) for x in turns.directions]
         names = graph.vertex_names
-        # entries fill in enumeration order, which is sorted
         turn_rows = [
             {
-                "turn": f"{names[v]}:{{{labels[d1]},{labels[d2]}}}",
-                "legal": entry.legal,
-                "degenerate": entry.degenerate,
-                "steps_to_degeneracy": entry.steps_to_degeneracy,
+                "turn": f"{names[v]}:{{{labels[i]},{labels[j]}}}",
+                "legal": steps < 0,
+                "degenerate": steps == 0,
+                "steps_to_degeneracy": None if steps < 0 else steps,
             }
-            for (v, (d1, d2)), entry in table.entries.items()
+            for v, i, j, steps in zip(
+                turns.vertex.tolist(), turns.first.tolist(), turns.second.tolist(), turns.steps.tolist()
+            )
         ]
         record = {
             "input": doc.name,

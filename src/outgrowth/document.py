@@ -5,6 +5,8 @@ starts a comment.  Words use free-letter names with a trailing apostrophe
 for inverses and ``Factor:index`` tokens for factor elements; paths use
 edge names (apostrophe reverses) with the same factor-element tokens
 between them.  Parsing is positional: errors name the offending line.
+A graph whose marking is not an isomorphism is rejected with
+``InputError`` (``validate_graph``).
 Emission is canonical, so parse-emit-parse is the identity on documents.
 
     [presentation]
@@ -45,7 +47,7 @@ from .free_product import (
     Word,
     word_str,
 )
-from .graph_of_groups import GraphPath, MarkedMetricGraph
+from .graph_of_groups import GraphPath, MarkedMetricGraph, validate_graph
 from .graph_map import TopologicalRepresentative
 
 
@@ -311,6 +313,11 @@ def parse_document(text: str, name: str = "") -> InputDocument:
         factor_marking.append(parse_path(graph, value, graph.base, n))
     graph.free_marking = tuple(free_marking)
     graph.factor_marking = tuple(factor_marking)
+    # every command reads elements through the marking; other graph violations wait for
+    # verify_representative, which reports them with the map's
+    for violation in validate_graph(graph):
+        if violation.code == "isomorphism":
+            raise InputError(violation.message)
 
     automorphism = _parse_automorphism(sections, "automorphism", group, f_index)
     inverse = _parse_automorphism(sections, "inverse", group, f_index)

@@ -116,8 +116,8 @@ class TopologicalRepresentative:
     def legality(self):
         """Turn legality from the gates of the derivative on directions (cached).
 
-        Returns a ``legality.LegalityTable``, which memoises the turns asked
-        for; ``legality.classify_turns`` fills a fresh one with every turn.
+        Returns a ``legality.LegalityTable``, which decides and keeps the
+        turns asked for; ``legality.turn_columns`` decides every turn at once.
         """
         if self._legality is None:
             from .legality import LegalityTable  # the turn calculus builds on this module

@@ -259,6 +259,7 @@ class MarkedMetricGraph:
             if 0 <= h < n_vertices:
                 darts[h].append(2 * m + 1)
         self._darts_at = tuple(tuple(ds) for ds in darts)
+        self._inverter: tuple | None = None  # (free marking, factor marking, their MarkingInverter)
 
     # -- dart helpers ---------------------------------------------------
 
@@ -396,6 +397,14 @@ class MarkedMetricGraph:
     def betti_number(self) -> int:
         return self.n_edges - self.n_vertices + 1
 
+    def marking_inverter(self) -> MarkingInverter:
+        """``MarkingInverter(self)``, folded once for each assignment of the marking paths."""
+        free, factor, inverter = self._inverter or (None, None, None)
+        if free is not self.free_marking or factor is not self.factor_marking:
+            inverter = MarkingInverter(self)
+            self._inverter = (self.free_marking, self.factor_marking, inverter)
+        return inverter
+
     def with_lengths(self, lengths: Sequence[float]) -> MarkedMetricGraph:
         """Copy of this graph with new edge lengths (combinatorics unchanged)."""
         if len(lengths) != self.n_edges:
@@ -422,9 +431,10 @@ class MarkedMetricGraph:
 def validate_graph(graph: MarkedMetricGraph) -> list[Violation]:
     """Structural diagnostics; an empty list means the graph is valid.
 
-    The marking is certified at the level of rank and factor counts;
-    reducedness and endpoints of the marking paths are checked exactly.
-    Whether the marking is an isomorphism is decided by ``MarkingInverter``.
+    Ranks, factor counts, and the endpoints and reducedness of the marking
+    paths are checked first.  When they all hold, whether the marking is an
+    isomorphism is decided exactly by folding (``marking_inverter``), and a
+    marking that is not one is an ``isomorphism`` violation.
     """
     G = graph.group
     for t, h in graph.edge_ends:
@@ -487,6 +497,11 @@ def validate_graph(graph: MarkedMetricGraph) -> list[Violation]:
             out.append(Violation("marking", f"marking of {name} is not a path"))
         elif not p.is_reduced():
             out.append(Violation("marking", f"marking of {name} is not reduced"))
+    if not out:
+        try:
+            graph.marking_inverter()
+        except InputError as err:
+            out.append(Violation("isomorphism", str(err)))
     return out
 
 

@@ -11,9 +11,9 @@ vertex groups ``Df`` is a function on finitely many directions, and
 legality is decided exactly (Bestvina-Handel 1992): a turn is illegal when
 some power of ``Df`` sends its two directions to the same direction.  The
 classes of directions that end up together are the gates.  Turns are
-enumerated in sorted order, and an illegal turn's meeting time is memoised
-on its pair of directions, so deciding every turn costs a small constant
-per turn.
+enumerated in sorted order as columns of direction indices, and their
+meeting times are found by binary lifting on the powers ``Df^(2^k)``, so
+deciding every turn costs a few array passes per power.
 
 Relative train track injectivity up to a bound is decided exactly: a
 shortest connecting path whose image tightens to a point is found by
@@ -32,9 +32,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InputError
 from .free_product import Word
-from .graph_of_groups import GraphPath, MarkedMetricGraph, MarkingInverter
+from .graph_of_groups import GraphPath, MarkedMetricGraph
 from .graph_map import TopologicalRepresentative
 
 Direction = tuple[int, int]  # (outgoing dart, vertex-group twist)
@@ -64,25 +66,48 @@ def make_turn(graph: MarkedMetricGraph, v: int, d1: Direction, d2: Direction) ->
     return Turn(v, min(cand1, cand2))
 
 
-def enumerate_turns(graph: MarkedMetricGraph) -> list[Turn]:
-    """All turns of the graph, one representative per vertex-group orbit, sorted.
+def _directions(graph: MarkedMetricGraph) -> list[Direction]:
+    """Every direction, numbered vertex by vertex."""
+    return [
+        (d, tw) for v in range(graph.n_vertices) for d in graph.darts_at(v) for tw in range(graph.vertex_order(v))
+    ]
+
+
+def _turn_pairs(graph: MarkedMetricGraph, index: dict[Direction, int]) -> tuple[np.ndarray, ...]:
+    """(vertex, first direction, second direction) of every turn, as index arrays, sorted.
 
     At a vertex with no group the turns are the pairs ``(d_i, d_j)``, i <= j,
-    of its sorted darts with twist 0, emitted in that order; a vertex with a
-    group normalises each pair by ``make_turn`` and sorts its own turns.
-    Vertices come in order, so the whole list is sorted.
+    of its sorted darts with twist 0, which ``np.triu_indices`` lists in
+    order; a vertex with a group normalises each pair by ``make_turn`` and
+    sorts its own turns.  Vertices come in order, so the whole list is sorted.
     """
-    turns: list[Turn] = []
-    new_turn = tuple.__new__  # Turn's own __new__ is a Python call per turn
+    columns = []
     for v in range(graph.n_vertices):
         darts = sorted(graph.darts_at(v))
         if graph.vertex_table(v) is None:
-            dirs = [(d, 0) for d in darts]
-            turns += [new_turn(Turn, (v, (d1, d2))) for i, d1 in enumerate(dirs) for d2 in dirs[i:]]
+            ids = np.array([index[d, 0] for d in darts], dtype=np.intp)
+            i, j = np.triu_indices(len(darts))
+            first, second = ids[i], ids[j]
         else:
             dirs = [(d, g) for d in darts for g in range(graph.vertex_order(v))]
-            turns += sorted({make_turn(graph, v, d1, d2) for i, d1 in enumerate(dirs) for d2 in dirs[i:]})
-    return turns
+            turns = sorted({make_turn(graph, v, d1, d2) for i, d1 in enumerate(dirs) for d2 in dirs[i:]})
+            first, second = (np.array([index[t.directions[k]] for t in turns], dtype=np.intp) for k in (0, 1))
+        columns.append((np.full(len(first), v, dtype=np.intp), first, second))
+    return tuple(np.concatenate(c) for c in zip(*columns))
+
+
+def _as_turns(directions: list[Direction], vertex: np.ndarray, first: np.ndarray, second: np.ndarray) -> list[Turn]:
+    new_turn = tuple.__new__  # Turn's own __new__ is a Python call per turn
+    return [
+        new_turn(Turn, (v, (directions[i], directions[j])))
+        for v, i, j in zip(vertex.tolist(), first.tolist(), second.tolist())
+    ]
+
+
+def enumerate_turns(graph: MarkedMetricGraph) -> list[Turn]:
+    """All turns of the graph, one representative per vertex-group orbit, sorted."""
+    directions = _directions(graph)
+    return _as_turns(directions, *_turn_pairs(graph, {x: i for i, x in enumerate(directions)}))
 
 
 def _derivative_direction(rep: TopologicalRepresentative, v: int, direction: Direction) -> Direction:
@@ -111,34 +136,34 @@ class TurnEntry:
 
 
 class LegalityTable:
-    """Turn legality from the gates of the derivative, memoised in ``entries``.
+    """Turn legality from the gates of the derivative, decided by binary lifting.
 
-    ``Df`` is tabulated on directions numbered vertex by vertex.  It is
-    injective on its periodic directions, so two directions that ever meet
-    meet within as many steps as there are directions, and ``gate``, a power
-    of ``Df`` at least that count, joins exactly those.  A turn is legal when
-    its directions have different gates, and otherwise its
-    ``steps_to_degeneracy`` is their meeting time, ``meet(x, x) = 0`` and
-    ``meet(x, y) = 1 + meet(Df x, Df y)``.  Meeting times are memoised on
-    unordered pairs of direction indices, so lazy ``entry`` calls and a full
-    ``classify_turns`` walk each pair at most once.  An edge mapping to a
-    point has no derivative and raises ``InputError``.
+    ``Df`` is tabulated as an int array on ``directions``, numbered vertex
+    by vertex.  It is injective on its periodic directions, so two
+    directions that ever meet meet within as many steps as there are
+    directions.  The lifts ``Df^(2^k)`` are built by squaring, for k up to
+    the bit length of that count, and the last lift is the gate, which joins
+    exactly the directions that meet.  A turn is legal when its directions
+    have different gates, and otherwise its ``steps_to_degeneracy`` is their
+    meeting time: walking the lifts from the top down, both directions jump
+    together while their images differ, and a pair still apart at the end
+    meets one step later.  ``entry`` decides one turn by that walk and keeps
+    it in ``entries``; ``turn_columns`` decides every turn at once.  An edge
+    mapping to a point has no derivative and raises ``InputError``.
     """
 
     def __init__(self, rep: TopologicalRepresentative):
         self.rep = rep
         self.entries: dict[Turn, TurnEntry] = {}
         g = rep.graph
-        directions = [
-            (d, tw) for v in range(g.n_vertices) for d in g.darts_at(v) for tw in range(g.vertex_order(v))
-        ]
+        self.directions = directions = _directions(g)
         self._index = index = {x: i for i, x in enumerate(directions)}
-        self._df = df = [index[_derivative_direction(rep, g.dart_tail(x[0]), x)] for x in directions]
-        gate = df
+        df = np.array([index[_derivative_direction(rep, g.dart_tail(x[0]), x)] for x in directions], dtype=np.intp)
+        lifts = [df]
         for _ in range(len(df).bit_length()):
-            gate = [gate[i] for i in gate]
-        self._gate = gate
-        self._meet: dict[tuple[int, int], int] = {}  # (x, y), x < y, same gate -> meeting time
+            lifts.append(lifts[-1][lifts[-1]])
+        self.lifts = lifts
+        self._lift_lists = [f.tolist() for f in lifts]  # one turn at a time, lists index faster than numpy
 
     def entry(self, turn: Turn) -> TurnEntry:
         """The turn's entry, deciding it first if it is new."""
@@ -153,23 +178,15 @@ class LegalityTable:
         """Steps until powers of Df join directions x and y, or None when their gates differ."""
         if x == y:
             return 0
-        if self._gate[x] != self._gate[y]:
+        lifts = self._lift_lists
+        if lifts[-1][x] != lifts[-1][y]:
             return None
-        df, memo = self._df, self._meet
-        chain = []
-        pair = (x, y) if x < y else (y, x)
-        while pair not in memo:
-            chain.append(pair)
-            x, y = df[pair[0]], df[pair[1]]
-            if x == y:
-                steps = 0
-                break
-            pair = (x, y) if x < y else (y, x)
-        else:
-            steps = memo[pair]
-        for pair in reversed(chain):
-            steps += 1
-            memo[pair] = steps
+        steps = 1
+        for k in range(len(lifts) - 2, -1, -1):
+            f = lifts[k]
+            if f[x] != f[y]:
+                x, y = f[x], f[y]
+                steps += 1 << k
         return steps
 
     def legal(self, turn: Turn) -> bool:
@@ -182,11 +199,43 @@ class LegalityTable:
         return len(self.entries)
 
 
+class TurnColumns(NamedTuple):
+    """Every turn in enumeration order, one index array per field.
+
+    ``first`` and ``second`` index ``directions``; ``steps`` is the meeting
+    time, 0 on a degenerate turn and -1 on a legal one.
+    """
+
+    directions: list[Direction]
+    vertex: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    steps: np.ndarray
+
+
+def turn_columns(table: LegalityTable) -> TurnColumns:
+    """Every turn of the table's graph, decided at once by binary lifting on its arrays."""
+    vertex, first, second = _turn_pairs(table.rep.graph, table._index)
+    *lifts, gate = table.lifts
+    steps = np.where(gate[first] == gate[second], 0, -1)
+    apart = np.flatnonzero((steps == 0) & (first != second))
+    x, y = first[apart], second[apart]
+    meet = np.ones(len(apart), dtype=np.intp)
+    for k in range(len(lifts) - 1, -1, -1):
+        fx, fy = lifts[k][x], lifts[k][y]
+        jump = fx != fy
+        x, y = np.where(jump, fx, x), np.where(jump, fy, y)
+        meet[jump] += 1 << k
+    steps[apart] = meet
+    return TurnColumns(table.directions, vertex, first, second, steps)
+
+
 def classify_turns(rep: TopologicalRepresentative) -> LegalityTable:
-    """A fresh table holding every turn, decided in enumeration order."""
+    """A fresh table holding every turn, in enumeration order, filled from ``turn_columns``."""
     table = LegalityTable(rep)
-    for turn in enumerate_turns(rep.graph):
-        table.entry(turn)
+    cols = turn_columns(table)
+    for turn, s in zip(_as_turns(cols.directions, cols.vertex, cols.first, cols.second), cols.steps.tolist()):
+        table.entries[turn] = TurnEntry(turn, s < 0, s == 0, None if s < 0 else s)
     return table
 
 
@@ -589,7 +638,7 @@ def find_r_legal_hyperbolic(rep: TopologicalRepresentative, r: int) -> Word:
                         steps.append(step)
                         step = parent[step]
                     loop = GraphPath(g, g.dart_tail(start[0]), 0, tuple(reversed(steps)))
-                    return MarkingInverter(g).element_of_loop_at(loop)
+                    return g.marking_inverter().element_of_loop_at(loop)
                 if nxt not in parent:
                     parent[nxt] = step
                     queue.append(nxt)

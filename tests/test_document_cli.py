@@ -18,10 +18,13 @@ from outgrowth import (
     emit_document,
     load_bundled,
     parse_document,
+    Violation,
     verify_representative,
 )
-from outgrowth.cli import _json, main
+from outgrowth import legality
+from outgrowth.cli import _json, main, turn_text
 from conftest import chord_text, tower_text
+from test_legality import reference_classify_turns
 
 IDENTITY_DOC = """
 [presentation]
@@ -103,6 +106,26 @@ def test_duplicate_key_rejected():
     bad = IDENTITY_DOC.replace("free a = a\n", "free a = a\nfree a = b\n", 1)
     with pytest.raises(InputError, match="duplicate"):
         parse_document(bad)
+
+
+NOT_ISOMORPHISMS = {
+    "a to a a": IDENTITY_DOC.replace("marking a = a\n", "marking a = a a\n"),
+    "a b to a a": IDENTITY_DOC.replace("marking b = b\n", "marking b = a\n"),
+}
+NOT_ISOMORPHISM = Violation("isomorphism", "the marking is not an isomorphism")
+
+
+@pytest.mark.parametrize("case", sorted(NOT_ISOMORPHISMS))
+def test_marking_that_is_not_an_isomorphism_rejected(case):
+    with pytest.raises(InputError, match="^the marking is not an isomorphism$"):
+        parse_document(NOT_ISOMORPHISMS[case])
+
+
+def test_verify_representative_lists_a_marking_that_is_not_an_isomorphism():
+    for marking in ([[(0, 0), (0, 0)], [(2, 0)]], [[(0, 0)], [(0, 0)]]):
+        doc = parse_document(IDENTITY_DOC)
+        doc.graph.free_marking = tuple(doc.graph.path(0, steps) for steps in marking)
+        assert verify_representative(doc.representative) == [NOT_ISOMORPHISM]
 
 
 def test_missing_inverse_section_rejected():
@@ -463,6 +486,29 @@ def test_cli_exit_code_nonconvergence(tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("case", sorted(NOT_ISOMORPHISMS))
+def test_cli_rejects_a_marking_that_is_not_an_isomorphism(tmp_path, case):
+    path = tmp_path / "bad.gog"
+    path.write_text(NOT_ISOMORPHISMS[case])
+    element = ["--element", "a"]
+    for command in (
+        ["analyze"],
+        ["verify"],
+        ["sweep"],
+        ["displacement"],
+        ["bound", *element],
+        ["growth", *element],
+        ["growth", *element, "--length", "relative"],
+    ):
+        args = [command[0], str(path), *command[1:]]
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.output) == (2, "error (InputError): the marking is not an isomorphism\n")
+        result = runner.invoke(main, [*args, "--format", "json"])
+        assert result.exit_code == 2
+        error = {"type": "InputError", "message": "the marking is not an isomorphism", "exit_code": 2}
+        assert json.loads(result.output)["report"] == {"error": error}
+
+
 def test_cli_validation_failure_on_broken_map(tmp_path):
     bad = IDENTITY_DOC.replace("edge a = a\n", "edge a = b\n", 1)
     path = tmp_path / "bad.gog"
@@ -486,8 +532,26 @@ _JSON_SCALARS = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e308]),
 )
 _FLAT_DICTS = st.dictionaries(_TEXT, _JSON_SCALARS)
+_FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e308])
+_COLUMNS = st.sampled_from(
+    [st.booleans() | st.none(), st.booleans(), st.none(), st.integers() | st.none(), _FLOATS, _TEXT, _JSON_SCALARS]
+)
+
+
+@st.composite
+def _uniform_rows(draw):
+    # flat dicts with one set of keys, each key's values of one kind: the emitter's columns
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    row = st.fixed_dictionaries({k: draw(_COLUMNS) for k in keys})
+    return draw(st.lists(row, min_size=1, max_size=6))
+
+
 _RECORDS = st.recursive(
-    _JSON_SCALARS | _FLAT_DICTS | st.lists(_FLAT_DICTS) | st.lists(st.dictionaries(_TEXT, _JSON_SCALARS, min_size=1)),
+    _JSON_SCALARS
+    | _FLAT_DICTS
+    | st.lists(_FLAT_DICTS)
+    | st.lists(st.dictionaries(_TEXT, _JSON_SCALARS, min_size=1))
+    | _uniform_rows(),
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner),
     max_leaves=20,
 )
@@ -498,8 +562,51 @@ _RECORDS = st.recursive(
 @example({"report": {"legality": [{"turn": "},\n      {", "legal": True}, {"turn": "x", "steps": None}]}})
 @example([[], {}, (), [{}], [{"a": 1}, {}], [[]], ({"b": -0.0},)])
 @example({"m": [[1, 0], [0, 1]], "n": {0: [True], 2.5: None}, "o": {None: [1e308, float("nan")]}})
+@example({"rows": [{"turn": t, "legal": i % 2 == 0, "steps": None if i % 3 else i} for i, t in enumerate(_TRICKY_TEXT)]})
+@example([{"x": x, "y": None} for x in (float("nan"), float("inf"), float("-inf"), -0.0, 1e308, 0, -(10**30))])
+@example([[{"a": 1, "b": 2}, {"a": 1, "c": 2}], [{1: 2}, {1: 3}], [{"1": 1}, {1: 1}], [{"a": [1]}, {"a": 2}]])
 def test_json_emitter_equals_indented_dumps(record):
     assert _json(record) == json.dumps(record, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["chord25", "tower25", "c2f2_mixed"])
+def test_analyze_json_equals_dumps_of_the_reference_table(tmp_path, name):
+    if name in bundled_names():
+        arg, doc = name, load_bundled(name)
+    else:
+        path = tmp_path / f"{name}.gog"
+        path.write_text(chord_text(25) if name.startswith("chord") else tower_text(25))
+        arg, doc = str(path), parse_document(path.read_text())
+    result = runner.invoke(main, ["analyze", arg, "--format", "json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    payload["report"]["legality"] = [
+        {
+            "turn": turn_text(doc.graph, turn),
+            "legal": entry.legal,
+            "degenerate": entry.degenerate,
+            "steps_to_degeneracy": entry.steps_to_degeneracy,
+        }
+        for turn, entry in sorted(reference_classify_turns(doc.representative).entries.items())
+    ]
+    assert result.output == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_analyze_builds_no_turn_objects(monkeypatch, tmp_path):
+    calls = []
+    entry, normalise = legality.TurnEntry, legality.make_turn
+    monkeypatch.setattr(legality, "TurnEntry", lambda *args: calls.append("TurnEntry") or entry(*args))
+    monkeypatch.setattr(legality, "make_turn", lambda *args: calls.append("make_turn") or normalise(*args))
+    path = tmp_path / "chord25.gog"
+    path.write_text(chord_text(25))
+    result = runner.invoke(main, ["analyze", str(path), "--format", "json"])
+    assert result.exit_code == 0
+    assert len(json.loads(result.output)["report"]["legality"]) == 25 * 51
+    assert calls == []
+    # the patches do see a grouped vertex's normalisation and the library's entries
+    assert runner.invoke(main, ["analyze", "c2f2_mixed", "--format", "json"]).exit_code == 0
+    legality.classify_turns(load_bundled("golden_ratio_rose").representative)
+    assert set(calls) == {"make_turn", "TurnEntry"}
 
 
 def test_analyze_json_never_takes_the_pure_python_encoder(monkeypatch, tmp_path):

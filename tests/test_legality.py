@@ -25,6 +25,7 @@ from outgrowth import (
     r_length,
     reduce_path,
     standard_rose,
+    turn_columns,
     verify_representative,
     verify_rtt,
     verify_train_track,
@@ -273,6 +274,32 @@ def test_meeting_times_match_reference_on_long_chains():
         lazy = LegalityTable(rep)
         for turn in rng.sample(list(reference), len(reference)):
             assert lazy.entry(turn) == reference[turn]
+
+
+def _assert_columns_match_reference(rep, rng):
+    reference = reference_classify_turns(rep).entries
+    cols = turn_columns(LegalityTable(rep))
+    dirs = cols.directions
+    decided = {
+        Turn(v, (dirs[i], dirs[j])): (steps < 0, steps == 0, None if steps < 0 else steps)
+        for v, i, j, steps in zip(cols.vertex.tolist(), cols.first.tolist(), cols.second.tolist(), cols.steps.tolist())
+    }
+    assert len(decided) == len(cols.steps)
+    assert list(decided) == enumerate_turns(rep.graph)
+    assert decided == {t: (e.legal, e.degenerate, e.steps_to_degeneracy) for t, e in reference.items()}
+    # a lazy table walks the same lifts one turn at a time, in any order
+    lazy = LegalityTable(rep)
+    for turn in rng.sample(list(reference), len(reference)):
+        assert lazy.entry(turn) == reference[turn]
+
+
+def test_turn_columns_match_reference():
+    # towers chain Df through every stratum: meeting times up to n - 1, past several lift levels
+    rng = random.Random(17)
+    reps = [*_reference_representatives(), *_large_representatives()]
+    reps += [load_text(chord_text(200)).representative, load_text(tower_text(200)).representative]
+    for rep in reps:
+        _assert_columns_match_reference(rep, rng)
 
 
 def test_verify_rtt_witnesses_unchanged(monkeypatch):
@@ -694,6 +721,12 @@ def test_enumeration_and_lazy_table_match_reference_on_random_rose_maps(words, s
     lazy = LegalityTable(rep)
     for turn, entry in random.Random(seed).sample(reference, len(reference)):
         assert lazy.entry(turn) == entry
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=_rose_words, seed=st.integers(0, 2**16))
+def test_turn_columns_match_reference_on_random_rose_maps(words, seed):
+    _assert_columns_match_reference(_rose_map(words), random.Random(seed))
 
 
 def test_rtt_decides_past_the_old_path_cap(c2f2):

@@ -19,17 +19,31 @@ def workloads(monkeypatch):
     return workloads
 
 
+def _run_and_check(op):
+    out = io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out):
+        try:
+            main.main(args=op.args, prog_name="outgrowth", standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0, op.label
+    op.check(out.getvalue())
+
+
 def test_rtt_workload_operations_pass_their_checks(tmp_path, workloads):
     for op in workloads.rtt(0, tmp_path):
-        out = io.StringIO()
-        code = 0
-        with contextlib.redirect_stdout(out):
-            try:
-                main.main(args=op.args, prog_name="outgrowth", standalone_mode=False)
-            except SystemExit as exc:
-                code = exc.code
-        assert code == 0, op.label
-        op.check(out.getvalue())
+        _run_and_check(op)
+
+
+def test_spectral_analyze_operations_pass_their_checks(tmp_path, workloads):
+    # the largest turn tables the benchmark emits
+    ops = [op for op in workloads.spectral(0, tmp_path) if op.args[:1] == ["analyze"]]
+    assert [op.label for op in ops] == [f"analyze chord{n}" for n in (25, 50, 100)] + [
+        f"analyze tower{n}" for n in (50, 100)
+    ]
+    for op in ops:
+        _run_and_check(op)
 
 
 def test_spectral_library_operations_pass_their_checks(tmp_path, workloads):
