@@ -14,6 +14,7 @@ import json
 import sys
 from itertools import chain, islice, repeat
 from pathlib import Path
+from typing import Iterable
 
 import click
 
@@ -63,52 +64,78 @@ _CONSTANTS = {True: "true", False: "false", None: "null"}
 _CONSTANT_TYPES = frozenset({bool, type(None)})
 
 
-def _json(obj, pad: str = "\n") -> str:
+class Rows:
+    """Flat dicts with one set of str keys and scalar values, held column by column.
+
+    ``columns`` maps each key to its values, one per row.  ``_json`` writes
+    a ``Rows`` exactly as the list of those dicts, without building them.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, **columns: list):
+        self.columns = columns
+
+
+def _json(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, through the C encoder.
 
     ``indent`` makes ``json`` fall back to its pure-Python encoder, so each
     run of scalars (a list of scalars or a flat dict) goes to the C encoder
     in one call without it, and a list of flat dicts that share one set of
-    keys goes column by column (``_json_rows``).  Its separators carry the
-    newline and the indent: ``ensure_ascii`` escapes every control
-    character, so each raw newline in the output is a separator.  Other
-    containers recurse here; ``pad`` is the newline and indent of the
-    current level.
+    keys, or a ``Rows``, goes column by column (``_json_columns``).  Its
+    separators carry the newline and the indent: ``ensure_ascii`` escapes
+    every control character, so each raw newline in the output is a
+    separator.  The pieces are collected in one list and joined once, so
+    no level copies the text of the levels below it.
     """
+    out: list[str] = []
+    _json_parts(obj, "\n", out)
+    return "".join(out)
+
+
+def _json_parts(obj, pad: str, out: list[str]) -> None:
+    """Append the pieces of ``_json(obj)`` to out; ``pad`` is the newline and indent of this level."""
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        if {type(v) for v in obj.values()} <= _SCALARS:
+            out.append("{}")
+        elif {type(v) for v in obj.values()} <= _SCALARS:
             flat = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
-            return "{" + inner + flat[1:-1] + pad + "}"
-        # each key as json writes it: quoted, with numbers and constants converted
-        items = (json.dumps({k: None})[1:-7] + ": " + _json(v, inner) for k, v in sorted(obj.items()))
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+            out.append("{" + inner + flat[1:-1] + pad + "}")
+        else:
+            opening = "{" + inner
+            for k, v in sorted(obj.items()):
+                # each key as json writes it: quoted, with numbers and constants converted
+                out.append(opening + json.dumps({k: None})[1:-7] + ": ")
+                _json_parts(v, inner, out)
+                opening = "," + inner
+            out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
         types = {type(x) for x in obj}
-        if types <= _SCALARS:
+        if not obj:
+            out.append("[]")
+        elif types <= _SCALARS:
             flat = json.dumps(obj, separators=("," + inner, ": "))
-            return "[" + inner + flat[1:-1] + pad + "]"
-        if types == {dict}:
-            rows = _json_rows(obj, pad)
-            if rows is not None:
-                return rows
-        return "[" + inner + ("," + inner).join(_json(x, inner) for x in obj) + pad + "]"
-    return json.dumps(obj)
+            out.append("[" + inner + flat[1:-1] + pad + "]")
+        elif types == {dict} and (rows := _json_rows(obj, pad)) is not None:
+            out += rows
+        else:
+            opening = "[" + inner
+            for x in obj:
+                out.append(opening)
+                _json_parts(x, inner, out)
+                opening = "," + inner
+            out.append(pad + "]")
+    elif isinstance(obj, Rows):
+        keys = sorted(obj.columns)
+        out += _json_columns(keys, [obj.columns[k] for k in keys], pad)
+    else:
+        out.append(json.dumps(obj))
 
 
-def _json_rows(rows: list[dict], pad: str) -> str | None:
-    """``_json`` of non-empty flat dicts with one set of str keys, or None for other dicts.
-
-    The rows are split into one column per key.  A column of booleans and
-    nulls maps to the constants, so no string is built per row; the keys
-    and the other columns are encoded together by one C call whose item
-    separator is a newline, and split there.  The rows are then interleaved
-    with the separators that open each value.
-    """
+def _json_rows(rows: list[dict], pad: str) -> Iterable[str] | None:
+    """The pieces of non-empty flat dicts with one set of str keys, or None for other dicts."""
     keys = sorted(rows[0]) if set(map(type, rows[0])) == {str} else None
     if not keys or set(map(len, rows)) != {len(keys)}:
         return None
@@ -116,21 +143,35 @@ def _json_rows(rows: list[dict], pad: str) -> str | None:
         columns = [[x[k] for x in rows] for k in keys]
     except KeyError:
         return None
-    kinds = [set(map(type, col)) for col in columns]
-    if not all(kind <= _SCALARS for kind in kinds):
+    if not all(set(map(type, col)) <= _SCALARS for col in columns):
         return None
-    coded = [col for col, kind in zip(columns, kinds) if not kind <= _CONSTANT_TYPES]
+    return _json_columns(keys, columns, pad)
+
+
+def _json_columns(keys: list[str], columns: list[list], pad: str) -> Iterable[str]:
+    """The pieces of the rows ``dict(zip(keys, values))``, one value from each column, keys sorted.
+
+    A column of booleans and nulls maps to the constants, so no string is
+    built per row; the keys and the other columns are encoded together by
+    one C call whose item separator is a newline, and split there.  The
+    rows are then interleaved with the separators that open each value.
+    """
+    count = len(columns[0])
+    if not count:
+        return ("[]",)
+    constant = [set(map(type, col)) <= _CONSTANT_TYPES for col in columns]
+    coded = [col for col, const in zip(columns, constant) if not const]
     text = iter(json.dumps([*keys, *chain.from_iterable(coded)], separators=("\n", ":"))[1:-1].split("\n"))
     names = [name + ": " for name in islice(text, len(keys))]
     encoded = [
-        list(map(_CONSTANTS.__getitem__, col)) if kind <= _CONSTANT_TYPES else list(islice(text, len(rows)))
-        for col, kind in zip(columns, kinds)
+        list(map(_CONSTANTS.__getitem__, col)) if const else list(islice(text, count))
+        for col, const in zip(columns, constant)
     ]
     inner, deep = pad + "  ", pad + "    "
     seps = [inner + "}," + inner + "{" + deep + names[0]] + ["," + deep + name for name in names[1:]]
     parts = chain.from_iterable(zip(*(x for sep, col in zip(seps, encoded) for x in (repeat(sep), col))))
     next(parts)  # the first row opens the list, not after a row
-    return "".join(chain(("[" + inner + "{" + deep + names[0],), parts, (inner + "}" + pad + "]",)))
+    return chain(("[" + inner + "{" + deep + names[0],), parts, (inner + "}" + pad + "]",))
 
 
 def _emit(fmt: str, command: str, record: dict, rows: list[dict], text: list[str]) -> None:
@@ -224,31 +265,33 @@ def analyze(input_arg, fmt):
                     else " ".join(f"{graph.edge_names[e]}={s.weights[e]!r}" for e in sorted(s.weights)),
                 }
             )
+        # every format decides the turns; csv prints none of them
         turns = turn_columns(rep.legality())
-        labels = [_direction_text(graph, graph.dart_tail(x[0]), x) for x in turns.directions]
-        names = graph.vertex_names
-        turn_rows = [
-            {
-                "turn": f"{names[v]}:{{{labels[i]},{labels[j]}}}",
-                "legal": steps < 0,
-                "degenerate": steps == 0,
-                "steps_to_degeneracy": None if steps < 0 else steps,
-            }
-            for v, i, j, steps in zip(
-                turns.vertex.tolist(), turns.first.tolist(), turns.second.tolist(), turns.steps.tolist()
-            )
-        ]
         record = {
             "input": doc.name,
             "transition_matrix": dec.matrix.tolist(),
             "strata": [dict(row, bracket=list(s.bracket)) for row, s in zip(strata_rows, dec.strata)],
             "top_eigenvalue": dec.top_eigenvalue,
             "top_stratum": dec.top_stratum,
-            "legality": turn_rows,
             "parameters": {"pf_tolerance": 1e-12},
         }
         text = []
-        if fmt == "text":
+        if fmt != "csv":
+            labels = [_direction_text(graph, graph.dart_tail(x[0]), x) for x in turns.directions]
+            names = graph.vertex_names
+            turn_names = [
+                f"{names[v]}:{{{labels[i]},{labels[j]}}}"
+                for v, i, j in zip(turns.vertex.tolist(), turns.first.tolist(), turns.second.tolist())
+            ]
+            steps = turns.steps.tolist()
+        if fmt == "json":
+            record["legality"] = Rows(
+                turn=turn_names,
+                legal=(turns.steps < 0).tolist(),
+                degenerate=(turns.steps == 0).tolist(),
+                steps_to_degeneracy=[None if k < 0 else k for k in steps],
+            )
+        elif fmt == "text":
             text.append(f"strata: {dec.count}  top eigenvalue: {dec.top_eigenvalue!r} at stratum {dec.top_stratum}")
             for row in strata_rows:
                 grow = "growing" if row["growing"] else "zero"
@@ -257,13 +300,11 @@ def analyze(input_arg, fmt):
                 )
                 if row["weights"]:
                     text.append(f"    weights: {row['weights']}")
-            legal_count = sum(1 for r in turn_rows if r["legal"])
-            text.append(f"turns: {len(turn_rows)} ({legal_count} legal)")
-            for r in turn_rows:
-                status = "legal" if r["legal"] else (
-                    "degenerate" if r["degenerate"] else f"illegal in {r['steps_to_degeneracy']} step(s)"
-                )
-                text.append(f"  {r['turn']}: {status}")
+            text.append(f"turns: {len(steps)} ({sum(k < 0 for k in steps)} legal)")
+            text += [
+                f"  {name}: " + ("legal" if k < 0 else "degenerate" if k == 0 else f"illegal in {k} step(s)")
+                for name, k in zip(turn_names, steps)
+            ]
         _emit(fmt, "analyze", record, strata_rows, text)
 
     _guarded(fmt, "analyze", run)

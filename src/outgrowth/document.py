@@ -107,29 +107,29 @@ def _check_fresh(seen: set[str], key: str, n: int, section: str) -> None:
 
 def parse_word(group: FreeProduct, text: str, line: int = 0) -> Word:
     letters = []
-    free_index = {name: j for j, name in enumerate(group.free_names)}
-    factor_index = {name: i for i, name in enumerate(group.factor_names)}
     for token in text.split():
         if token == "1":
             continue
         if ":" in token:
             fname, _, elem = token.partition(":")
-            if fname not in factor_index:
+            i = group.factor_index.get(fname)
+            if i is None:
                 raise InputError(f"line {line}: unknown factor '{fname}' in word")
             try:
                 a = int(elem)
             except ValueError:
                 raise InputError(f"line {line}: bad factor element token '{token}'")
-            letters.append((FACTOR, factor_index[fname], a))
+            letters.append((FACTOR, i, a))
             continue
         sign = 1
         name = token
         if token.endswith("'"):
             sign = -1
             name = token[:-1]
-        if name not in free_index:
+        j = group.free_index.get(name)
+        if j is None:
             raise InputError(f"line {line}: unknown free letter '{name}'")
-        letters.append((FREE, free_index[name], sign))
+        letters.append((FREE, j, sign))
     try:
         return group.word(letters)
     except InputError as err:
@@ -137,8 +137,8 @@ def parse_word(group: FreeProduct, text: str, line: int = 0) -> Word:
 
 
 def parse_path(graph: MarkedMetricGraph, text: str, start: int, line: int = 0) -> GraphPath:
-    edge_index = {name: m for m, name in enumerate(graph.edge_names)}
-    factor_index = {name: i for i, name in enumerate(graph.group.factor_names)}
+    edge_index = graph.edge_index
+    factor_index = graph.group.factor_index
     prefix = 0
     steps: list[tuple[int, int]] = []
     at = start
@@ -172,9 +172,10 @@ def parse_path(graph: MarkedMetricGraph, text: str, start: int, line: int = 0) -
         if token.endswith("'"):
             reverse = True
             name = token[:-1]
-        if name not in edge_index:
+        m = edge_index.get(name)
+        if m is None:
             raise InputError(f"line {line}: unknown edge '{name}' in path")
-        d = 2 * edge_index[name] + (1 if reverse else 0)
+        d = 2 * m + (1 if reverse else 0)
         if graph.dart_tail(d) != at:
             raise InputError(
                 f"line {line}: edge '{token}' does not start at vertex {graph.vertex_names[at]}"
@@ -266,7 +267,7 @@ def parse_document(text: str, name: str = "") -> InputDocument:
     if base_name is None or base_name not in v_index:
         raise InputError("[graph] must declare a valid base vertex")
     vertex_factor: list[int | None] = [None] * len(vertex_names)
-    f_index = {name: i for i, name in enumerate(factor_names)}
+    f_index = group.factor_index
     for vname, (n, fname) in vertex_assignments.items():
         if vname not in v_index:
             raise InputError(f"line {n}: unknown vertex '{vname}'")
@@ -319,20 +320,19 @@ def parse_document(text: str, name: str = "") -> InputDocument:
         if violation.code == "isomorphism":
             raise InputError(violation.message)
 
-    automorphism = _parse_automorphism(sections, "automorphism", group, f_index)
-    inverse = _parse_automorphism(sections, "inverse", group, f_index)
+    automorphism = _parse_automorphism(sections, "automorphism", group)
+    inverse = _parse_automorphism(sections, "inverse", group)
     automorphism.inverse = inverse
     inverse.inverse = automorphism
 
     representative = None
     if "map" in sections:
-        representative = _parse_map(
-            sections["map"], group, graph, automorphism, v_index, f_index
-        )
+        representative = _parse_map(sections["map"], group, graph, automorphism, v_index)
     return InputDocument(group, graph, automorphism, representative, name)
 
 
-def _parse_automorphism(sections, section_name, group, f_index) -> Automorphism:
+def _parse_automorphism(sections, section_name, group) -> Automorphism:
+    f_index = group.factor_index
     if section_name not in sections:
         raise InputError(f"document has no [{section_name}] section")
     rows = sections[section_name]
@@ -345,7 +345,7 @@ def _parse_automorphism(sections, section_name, group, f_index) -> Automorphism:
         _check_fresh(seen, key, n, section_name)
         if key.startswith("free "):
             name = key.split(None, 1)[1]
-            if name not in group.free_names:
+            if name not in group.free_index:
                 raise InputError(f"line {n}: unknown free letter '{name}'")
             free_images[name] = parse_word(group, value, n)
         elif key.startswith("factor "):
@@ -390,7 +390,8 @@ def _parse_automorphism(sections, section_name, group, f_index) -> Automorphism:
     )
 
 
-def _parse_map(rows, group, graph, automorphism, v_index, f_index) -> TopologicalRepresentative:
+def _parse_map(rows, group, graph, automorphism, v_index) -> TopologicalRepresentative:
+    f_index = group.factor_index
     vertex_images: list[int | None] = [None] * graph.n_vertices
     twists: dict[int, tuple[int, ...]] = {}
     twist_conjugators: dict[int, int] = {}

@@ -19,6 +19,7 @@ allows up to a million syllables) stay cheap:
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import InputError, NonConvergenceError
@@ -117,6 +118,10 @@ class FreeProduct:
             raise InputError("free_names length must equal free_rank")
         self.free_names = tuple(free_names)
         self.factor_names = tuple(t.name for t in self.factors)
+        self._products = tuple(t.product for t in self.factors)
+        # name -> index tables, built once for every word the documents parse
+        self.free_index = {name: j for j, name in enumerate(self.free_names)}
+        self.factor_index = {name: i for i, name in enumerate(self.factor_names)}
         self.search_budget = search_budget
         self.search_cap = search_cap
         self._ball: dict[Word, int] | None = None
@@ -180,13 +185,15 @@ class FreeProduct:
         The result is the unique alternating reduced form, independent of
         how the input is split into letters or words.
         """
-        out: list[Syllable] = []
+        return Word(self, tuple(self._reduce([], self._checked(letters))))
+
+    def _checked(self, letters: Iterable[Syllable | Word]) -> Iterable[Syllable]:
+        # the syllables of the words and the valid non-identity letters, in order
         for item in letters:
             if isinstance(item, Word):
                 if item.group is not self:
                     raise InputError("word belongs to another presentation")
-                for syl in item.syllables:
-                    self._push(out, syl)
+                yield from item.syllables
                 continue
             tag, x, y = item
             if tag == FACTOR:
@@ -199,25 +206,34 @@ class FreeProduct:
                     raise InputError(f"invalid free letter ({x},{y})")
             else:
                 raise InputError(f"unknown letter tag {tag}")
-            self._push(out, (tag, x, y))
-        return Word(self, tuple(out))
+            yield tag, x, y
 
-    def _push(self, out: list[Syllable], syl: Syllable) -> None:
-        # Append one syllable, folding into the top of the stack when the
-        # alternation or free-reduction invariant would be violated.
-        if out:
-            tag, x, y = syl
-            ptag, px, py = out[-1]
-            if tag == FACTOR and ptag == FACTOR and x == px:
-                prod = self.factors[x].mul(py, y)
-                out.pop()
-                if prod != 0:
-                    out.append((FACTOR, x, prod))
-                return
-            if tag == FREE and ptag == FREE and x == px and y == -py:
-                out.pop()
-                return
-        out.append(syl)
+    def _reduce(self, out: list[Syllable], syllables: Iterable[Syllable]) -> list[Syllable]:
+        """Push valid non-identity syllables onto the normal form ``out``, in one loop.
+
+        A factor syllable meeting one of its own factor on top multiplies
+        into it (and both vanish at the identity); a free letter meeting its
+        inverse on top cancels it.  Every other syllable is appended.
+        """
+        products = self._products
+        append, pop = out.append, out.pop
+        for syl in syllables:
+            if out:
+                tag, x, y = syl
+                ptag, px, py = out[-1]
+                if x == px and tag == ptag:
+                    if tag == FACTOR:
+                        prod = products[x][py][y]
+                        if prod:
+                            out[-1] = (FACTOR, x, prod)
+                        else:
+                            pop()
+                        continue
+                    if y != py:
+                        pop()
+                        continue
+            append(syl)
+        return out
 
     # -- bounded search over an extended generating set -------------------
 
@@ -299,19 +315,12 @@ class Word:
     def __mul__(self, other: Word) -> Word:
         if other.group is not self.group:
             raise InputError("cannot multiply words from different presentations")
-        out = list(self.syllables)
-        push = self.group._push
-        for syl in other.syllables:
-            push(out, syl)
-        return Word(self.group, tuple(out))
+        return Word(self.group, tuple(self.group._reduce(list(self.syllables), other.syllables)))
 
     def __pow__(self, n: int) -> Word:
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.group.identity()
-        for _ in range(n):
-            result = result * self
-        return result
+        return Word(self.group, tuple(self.group._reduce([], chain.from_iterable(repeat(self.syllables, n)))))
 
     def inverse(self) -> Word:
         G = self.group
@@ -498,13 +507,8 @@ class Automorphism:
         if w.group is not self.group:
             raise InputError("word belongs to another presentation")
         G = self.group
-        table = self._image_table()
-        out: list[Syllable] = []
-        push = G._push
-        for syl in w.syllables:
-            for img in table[syl]:
-                push(out, img)
-        return Word(G, tuple(out))
+        images = map(self._image_table().__getitem__, w.syllables)
+        return Word(G, tuple(G._reduce([], chain.from_iterable(images))))
 
     def __call__(self, w: Word) -> Word:
         return self.apply(w)

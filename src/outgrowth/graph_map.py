@@ -300,23 +300,30 @@ def stratify(M: np.ndarray) -> StrataDecomposition:
 def attach_eigendata(dec: StrataDecomposition) -> StrataDecomposition:
     """Fill per-stratum certified Perron roots, brackets and eigenvector weights.
 
-    ``top_eigenvalue`` is the largest upper end.  ``top_stratum`` is the
-    highest stratum whose bracket reaches the largest lower end: strata whose
-    brackets cannot tell their roots apart count as tied, and ties go up.
+    The growing strata are certified in batches, one ``_pf_stack`` per
+    block size: a 1x1 block's root is its entry, with weight 1, and each
+    larger size is one stack through inverse iteration, whose
+    Collatz-Wielandt bracket is computed once and kept.  Zero strata get
+    root 0, bracket (0, 0) and no weights.  ``top_eigenvalue`` is the
+    largest upper end.  ``top_stratum`` is the highest stratum whose
+    bracket reaches the largest lower end: strata whose brackets cannot
+    tell their roots apart count as tied, and ties go up.  A block that is
+    not certified raises NonConvergenceError for its whole stack.
     """
     W = np.zeros((dec.count, dec.matrix.shape[0]))
+    by_size: dict[int, list[Stratum]] = {}
     for s in dec.strata:
-        if not s.growing:
-            s.eigenvalue = 0.0
-            s.bracket = (0.0, 0.0)
-            s.weights = None
-            continue
-        value, vec = pf_eigen(s.block)
-        lo, hi = collatz_wielandt(s.block, vec)
-        s.eigenvalue = value
-        s.bracket = (float(lo[0]), float(hi[0]))
-        s.weights = {e: float(vec[i]) for i, e in enumerate(s.edges)}
-        W[s.index - 1, list(s.edges)] = vec
+        if s.growing:
+            by_size.setdefault(len(s.edges), []).append(s)
+        else:
+            s.eigenvalue, s.bracket, s.weights = 0.0, (0.0, 0.0), None
+    for n, stack in by_size.items():
+        values, vecs, lo, hi = _pf_stack(np.array([s.block for s in stack], dtype=np.float64))
+        rows = [s.index - 1 for s in stack]
+        edges = [s.edges for s in stack]
+        W[np.repeat(rows, n), np.concatenate(edges)] = vecs.ravel()
+        for s, e, value, vec, b in zip(stack, edges, values.tolist(), vecs.tolist(), zip(lo.tolist(), hi.tolist())):
+            s.eigenvalue, s.bracket, s.weights = value, b, dict(zip(e, vec))
     dec.weight_matrix = W
     dec.top_eigenvalue = max(s.eigenvalue for s in dec.strata)
     floor = max(s.bracket[0] for s in dec.strata)
@@ -367,15 +374,24 @@ def pf_eigen_many(blocks: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, n
     eigenvector x from the all-ones vector; it is normalised to maximum
     entry 1.  A block is certified when x > 0 and its Collatz-Wielandt
     bracket has relative width at most ``tol``; the returned eigenvalue is
-    the bracket's upper end, so powers of it stay upper bounds.  Otherwise
-    raises NonConvergenceError with the best ``(values, vectors)`` so far.
+    the bracket's upper end, so powers of it stay upper bounds.  1x1 blocks
+    return their entry and x = 1.  Otherwise raises NonConvergenceError
+    with the best ``(values, vectors)`` so far.  ``attach_eigendata`` sends
+    every growing stratum of one size through one such stack.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.ndim == 2:
         blocks = blocks[None]
+    values, vecs, _, _ = _pf_stack(blocks, tol)
+    return values, vecs
+
+
+def _pf_stack(blocks: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, ...]:
+    """``(values, vecs, lo, hi)`` of ``pf_eigen_many`` on a float stack, with its brackets."""
     count, n, _ = blocks.shape
     if n == 1:
-        return blocks[:, 0, 0].copy(), np.ones((count, 1))
+        vecs = np.ones((count, 1))
+        return (blocks[:, 0, 0].copy(), vecs, *collatz_wielandt(blocks, vecs))
     transposed = np.swapaxes(blocks, 1, 2)
     roots = np.linalg.eigvals(transposed).real.max(axis=1)
     # a root <= 0 means a nilpotent (reducible) block; any nonzero shift keeps the solve regular
@@ -400,7 +416,7 @@ def pf_eigen_many(blocks: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, n
             f"worst relative bracket width {width:.3e} (tolerance {tol})",
             best=(np.where(certified, hi, roots), vecs),
         )
-    return hi, vecs
+    return hi, vecs, lo, hi
 
 
 def pf_eigen(block: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray]:

@@ -251,6 +251,7 @@ class MarkedMetricGraph:
             if edge_names is not None
             else tuple(f"e{i}" for i in range(len(self.edge_ends)))
         )
+        self.edge_index = {name: m for m, name in enumerate(self.edge_names)}  # for every parsed path
         # darts leaving each vertex, in edge order; ends out of range are left to validate_graph
         darts: list[list[int]] = [[] for _ in range(n_vertices)]
         for m, (t, h) in enumerate(self.edge_ends):

@@ -4,6 +4,7 @@ import io
 import json
 import shlex
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,10 @@ from outgrowth import (
     verify_representative,
 )
 from outgrowth import legality
-from outgrowth.cli import _json, main, turn_text
+from outgrowth.document import parse_word
+from outgrowth.cli import Rows, _json, main, turn_text
+from outgrowth.free_product import FreeProduct
+from outgrowth.graph_of_groups import MarkedMetricGraph
 from conftest import chord_text, tower_text
 from test_legality import reference_classify_turns
 
@@ -71,6 +75,63 @@ def test_round_trip_is_identity_on_bundled():
 def test_round_trip_identity_doc():
     once = emit_document(parse_document(IDENTITY_DOC))
     assert emit_document(parse_document(once)) == once
+
+
+def _name_scans(text: str) -> Counter:
+    """Scans of the free, factor and edge name tuples after construction, while parsing text.
+
+    Building a name -> index table scans its names once; a lookup in the
+    table scans none.
+    """
+    scans: Counter = Counter()
+
+    def counting(kind, names):
+        class Names(tuple):
+            def __iter__(self):
+                scans[kind] += 1
+                return super().__iter__()
+
+            def __contains__(self, name):
+                scans[kind] += 1
+                return super().__contains__(name)
+
+        return Names(names)
+
+    group_init, graph_init = FreeProduct.__init__, MarkedMetricGraph.__init__
+
+    def group_init_counting(self, *args, **kwargs):
+        group_init(self, *args, **kwargs)
+        self.free_names, self.factor_names = counting("free", self.free_names), counting("factor", self.factor_names)
+
+    def graph_init_counting(self, *args, **kwargs):
+        graph_init(self, *args, **kwargs)
+        self.edge_names = counting("edge", self.edge_names)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FreeProduct, "__init__", group_init_counting)
+        patch.setattr(MarkedMetricGraph, "__init__", graph_init_counting)
+        parse_document(text)
+    return scans
+
+
+def test_loading_scans_each_name_table_a_constant_number_of_times():
+    # 2n words and 3n paths on a rank-n chord rose: no table is rebuilt per word or path
+    small, large = _name_scans(chord_text(20)), _name_scans(chord_text(200))
+    assert large == small
+    assert sum(large.values()) <= 6
+
+
+def test_word_errors_name_unknown_tokens_before_elements_out_of_range():
+    G = load_bundled("c2f2_mixed").group  # P is C2
+    for text, message in [
+        ("P:2 P:3", "line 4: invalid factor letter (0,2)"),
+        ("P:2 zz", "line 4: unknown free letter 'zz'"),
+        ("P:3 Q:1", "line 4: unknown factor 'Q' in word"),
+        ("a P:x", "line 4: bad factor element token 'P:x'"),
+    ]:
+        with pytest.raises(InputError) as info:
+            parse_word(G, text, 4)
+        assert str(info.value) == message
 
 
 def test_round_trip_extended_generators():
@@ -569,6 +630,15 @@ def test_json_emitter_equals_indented_dumps(record):
     assert _json(record) == json.dumps(record, indent=2, sort_keys=True)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_uniform_rows())
+@example([{"turn": t, "legal": i % 2 == 0, "steps": None if i % 3 else i} for i, t in enumerate(_TRICKY_TEXT)])
+def test_json_writes_rows_as_their_list_of_dicts(rows):
+    columns = {k: [row[k] for row in rows] for k in rows[0]}
+    assert _json({"rows": Rows(**columns)}) == json.dumps({"rows": rows}, indent=2, sort_keys=True)
+    assert _json([Rows(**{k: [] for k in columns})]) == json.dumps([[]], indent=2)
+
+
 @pytest.mark.parametrize("name", ["chord25", "tower25", "c2f2_mixed"])
 def test_analyze_json_equals_dumps_of_the_reference_table(tmp_path, name):
     if name in bundled_names():
@@ -621,3 +691,36 @@ def test_analyze_json_never_takes_the_pure_python_encoder(monkeypatch, tmp_path)
     assert calls == []
     json.dumps([1], indent=2)  # the patch does see the indented encoder
     assert calls == [1]
+
+
+def _dicts_in(obj) -> int:
+    if isinstance(obj, Rows):
+        obj = obj.columns
+    if isinstance(obj, dict):
+        return 1 + sum(map(_dicts_in, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return sum(map(_dicts_in, obj))
+    return 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_analyze_builds_no_dict_per_turn(monkeypatch, tmp_path, fmt):
+    from outgrowth import cli
+
+    emitted, labels = [], []
+    emit, direction_text = cli._emit, cli._direction_text
+    monkeypatch.setattr(cli, "_emit", lambda *args: emitted.append(args) or emit(*args))
+    monkeypatch.setattr(cli, "_direction_text", lambda *args: labels.append(args) or direction_text(*args))
+    path = tmp_path / "chord25.gog"
+    path.write_text(chord_text(25))
+    result = runner.invoke(main, ["analyze", str(path), "--format", fmt])
+    assert result.exit_code == 0
+    [(_, _, record, rows, text)] = emitted
+    # the record, its parameters, the legality columns and one stratum in record and rows
+    assert _dicts_in([record, rows, text]) <= 5
+    if fmt == "csv":
+        assert labels == []  # csv prints only the strata
+        assert len(result.output.splitlines()) == 3
+    else:
+        assert len(labels) == 2 * 25
+        assert len(json.loads(result.output)["report"]["legality"]) == 25 * 51

@@ -17,6 +17,7 @@ from outgrowth import (
     relative_length,
 )
 from conftest import random_hyperbolic, random_letters, random_word
+from outgrowth.free_product import Word
 
 
 # -- finite group tables ------------------------------------------------------
@@ -131,14 +132,12 @@ def test_normal_form_confluent_under_random_schedules(mixed_group):
         assert _random_schedule_reduce(G, letters, rng) == expected
 
 
-word_strategy = st.lists(
-    st.one_of(
-        st.tuples(st.just(FACTOR), st.just(0), st.integers(0, 1)),
-        st.tuples(st.just(FACTOR), st.just(1), st.integers(0, 2)),
-        st.tuples(st.just(FREE), st.integers(0, 1), st.sampled_from((1, -1))),
-    ),
-    max_size=30,
+_LETTER = st.one_of(
+    st.tuples(st.just(FACTOR), st.just(0), st.integers(0, 1)),
+    st.tuples(st.just(FACTOR), st.just(1), st.integers(0, 2)),
+    st.tuples(st.just(FREE), st.integers(0, 1), st.sampled_from((1, -1))),
 )
+word_strategy = st.lists(_LETTER, max_size=30)
 
 
 @settings(max_examples=200, deadline=None)
@@ -333,3 +332,122 @@ def test_factor_automorphism_with_conjugator(mixed_group):
     back.validate()
     p = G.factor_element(0, 1)
     assert fwd.apply(p) == w1.inverse() * p * w1
+
+
+# -- the one-loop normal form against the per-syllable push -----------------------
+
+
+def reference_push(G, out, syl):
+    """Append one syllable, folding into the top of the stack (the former ``FreeProduct._push``)."""
+    if out:
+        tag, x, y = syl
+        ptag, px, py = out[-1]
+        if tag == FACTOR and ptag == FACTOR and x == px:
+            prod = G.factors[x].mul(py, y)
+            out.pop()
+            if prod != 0:
+                out.append((FACTOR, x, prod))
+            return
+        if tag == FREE and ptag == FREE and x == px and y == -py:
+            out.pop()
+            return
+    out.append(syl)
+
+
+def reference_word(G, letters):
+    out = []
+    for item in letters:
+        for tag, x, y in item.syllables if isinstance(item, Word) else (item,):
+            if (tag, y) != (FACTOR, 0):
+                reference_push(G, out, (tag, x, y))
+    return tuple(out)
+
+
+def reference_mul(u, v):
+    out = list(u.syllables)
+    for syl in v.syllables:
+        reference_push(u.group, out, syl)
+    return Word(u.group, tuple(out))
+
+
+def reference_pow(w, n):
+    if n < 0:
+        return reference_pow(w.inverse(), -n)
+    result = w.group.identity()
+    for _ in range(n):
+        result = reference_mul(result, w)
+    return result
+
+
+def reference_apply(auto, w):
+    G = auto.group
+    table = {}
+    for j, img in enumerate(auto.free_images):
+        table[(FREE, j, 1)] = img.syllables
+        table[(FREE, j, -1)] = img.inverse().syllables
+    for i, tbl in enumerate(G.factors):
+        c = auto.conjugators[i]
+        for a in range(1, tbl.order):
+            image = G.factor_element(auto.permutation[i], auto.isos[i][a])
+            table[(FACTOR, i, a)] = reference_mul(reference_mul(c.inverse(), image), c).syllables
+    out = []
+    for syl in w.syllables:
+        for img in table[syl]:
+            reference_push(G, out, img)
+    return Word(G, tuple(out))
+
+
+def _inverse_letter(letter):
+    tag, x, y = letter
+    return (FACTOR, x, -y % (2, 3)[x]) if tag == FACTOR else (FREE, x, -y)
+
+
+@st.composite
+def _cancelling_letters(draw):
+    # letters around a core followed by its inverse: a chain of cancellations down to the
+    # core's ends, where C2 and C3 letters multiply to the identity on the way
+    head, core, tail = (draw(st.lists(_LETTER, max_size=12)) for _ in range(3))
+    inverse = [_inverse_letter(letter) for letter in reversed(core)]
+    return head + core + draw(st.lists(_LETTER, max_size=2)) + inverse + tail
+
+
+_LETTERS = word_strategy | _cancelling_letters()
+
+
+@settings(max_examples=300, deadline=None)
+@given(letters=_LETTERS, extra=_LETTERS, cut=st.integers(0, 30))
+def test_normal_form_loop_matches_the_per_syllable_push(mixed_group, letters, extra, cut):
+    G = mixed_group
+    u, v = G.word(letters), G.word(extra)
+    assert u.syllables == reference_word(G, letters)
+    # words as items, split anywhere
+    mixed = [G.word(letters[:cut]), *letters[cut:], v]
+    assert G.word(mixed).syllables == reference_word(G, mixed)
+    assert (u * v).syllables == reference_mul(u, v).syllables
+    assert (u * u.inverse()).syllables == reference_mul(u, u.inverse()).syllables == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(letters=_LETTERS, n=st.integers(-4, 6))
+def test_word_power_is_one_pass_and_matches_repeated_products(mixed_group, letters, n):
+    w = mixed_group.word(letters)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Word, "__mul__", None)  # a power takes no intermediate products
+        power = w**n
+    assert power.syllables == reference_pow(w, n).syllables
+
+
+@settings(max_examples=150, deadline=None)
+@given(letters=_LETTERS, images=st.lists(_LETTERS, min_size=4, max_size=4), twist=st.booleans())
+def test_apply_matches_the_per_syllable_push(mixed_group, letters, images, twist):
+    G = mixed_group
+    x_image, y_image, p_conjugator, q_conjugator = (G.word(image) for image in images)
+    auto = Automorphism(
+        G,
+        [x_image, y_image],
+        permutation=[0, 1],
+        isos=[(0, 1), (0, 2, 1) if twist else (0, 1, 2)],
+        conjugators=[p_conjugator, q_conjugator],
+    )
+    w = G.word(letters)
+    assert auto.apply(w).syllables == reference_apply(auto, w).syllables

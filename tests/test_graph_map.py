@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chord_text, load_text, tower_text
 from outgrowth import (
@@ -409,6 +411,134 @@ def test_column_sum_sandwich_random():
         mu, _ = pf_eigen(M)
         (lo,), (hi,) = collatz_wielandt(M, np.ones(n))
         assert lo - 1e-9 <= mu <= hi + 1e-9
+
+
+# -- batched eigendata against the per-stratum loop ------------------------------------
+
+
+def reference_attach_eigendata(dec):
+    """``attach_eigendata`` as one ``pf_eigen`` call and one bracket per stratum (the former loop)."""
+    W = np.zeros((dec.count, dec.matrix.shape[0]))
+    for s in dec.strata:
+        if not s.growing:
+            s.eigenvalue = 0.0
+            s.bracket = (0.0, 0.0)
+            s.weights = None
+            continue
+        value, vec = pf_eigen(s.block)
+        lo, hi = collatz_wielandt(s.block, vec)
+        s.eigenvalue = value
+        s.bracket = (float(lo[0]), float(hi[0]))
+        s.weights = {e: float(vec[i]) for i, e in enumerate(s.edges)}
+        W[s.index - 1, list(s.edges)] = vec
+    dec.weight_matrix = W
+    dec.top_eigenvalue = max(s.eigenvalue for s in dec.strata)
+    floor = max(s.bracket[0] for s in dec.strata)
+    dec.top_stratum = max(s.index for s in dec.strata if s.bracket[1] >= floor)
+    return dec
+
+
+def _bits(x):
+    assert type(x) is float
+    return x.hex()
+
+
+def _assert_same_eigendata(M):
+    """Batched and per-stratum eigendata of M agree bit for bit, or both raise NonConvergenceError."""
+    try:
+        expected = reference_attach_eigendata(stratify(M))
+    except NonConvergenceError:
+        with pytest.raises(NonConvergenceError):
+            attach_eigendata(stratify(M))
+        return
+    got = attach_eigendata(stratify(M))
+    assert _bits(got.top_eigenvalue) == _bits(expected.top_eigenvalue)
+    assert got.top_stratum == expected.top_stratum
+    assert got.weight_matrix.dtype == expected.weight_matrix.dtype
+    assert got.weight_matrix.shape == expected.weight_matrix.shape
+    assert got.weight_matrix.tobytes() == expected.weight_matrix.tobytes()
+    for s, t in zip(got.strata, expected.strata, strict=True):
+        assert _bits(s.eigenvalue) == _bits(t.eigenvalue)
+        assert tuple(map(_bits, s.bracket)) == tuple(map(_bits, t.bracket))
+        if t.weights is None:
+            assert s.weights is None
+        else:
+            assert list(s.weights) == list(t.weights)
+            assert list(map(_bits, s.weights.values())) == list(map(_bits, t.weights.values()))
+    return got
+
+
+def test_batched_eigendata_matches_the_per_stratum_loop_on_fixtures(golden, poly, c3c3, c2f2):
+    for doc in (golden, poly, c3c3, c2f2):
+        _assert_same_eigendata(transition_matrix(doc.representative))
+
+
+@pytest.mark.parametrize("n", [*range(3, 11), 25, 50, 100, 110])
+def test_batched_eigendata_matches_the_per_stratum_loop_on_families(n):
+    for text in (chord_text(n), tower_text(n)):
+        _assert_same_eigendata(transition_matrix(load_text(text).representative))
+
+
+@st.composite
+def _block_triangular(draw):
+    # irreducible diagonal blocks of mixed sizes (1x1 ones may be zero strata), arbitrary
+    # counts above them, edges shuffled
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7))
+    n = sum(sizes)
+    M = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+    start = 0
+    for size in sizes:
+        M[start:, start : start + size] *= np.arange(start, n)[:, None] < start + size
+        if size > 1:
+            M[start : start + size, start : start + size] |= np.roll(np.eye(size, dtype=int), 1, axis=0)
+        start += size
+    order = draw(st.permutations(range(n)))
+    return M[np.ix_(order, order)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_triangular())
+def test_batched_eigendata_matches_the_per_stratum_loop_hypothesis(M):
+    _assert_same_eigendata(M)
+
+
+def _strata_of(*blocks):
+    """A decomposition with the given diagonal blocks and nothing between them."""
+    n = sum(len(b) for b in blocks)
+    strata, start = [], 0
+    for b in blocks:
+        edges = tuple(range(start, start + len(b)))
+        strata.append(Stratum(len(strata) + 1, edges, np.array(b), True))
+        start += len(b)
+    return StrataDecomposition(np.zeros((n, n), dtype=int), tuple(strata), ())
+
+
+def test_batched_eigendata_raises_on_a_block_it_cannot_certify():
+    # reducible: the row eigenvector of the root 2 vanishes on its second edge
+    bad = [[2, 0], [1, 1]]
+    alone = _strata_of([[3]], bad, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    with pytest.raises(NonConvergenceError) as expected:
+        reference_attach_eigendata(alone)
+    with pytest.raises(NonConvergenceError) as got:
+        attach_eigendata(_strata_of([[3]], bad, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+    assert str(got.value) == str(expected.value)  # a stack of one block: the same message
+    # in a stack with a block it can certify, the stack raises and counts the blocks
+    with pytest.raises(NonConvergenceError, match="on 1 of 2 blocks"):
+        attach_eigendata(_strata_of([[0, 1], [1, 1]], bad))
+
+
+def test_cli_exits_3_on_a_stratum_it_cannot_certify(monkeypatch):
+    from click.testing import CliRunner
+
+    from outgrowth import graph_map
+    from outgrowth.cli import main
+
+    # no inverse iteration: the trial vector stays all ones, and the golden block's
+    # column sums 2 and 1 bracket its root far wider than the tolerance
+    monkeypatch.setattr(graph_map, "_INVERSE_STEPS", 0)
+    result = CliRunner().invoke(main, ["analyze", "golden_ratio_rose"])
+    assert result.exit_code == 3
+    assert result.output.startswith("error (NonConvergenceError): Perron root not certified on 1 of 1 blocks")
 
 
 # -- stratum lengths and metrics -----------------------------------------------------

@@ -52,3 +52,19 @@ def test_spectral_library_operations_pass_their_checks(tmp_path, workloads):
     assert [op.label for op in ops] == [f"find_r_legal_hyperbolic chord{n}" for n in (25, 50, 100)]
     for op in ops:
         op.check(op.library())
+
+
+@pytest.mark.parametrize(
+    "command, labels",
+    [
+        ("sweep", [f"sweep chord{n}" for n in (25, 50, 100)] + [f"sweep tower{n}" for n in (50, 100)]
+         + ["sweep tower110 default grid"]),
+        ("displacement", [f"displacement chord{n}" for n in (25, 50, 100)]),
+        ("bound", [f"bound chord{n}" for n in (25, 50, 100)] + [f"bound tower{n}" for n in (50, 100)]),
+    ],
+)
+def test_spectral_command_operations_pass_their_checks(tmp_path, workloads, command, labels):
+    ops = [op for op in workloads.spectral(0, tmp_path) if op.args[:1] == [command]]
+    assert [op.label for op in ops] == labels
+    for op in ops:
+        _run_and_check(op)
