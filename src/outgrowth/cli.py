@@ -62,13 +62,15 @@ def _require_verified(doc: InputDocument):
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _CONSTANTS = {True: "true", False: "false", None: "null"}
 _CONSTANT_TYPES = frozenset({bool, type(None)})
+_LISTS = frozenset({list, tuple})
 
 
 class Rows:
-    """Flat dicts with one set of str keys and scalar values, held column by column.
+    """Dicts with one set of str keys, held column by column.
 
-    ``columns`` maps each key to its values, one per row.  ``_json`` writes
-    a ``Rows`` exactly as the list of those dicts, without building them.
+    ``columns`` maps each key to its values, one per row: all scalars, or
+    all lists of scalars.  ``_json`` writes a ``Rows`` exactly as the list
+    of those dicts, without building them.
     """
 
     __slots__ = ("columns",)
@@ -82,12 +84,13 @@ def _json(obj) -> str:
 
     ``indent`` makes ``json`` fall back to its pure-Python encoder, so each
     run of scalars (a list of scalars or a flat dict) goes to the C encoder
-    in one call without it, and a list of flat dicts that share one set of
-    keys, or a ``Rows``, goes column by column (``_json_columns``).  Its
-    separators carry the newline and the indent: ``ensure_ascii`` escapes
-    every control character, so each raw newline in the output is a
-    separator.  The pieces are collected in one list and joined once, so
-    no level copies the text of the levels below it.
+    in one call without it, and a list of dicts that share one set of
+    keys, or a ``Rows``, goes column by column (``_json_columns``) when its
+    values are scalars or lists of scalars.  Its separators carry the
+    newline and the indent: ``ensure_ascii`` escapes every control
+    character, so each raw newline in the output is a separator.  The
+    pieces are collected in one list and joined once, so no level copies
+    the text of the levels below it.
     """
     out: list[str] = []
     _json_parts(obj, "\n", out)
@@ -135,7 +138,10 @@ def _json_parts(obj, pad: str, out: list[str]) -> None:
 
 
 def _json_rows(rows: list[dict], pad: str) -> Iterable[str] | None:
-    """The pieces of non-empty flat dicts with one set of str keys, or None for other dicts."""
+    """The pieces of non-empty flat dicts with one set of str keys, or None for other dicts.
+
+    A value may also be a list of scalars, when every row holds one under that key.
+    """
     keys = sorted(rows[0]) if set(map(type, rows[0])) == {str} else None
     if not keys or set(map(len, rows)) != {len(keys)}:
         return None
@@ -143,31 +149,51 @@ def _json_rows(rows: list[dict], pad: str) -> Iterable[str] | None:
         columns = [[x[k] for x in rows] for k in keys]
     except KeyError:
         return None
-    if not all(set(map(type, col)) <= _SCALARS for col in columns):
+    if not all(map(_column_kind, columns)):
         return None
     return _json_columns(keys, columns, pad)
+
+
+def _column_kind(column: list) -> str | None:
+    """How ``_json_columns`` writes a column: "constant", "scalar" or "list" (of scalars), or None."""
+    types = set(map(type, column))
+    if types <= _CONSTANT_TYPES:
+        return "constant"
+    if types <= _SCALARS:
+        return "scalar"
+    if types <= _LISTS and set(map(type, chain.from_iterable(column))) <= _SCALARS:
+        return "list"
+    return None
 
 
 def _json_columns(keys: list[str], columns: list[list], pad: str) -> Iterable[str]:
     """The pieces of the rows ``dict(zip(keys, values))``, one value from each column, keys sorted.
 
     A column of booleans and nulls maps to the constants, so no string is
-    built per row; the keys and the other columns are encoded together by
-    one C call whose item separator is a newline, and split there.  The
-    rows are then interleaved with the separators that open each value.
+    built per row; the keys, the other columns and the items of columns of
+    scalar lists are encoded together by one C call whose item separator
+    is a newline, and split there.  The rows are then interleaved with the
+    separators that open each value.
     """
     count = len(columns[0])
     if not count:
         return ("[]",)
-    constant = [set(map(type, col)) <= _CONSTANT_TYPES for col in columns]
-    coded = [col for col, const in zip(columns, constant) if not const]
+    kinds = list(map(_column_kind, columns))
+    coded = [
+        chain.from_iterable(col) if kind == "list" else col for col, kind in zip(columns, kinds) if kind != "constant"
+    ]
     text = iter(json.dumps([*keys, *chain.from_iterable(coded)], separators=("\n", ":"))[1:-1].split("\n"))
     names = [name + ": " for name in islice(text, len(keys))]
-    encoded = [
-        list(map(_CONSTANTS.__getitem__, col)) if const else list(islice(text, count))
-        for col, const in zip(columns, constant)
-    ]
     inner, deep = pad + "  ", pad + "    "
+    opening, item_sep, closing = "[" + deep + "  ", "," + deep + "  ", deep + "]"
+    encoded = [
+        list(map(_CONSTANTS.__getitem__, col))
+        if kind == "constant"
+        else [opening + item_sep.join(islice(text, len(v))) + closing if v else "[]" for v in col]
+        if kind == "list"
+        else list(islice(text, count))
+        for col, kind in zip(columns, kinds)
+    ]
     seps = [inner + "}," + inner + "{" + deep + names[0]] + ["," + deep + name for name in names[1:]]
     parts = chain.from_iterable(zip(*(x for sep, col in zip(seps, encoded) for x in (repeat(sep), col))))
     next(parts)  # the first row opens the list, not after a row

@@ -219,12 +219,18 @@ def verify_representative(rep: TopologicalRepresentative) -> list[Violation]:
 
 
 def transition_matrix(rep: TopologicalRepresentative) -> np.ndarray:
-    """Unoriented crossing counts: entry (i, j) counts edge i in the image of edge j."""
+    """Unoriented crossing counts: entry (i, j) counts edge i in the image of edge j.
+
+    One ``bincount`` over the darts of all edge images, each keyed by its
+    edge and the column of the image it lies in.
+    """
     n = rep.graph.n_edges
-    M = np.zeros((n, n), dtype=np.int64)
-    for j, path in enumerate(rep.edge_images):
-        M[:, j] = crossing_counts(path)
-    return M
+    lengths = [len(path.steps) for path in rep.edge_images]
+    darts = np.fromiter(
+        (d for path in rep.edge_images for d, _ in path.steps), dtype=np.int64, count=sum(lengths)
+    )
+    keys = (darts >> 1) * n + np.repeat(np.arange(n), lengths)
+    return np.bincount(keys, minlength=n * n).reshape(n, n)
 
 
 @dataclass
@@ -302,8 +308,10 @@ def attach_eigendata(dec: StrataDecomposition) -> StrataDecomposition:
 
     The growing strata are certified in batches, one ``_pf_stack`` per
     block size: a 1x1 block's root is its entry, with weight 1, and each
-    larger size is one stack through inverse iteration, whose
-    Collatz-Wielandt bracket is computed once and kept.  Zero strata get
+    larger size is one stack through Noda's iteration for the roots and a
+    short inverse iteration for the eigenvectors, whose Collatz-Wielandt
+    bracket is computed once and kept.  Each block's data is the same as
+    it would be alone, whatever its stack-mates.  Zero strata get
     root 0, bracket (0, 0) and no weights.  ``top_eigenvalue`` is the
     largest upper end.  ``top_stratum`` is the highest stratum whose
     bracket reaches the largest lower end: strata whose brackets cannot
@@ -369,15 +377,17 @@ def collatz_wielandt(blocks: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, 
 def pf_eigen_many(blocks: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Certified Perron eigenpairs of a stack of irreducible nonnegative matrices.
 
-    The root is the eigenvalue of largest real part (``np.linalg.eigvals``).
-    Three steps of inverse iteration, shifted just above it, refine the row
-    eigenvector x from the all-ones vector; it is normalised to maximum
-    entry 1.  A block is certified when x > 0 and its Collatz-Wielandt
-    bracket has relative width at most ``tol``; the returned eigenvalue is
-    the bracket's upper end, so powers of it stay upper bounds.  1x1 blocks
-    return their entry and x = 1.  Otherwise raises NonConvergenceError
-    with the best ``(values, vectors)`` so far.  ``attach_eigendata`` sends
-    every growing stratum of one size through one such stack.
+    The root comes from Noda's inverse iteration with Collatz-Wielandt
+    shifts (``_perron_roots``).  Three steps of inverse iteration, shifted
+    just above it, refine the row eigenvector x from the all-ones vector;
+    it is normalised to maximum entry 1.  A block is certified when x > 0
+    and its Collatz-Wielandt bracket has relative width at most ``tol``;
+    the returned eigenvalue is the bracket's upper end, so powers of it
+    stay upper bounds.  1x1 blocks return their entry and x = 1.
+    Otherwise raises NonConvergenceError with the best ``(values,
+    vectors)`` so far.  Each block's result is the same alone and in any
+    stack.  ``attach_eigendata`` sends every growing stratum of one size
+    through one such stack.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.ndim == 2:
@@ -386,17 +396,78 @@ def pf_eigen_many(blocks: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, n
     return values, vecs
 
 
+#: Noda's iteration converges quadratically on irreducible blocks; this caps the rest
+_NODA_STEPS = 40
+
+
+def _perron_roots(blocks: np.ndarray, tol: float) -> np.ndarray:
+    """Upper bounds on the Perron roots of a float stack, tight once each block converges.
+
+    Noda's iteration (Numer. Math. 17, 1971), which for irreducible blocks
+    decreases monotonically and converges quadratically (Elsner, Linear
+    Algebra Appl. 15, 1976): from x = 1 and lambda the Collatz-Wielandt
+    upper end, solve ``(lambda I - B^T) y = x`` and take x = y / max y and
+    lambda its upper end.  A block is frozen once its bracket is at most
+    ``tol`` wide, or when a step fails to give a positive x with a
+    smaller upper end (the root is then reached to rounding, or the block
+    is reducible), or after ``_NODA_STEPS`` steps.  A block with a zero
+    column is reducible and is left at its largest column sum.  Each
+    block's steps touch only its own rows, so its root does not depend on
+    its stack-mates.
+    """
+    count, n, _ = blocks.shape
+    sums = blocks.sum(axis=1)  # the ratios at x = 1
+    roots, floor = sums.max(axis=1), sums.min(axis=1)
+    live = np.flatnonzero((floor > 0) & (roots - floor > tol * roots))
+    # the open blocks' rows, compressed as blocks freeze
+    stack, lam, x = blocks[live], roots[live], np.ones((live.size, n))
+    minus, eye = -np.swapaxes(stack, 1, 2), np.eye(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NODA_STEPS):
+            if not live.size:
+                break
+            y = _solve_each(minus + lam[:, None, None] * eye, x[..., None])[..., 0]
+            y /= y.max(axis=1, keepdims=True)
+            ratios = np.einsum("ni,nij->nj", y, stack) / y
+            hi, lo = ratios.max(axis=1), ratios.min(axis=1)
+            better = (hi < lam) & (y.min(axis=1) > 0)
+            lam = np.where(better, hi, lam)
+            roots[live] = lam
+            keep = better & (hi - lo > tol * hi)
+            x = y
+            if not keep.all():
+                live, stack, minus, lam, x = live[keep], stack[keep], minus[keep], lam[keep], y[keep]
+    return roots
+
+
+def _solve_each(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` on a stack, with NaN for each exactly singular system."""
+    try:
+        return np.linalg.solve(systems, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for k, (a, b) in enumerate(zip(systems, rhs)):
+            try:
+                out[k] = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                pass  # lambda is an eigenvalue: the root, reached exactly
+        return out
+
+
 def _pf_stack(blocks: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, ...]:
-    """``(values, vecs, lo, hi)`` of ``pf_eigen_many`` on a float stack, with its brackets."""
+    """``(values, vecs, lo, hi)`` of ``pf_eigen_many`` on a float stack, with its brackets.
+
+    The roots come from ``_perron_roots``; the eigenvectors from a short
+    inverse iteration shifted just above them, started from all ones.
+    """
     count, n, _ = blocks.shape
     if n == 1:
         vecs = np.ones((count, 1))
         return (blocks[:, 0, 0].copy(), vecs, *collatz_wielandt(blocks, vecs))
-    transposed = np.swapaxes(blocks, 1, 2)
-    roots = np.linalg.eigvals(transposed).real.max(axis=1)
-    # a root <= 0 means a nilpotent (reducible) block; any nonzero shift keeps the solve regular
+    roots = _perron_roots(blocks, tol)
+    # a root <= 0 means a zero block; any nonzero shift keeps the solve regular
     shift = np.where(roots > 0, roots, 1.0) * (1 + _INVERSE_SHIFT)
-    system = transposed - shift[:, None, None] * np.eye(n)
+    system = np.swapaxes(blocks, 1, 2) - shift[:, None, None] * np.eye(n)
     # each step grows y by about 1 / (shift - root); a few steps stay far from overflow
     y = np.ones((count, n, 1))
     try:
@@ -410,7 +481,8 @@ def _pf_stack(blocks: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, ...]:
     lo, hi = collatz_wielandt(blocks, vecs)
     certified = (vecs > 0).all(axis=1) & (hi - lo <= tol * hi)
     if not certified.all():
-        width = np.max(np.where(certified, 0.0, (hi - lo) / hi))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero entry of x makes hi inf or NaN
+            width = np.max(np.where(certified, 0.0, (hi - lo) / hi))
         raise NonConvergenceError(
             f"Perron root not certified on {np.count_nonzero(~certified)} of {count} blocks: "
             f"worst relative bracket width {width:.3e} (tolerance {tol})",

@@ -595,7 +595,17 @@ _JSON_SCALARS = st.one_of(
 _FLAT_DICTS = st.dictionaries(_TEXT, _JSON_SCALARS)
 _FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e308])
 _COLUMNS = st.sampled_from(
-    [st.booleans() | st.none(), st.booleans(), st.none(), st.integers() | st.none(), _FLOATS, _TEXT, _JSON_SCALARS]
+    [
+        st.booleans() | st.none(),
+        st.booleans(),
+        st.none(),
+        st.integers() | st.none(),
+        _FLOATS,
+        _TEXT,
+        _JSON_SCALARS,
+        st.lists(_FLOATS, min_size=2, max_size=2),  # a bracket
+        st.lists(_JSON_SCALARS, max_size=3) | st.tuples(_TEXT),
+    ]
 )
 
 
@@ -626,6 +636,8 @@ _RECORDS = st.recursive(
 @example({"rows": [{"turn": t, "legal": i % 2 == 0, "steps": None if i % 3 else i} for i, t in enumerate(_TRICKY_TEXT)]})
 @example([{"x": x, "y": None} for x in (float("nan"), float("inf"), float("-inf"), -0.0, 1e308, 0, -(10**30))])
 @example([[{"a": 1, "b": 2}, {"a": 1, "c": 2}], [{1: 2}, {1: 3}], [{"1": 1}, {1: 1}], [{"a": [1]}, {"a": 2}]])
+@example([{"b": [1.0, 2.5], "c": []}, {"b": [-0.0], "c": [None, True, "x\n"]}, {"b": [[1]], "c": []}])
+@example([{"b": [1.0, 2.5], "c": []}, {"b": (0.5, 1e308), "c": ["},\n  {"]}])
 def test_json_emitter_equals_indented_dumps(record):
     assert _json(record) == json.dumps(record, indent=2, sort_keys=True)
 
@@ -691,6 +703,22 @@ def test_analyze_json_never_takes_the_pure_python_encoder(monkeypatch, tmp_path)
     assert calls == []
     json.dumps([1], indent=2)  # the patch does see the indented encoder
     assert calls == [1]
+
+
+def test_analyze_strata_rows_take_the_columnar_writer(monkeypatch, tmp_path):
+    from outgrowth import cli
+
+    recursed = []
+    parts = cli._json_parts
+    monkeypatch.setattr(cli, "_json_parts", lambda obj, *args: recursed.append(obj) or parts(obj, *args))
+    path = tmp_path / "tower25.gog"
+    path.write_text(tower_text(25))
+    result = runner.invoke(main, ["analyze", str(path), "--format", "json"])
+    assert result.exit_code == 0
+    assert [s["bracket"] for s in json.loads(result.output)["report"]["strata"]] == [[1.0, 1.0]] * 25
+    # the strata list goes to the columnar writer whole: no row, and no bracket, on its own
+    assert not [x for x in recursed if isinstance(x, dict) and "bracket" in x]
+    assert not [x for x in recursed if isinstance(x, list) and x and type(x[0]) is float]
 
 
 def _dicts_in(obj) -> int:

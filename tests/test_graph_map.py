@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import chord_text, load_text, tower_text
 from outgrowth import (
     Automorphism,
+    FreeProduct,
     InputError,
     NonConvergenceError,
     StrataDecomposition,
@@ -26,7 +29,9 @@ from outgrowth import (
     transition_matrix,
     verify_representative,
 )
-from outgrowth.graph_map import collatz_wielandt
+from outgrowth import graph_map
+from outgrowth.graph_map import _pf_stack, collatz_wielandt
+from outgrowth.graph_of_groups import crossing_counts
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -110,6 +115,50 @@ def test_transition_counts_both_orientations(f2):
     )
     assert verify_representative(rep) == []
     assert np.array_equal(transition_matrix(rep), [[1, 2], [0, 1]])
+
+
+def reference_transition_matrix(rep):
+    """``transition_matrix`` as one column of crossing counts per edge image (the former loop)."""
+    n = rep.graph.n_edges
+    M = np.zeros((n, n), dtype=np.int64)
+    for j, path in enumerate(rep.edge_images):
+        M[:, j] = crossing_counts(path)
+    return M
+
+
+def _assert_same_transition_matrix(rep):
+    got, expected = transition_matrix(rep), reference_transition_matrix(rep)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+def test_transition_matrix_matches_the_per_column_loop_on_fixtures(golden, poly, c3c3, c2f2, f2):
+    for rep in (golden.representative, poly.representative, c3c3.representative, c2f2.representative):
+        _assert_same_transition_matrix(rep)
+    _assert_same_transition_matrix(identity_representative(f2))
+
+
+@pytest.mark.parametrize("n", [3, 10, 25, 100])
+def test_transition_matrix_matches_the_per_column_loop_on_families(n):
+    for text in (chord_text(n), tower_text(n)):
+        _assert_same_transition_matrix(load_text(text).representative)
+
+
+@st.composite
+def _rose_images(draw):
+    """Dart sequences, one per petal of a rose with 1..5 petals; empty ones too."""
+    k = draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(st.integers(0, 2 * k - 1), max_size=6), min_size=k, max_size=k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rose_images())
+def test_transition_matrix_matches_the_per_column_loop_hypothesis(images):
+    # any dart sequences as edge images, empty ones too: the count needs no verified map
+    group = FreeProduct(free_rank=len(images))
+    rose = standard_rose(group)
+    paths = [rose.path(0, [(d, 0) for d in darts]) for darts in images]
+    _assert_same_transition_matrix(TopologicalRepresentative(rose, Automorphism.identity(group), [0], paths))
 
 
 # -- stratification ----------------------------------------------------------------
@@ -411,6 +460,195 @@ def test_column_sum_sandwich_random():
         mu, _ = pf_eigen(M)
         (lo,), (hi,) = collatz_wielandt(M, np.ones(n))
         assert lo - 1e-9 <= mu <= hi + 1e-9
+
+
+# -- Noda roots against the dense eigensolver -------------------------------------------
+
+
+def reference_perron_roots(blocks):
+    """The eigenvalue of largest real part of each block, by ``np.linalg.eigvals``."""
+    return np.linalg.eigvals(np.swapaxes(blocks, 1, 2)).real.max(axis=1)
+
+
+def reference_pf_stack(blocks, tol=1e-12):
+    """``_pf_stack`` with its root from the dense eigensolver (the former code), the tail unchanged."""
+    count, n, _ = blocks.shape
+    if n == 1:
+        vecs = np.ones((count, 1))
+        return (blocks[:, 0, 0].copy(), vecs, *collatz_wielandt(blocks, vecs))
+    transposed = np.swapaxes(blocks, 1, 2)
+    roots = reference_perron_roots(blocks)
+    shift = np.where(roots > 0, roots, 1.0) * (1 + graph_map._INVERSE_SHIFT)
+    system = transposed - shift[:, None, None] * np.eye(n)
+    y = np.ones((count, n, 1))
+    try:
+        for _ in range(graph_map._INVERSE_STEPS):
+            y = np.linalg.solve(system, y)
+    except np.linalg.LinAlgError as err:
+        best = (roots, np.ones((count, n)))
+        raise NonConvergenceError(f"inverse iteration failed: {err}", best=best) from None
+    y = np.abs(y[..., 0])
+    vecs = y / y.max(axis=1, keepdims=True)
+    lo, hi = collatz_wielandt(blocks, vecs)
+    certified = (vecs > 0).all(axis=1) & (hi - lo <= tol * hi)
+    if not certified.all():
+        width = np.max(np.where(certified, 0.0, (hi - lo) / hi))
+        raise NonConvergenceError(
+            f"Perron root not certified on {np.count_nonzero(~certified)} of {count} blocks: "
+            f"worst relative bracket width {width:.3e} (tolerance {tol})",
+            best=(np.where(certified, hi, roots), vecs),
+        )
+    return hi, vecs, lo, hi
+
+
+def _stacks(M):
+    """The float stacks ``attach_eigendata`` builds from M: its growing blocks, one stack per size."""
+    by_size = {}
+    for s in stratify(M).strata:
+        if s.growing:
+            by_size.setdefault(len(s.edges), []).append(s.block)
+    return [np.array(blocks, dtype=np.float64) for blocks in by_size.values()]
+
+
+def _hex(values):
+    return list(map(_bits, np.ravel(values).tolist()))
+
+
+def test_pf_stack_matches_the_dense_oracle_bit_for_bit_on_fixtures(golden, poly, c3c3, c2f2):
+    for doc in (golden, poly, c3c3, c2f2):
+        for blocks in _stacks(transition_matrix(doc.representative)):
+            for got, expected in zip(_pf_stack(blocks), reference_pf_stack(blocks), strict=True):
+                assert _hex(got) == _hex(expected)
+
+
+def _assert_brackets_hold_the_oracle_root(blocks, tol=1e-12):
+    values, vecs, lo, hi = _pf_stack(blocks, tol)
+    n = blocks.shape[1]
+    if n == 1:
+        roots, slack = blocks[:, 0, 0], 0.0
+    else:
+        roots = reference_perron_roots(blocks)
+        reference_pf_stack(blocks, tol)  # the oracle certifies these blocks too
+        # eigvals rounds too: an exact bracket [1, 1] of a permutation meets 1 + 2^-52
+        slack = 4 * n * np.finfo(np.float64).eps * roots
+    assert (lo - slack <= roots).all() and (roots <= hi + slack).all()
+    assert (hi - lo <= tol * hi).all()
+    assert _hex(values) == _hex(hi)
+    assert (vecs > 0).all() and (vecs.max(axis=1) == 1).all()
+
+
+@pytest.mark.parametrize("n", [*range(3, 11), 25, 50, 100, 200])
+def test_pf_stack_brackets_hold_the_oracle_root_on_families(n):
+    for text in (chord_text(n), tower_text(n)):
+        for blocks in _stacks(transition_matrix(load_text(text).representative)):
+            _assert_brackets_hold_the_oracle_root(blocks)
+
+
+@st.composite
+def _irreducible_stack(draw):
+    n = draw(st.integers(2, 7))
+    count = draw(st.integers(1, 4))
+    entries = st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+    blocks = np.array(draw(st.lists(entries, min_size=count, max_size=count)), dtype=np.float64)
+    return blocks + np.roll(np.eye(n), 1, axis=0)  # a cycle through every edge: irreducible
+
+
+@settings(max_examples=200, deadline=None)
+@given(_irreducible_stack())
+def test_pf_stack_brackets_hold_the_oracle_root_hypothesis(blocks):
+    _assert_brackets_hold_the_oracle_root(blocks)
+
+
+def _solves(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+    return calls
+
+
+def test_pf_stack_gives_a_block_the_same_bits_alone_and_in_any_stack(monkeypatch):
+    blocks = np.array(
+        [
+            [[0, 1, 0], [0, 0, 1], [1, 0, 0]],  # a permutation: certified by x = 1, no Noda step
+            [[5, 1, 1], [1, 0, 0], [0, 1, 0]],
+            [[0, 0, 1], [1, 0, 1], [0, 1, 0]],  # the chord rose n = 3
+            [[0, 1, 0], [0, 0, 1], [40, 1, 0]],
+        ],
+        dtype=np.float64,
+    )
+    calls = _solves(monkeypatch)
+    alone, steps = [], []
+    for block in blocks:
+        calls.clear()
+        alone.append([_hex(part) for part in _pf_stack(block[None])])
+        steps.append(len(calls) - graph_map._INVERSE_STEPS)
+    assert steps == sorted(set(steps))  # each block converges after a different number of steps
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [1, 1, 3]):
+        stacked = _pf_stack(blocks[order])
+        for k, b in enumerate(order):
+            assert [_hex(part[k]) for part in stacked] == alone[b]
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        [[2, 0], [1, 1]],  # reducible: the row eigenvector of the root 2 vanishes on the second edge
+        [[1, 1], [0, 2]],  # reducible the other way round
+        np.eye(3, k=1),  # nilpotent
+        [[1, 1, 0], [1, 1, 0], [0, 0, 0]],  # a zero row and a zero column
+        np.triu(np.ones((4, 4))),  # root 1 four times over: Noda creeps, and the cap ends it
+        # three zero rows: x underflows to 0 on them, and Noda's ratios divide by it
+        [[1, 2, 0, 0, 0, 2], [0, 0, 1, 0, 0, 1], [0, 0, 2, 2, 2, 2], *[[0] * 6] * 3],
+        # reducible: the tail's x has a zero entry, so its bracket's upper end is not finite
+        [[0, 1, 0, 0, 0, 0, 1], [1, 2, 0, 0, 1, 0, 0], [0, 0, 2, 0, 0, 0, 0], [0, 0, 2, 1, 1, 0, 0],
+         [0, 0, 2, 1, 1, 2, 0], [0, 0, 0, 2, 0, 1, 0], [0, 0, 2, 2, 1, 0, 1]],
+    ],
+    ids=["reducible", "reducible-upper", "nilpotent", "zero-row", "triangular", "zero-rows", "reducible-7"],
+)
+def test_pf_eigen_many_raises_on_a_block_it_cannot_certify_without_warnings(monkeypatch, block):
+    block = np.array(block, dtype=np.float64)
+    n = len(block)
+    with pytest.raises(NonConvergenceError):
+        reference_pf_stack(block[None])
+    calls = _solves(monkeypatch)
+    certifiable = np.roll(np.eye(n), 1, axis=0) + np.eye(n)
+    for stack in (block[None], np.array([certifiable, block, block])):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError) as info:
+                pf_eigen_many(stack)
+        values, vecs = info.value.best
+        assert values.shape == (len(stack),) and vecs.shape == (len(stack), n)
+        assert len(calls) <= graph_map._NODA_STEPS + graph_map._INVERSE_STEPS
+        if len(stack) == 1 and not block.sum(axis=0).all():
+            assert len(calls) == graph_map._INVERSE_STEPS  # a zero column: left at its column sums
+
+
+def test_solve_each_marks_only_the_singular_systems():
+    # Noda's shift can land exactly on a root: that block's step gives NaN, its mates solve as alone
+    systems = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], [[4.0, 0.0], [1.0, 2.0]]])
+    rhs = np.ones((3, 2, 1))
+    got = graph_map._solve_each(systems, rhs)
+    assert np.isnan(got[1]).all()
+    for k in (0, 2):
+        assert _hex(got[k]) == _hex(np.linalg.solve(systems[k : k + 1], rhs[k : k + 1]))
+
+
+def test_analyze_needs_no_dense_eigensolver(monkeypatch, tmp_path):
+    from click.testing import CliRunner
+
+    from outgrowth.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    path = tmp_path / "chord25.gog"
+    path.write_text(chord_text(25))
+    result = CliRunner().invoke(main, ["analyze", str(path), "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["report"]["strata"][0]["bracket"][1] > 1
 
 
 # -- batched eigendata against the per-stratum loop ------------------------------------
