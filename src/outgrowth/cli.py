@@ -12,9 +12,8 @@ import csv
 import io
 import json
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable
 
 import click
 
@@ -137,7 +136,7 @@ def _json_parts(obj, pad: str, out: list[str]) -> None:
         out.append(json.dumps(obj))
 
 
-def _json_rows(rows: list[dict], pad: str) -> Iterable[str] | None:
+def _json_rows(rows: list[dict], pad: str) -> list[str] | None:
     """The pieces of non-empty flat dicts with one set of str keys, or None for other dicts.
 
     A value may also be a list of scalars, when every row holds one under that key.
@@ -166,18 +165,18 @@ def _column_kind(column: list) -> str | None:
     return None
 
 
-def _json_columns(keys: list[str], columns: list[list], pad: str) -> Iterable[str]:
+def _json_columns(keys: list[str], columns: list[list], pad: str) -> list[str]:
     """The pieces of the rows ``dict(zip(keys, values))``, one value from each column, keys sorted.
 
     A column of booleans and nulls maps to the constants, so no string is
     built per row; the keys, the other columns and the items of columns of
     scalar lists are encoded together by one C call whose item separator
-    is a newline, and split there.  The rows are then interleaved with the
-    separators that open each value.
+    is a newline, and split there.  The values and the separators that
+    open them are then written into one list by a slice assignment per column.
     """
     count = len(columns[0])
     if not count:
-        return ("[]",)
+        return ["[]"]
     kinds = list(map(_column_kind, columns))
     coded = [
         chain.from_iterable(col) if kind == "list" else col for col, kind in zip(columns, kinds) if kind != "constant"
@@ -195,9 +194,14 @@ def _json_columns(keys: list[str], columns: list[list], pad: str) -> Iterable[st
         for col, kind in zip(columns, kinds)
     ]
     seps = [inner + "}," + inner + "{" + deep + names[0]] + ["," + deep + name for name in names[1:]]
-    parts = chain.from_iterable(zip(*(x for sep, col in zip(seps, encoded) for x in (repeat(sep), col))))
-    next(parts)  # the first row opens the list, not after a row
-    return chain(("[" + inner + "{" + deep + names[0],), parts, (inner + "}" + pad + "]",))
+    width = 2 * len(keys)
+    parts = [""] * (width * count)
+    for c, (sep, col) in enumerate(zip(seps, encoded)):
+        parts[2 * c :: width] = [sep] * count
+        parts[2 * c + 1 :: width] = col
+    parts[0] = "[" + inner + "{" + deep + names[0]  # the first row opens the list, not after a row
+    parts.append(inner + "}" + pad + "]")
+    return parts
 
 
 def _emit(fmt: str, command: str, record: dict, rows: list[dict], text: list[str]) -> None:

@@ -106,8 +106,19 @@ def _check_fresh(seen: set[str], key: str, n: int, section: str) -> None:
 
 
 def parse_word(group: FreeProduct, text: str, line: int = 0) -> Word:
+    tokens = text.split()
+    word = group.parse_tokens(tokens)
+    if word is not None:
+        return word
+    # a token outside the table is a fault or an odd spelling such as P:01: read each token
+    # as written, so that a fault is reported as the first unreadable token or else as the
+    # first factor element out of range
+    return _parse_letters(group, tokens, line)
+
+
+def _parse_letters(group: FreeProduct, tokens: list[str], line: int) -> Word:
     letters = []
-    for token in text.split():
+    for token in tokens:
         if token == "1":
             continue
         if ":" in token:

@@ -527,6 +527,14 @@ class BoundReport:
         }
 
 
+def off_diagonal_product(A: np.ndarray) -> float:
+    """Product over i != j of max(1, A(i, j)), taken left to right in row-major order.
+
+    ``np.fmax`` takes 1 over a NaN entry, as ``max(1.0, nan)`` does.
+    """
+    return math.prod(np.fmax(1.0, A[~np.eye(len(A), dtype=bool)]).tolist(), start=1.0)
+
+
 def bound_check(
     rep: TopologicalRepresentative,
     g: Word,
@@ -548,11 +556,7 @@ def bound_check(
     m = dec.count
     metric = assign_pf_metric(rep, 1.0, zero_length)
     A = coefficient_matrix(rep, metric)
-    product_bound = 1.0
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                product_bound *= max(1.0, float(A[i, j]))
+    product_bound = off_diagonal_product(A)
     mu = dec.top_eigenvalue
     length = tree_length_function(metric)
     report = growth_sequence(rep.automorphism, g, length, iterations, rep=rep)

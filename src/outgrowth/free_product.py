@@ -29,6 +29,8 @@ FREE = 1
 
 Syllable = tuple[int, int, int]
 
+_NO_TOP = (-1, -1, 0)  # the top of an empty normal form: no syllable has index -1
+
 
 class FiniteGroupTable:
     """A finite group as a multiplication table on {0, ..., order-1}.
@@ -122,6 +124,20 @@ class FreeProduct:
         # name -> index tables, built once for every word the documents parse
         self.free_index = {name: j for j, name in enumerate(self.free_names)}
         self.factor_index = {name: i for i, name in enumerate(self.factor_names)}
+        # document token -> its syllables (none for an identity), for the tokens that
+        # parse_word reads as valid letters: "1", "P:a" for a < order, "x" and "x'"
+        self.tokens: dict[str, tuple[Syllable, ...]] = {"1": ()}
+        for name, j in self.free_index.items():
+            if ":" not in name:
+                self.tokens[name + "'"] = ((FREE, j, -1),)
+                if name != "1" and not name.endswith("'"):
+                    self.tokens[name] = ((FREE, j, 1),)
+        for name, i in self.factor_index.items():
+            if ":" not in name:
+                self.tokens[name + ":0"] = ()
+                self.tokens.update(
+                    (f"{name}:{a}", ((FACTOR, i, a),)) for a in range(1, self.factors[i].order)
+                )
         self.search_budget = search_budget
         self.search_cap = search_cap
         self._ball: dict[Word, int] | None = None
@@ -187,6 +203,14 @@ class FreeProduct:
         """
         return Word(self, tuple(self._reduce([], self._checked(letters))))
 
+    def parse_tokens(self, tokens: Iterable[str]) -> Word | None:
+        """Normal form of document tokens, each looked up whole in ``self.tokens``; None if one is not there."""
+        try:
+            letters = list(map(self.tokens.__getitem__, tokens))
+        except KeyError:
+            return None
+        return Word(self, tuple(self._reduce([], chain.from_iterable(letters))))
+
     def _checked(self, letters: Iterable[Syllable | Word]) -> Iterable[Syllable]:
         # the syllables of the words and the valid non-identity letters, in order
         for item in letters:
@@ -213,26 +237,31 @@ class FreeProduct:
 
         A factor syllable meeting one of its own factor on top multiplies
         into it (and both vanish at the identity); a free letter meeting its
-        inverse on top cancels it.  Every other syllable is appended.
+        inverse on top cancels it.  Every other syllable is appended.  The
+        top syllable is kept unpacked in locals, and an empty stack has a
+        top that matches no syllable.
         """
         products = self._products
         append, pop = out.append, out.pop
+        ptag, px, py = out[-1] if out else _NO_TOP
         for syl in syllables:
-            if out:
-                tag, x, y = syl
-                ptag, px, py = out[-1]
-                if x == px and tag == ptag:
-                    if tag == FACTOR:
-                        prod = products[x][py][y]
-                        if prod:
-                            out[-1] = (FACTOR, x, prod)
-                        else:
-                            pop()
+            tag, x, y = syl
+            if x == px and tag == ptag:
+                if tag == FACTOR:
+                    py = products[x][py][y]
+                    if py:
+                        out[-1] = (FACTOR, x, py)
                         continue
-                    if y != py:
-                        pop()
-                        continue
+                    pop()
+                elif y == py:
+                    append(syl)
+                    continue
+                else:
+                    pop()
+                ptag, px, py = out[-1] if out else _NO_TOP
+                continue
             append(syl)
+            ptag, px, py = tag, x, y
         return out
 
     # -- bounded search over an extended generating set -------------------
@@ -449,8 +478,9 @@ class Automorphism:
     Factor i maps into a conjugate of factor ``permutation[i]``: an element
     a goes to ``conjugators[i]^-1 * iso_i(a) * conjugators[i]``.  Free
     generators map to arbitrary words.  The inverse automorphism must be
-    supplied; ``validate`` checks that both compositions fix every free
-    generator and every factor element exactly.
+    supplied; ``validate`` checks that composing this map after it fixes
+    every free generator and every factor element exactly, which also
+    proves the other composition (G is Hopfian, see ``validate``).
     """
 
     def __init__(
@@ -485,20 +515,24 @@ class Automorphism:
         auto.inverse = auto
         return auto
 
+    def _generator_images(self) -> list[tuple[Syllable, tuple[Syllable, ...]]]:
+        """(letter, image) for each free generator and each non-identity factor element."""
+        G = self.group
+        images = [((FREE, j, 1), self.free_images[j].syllables) for j in range(G.free_rank)]
+        for i, tbl in enumerate(G.factors):
+            target = self.permutation[i]
+            w = self.conjugators[i]
+            wi = w.inverse()
+            for a in range(1, tbl.order):
+                img = wi * G.factor_element(target, self.isos[i][a]) * w
+                images.append(((FACTOR, i, a), img.syllables))
+        return images
+
     def _image_table(self) -> dict[Syllable, tuple[Syllable, ...]]:
         if self._images is None:
-            G = self.group
-            table: dict[Syllable, tuple[Syllable, ...]] = {}
+            table = dict(self._generator_images())
             for j, img in enumerate(self.free_images):
-                table[(FREE, j, 1)] = img.syllables
                 table[(FREE, j, -1)] = img.inverse().syllables
-            for i, tbl in enumerate(G.factors):
-                target = self.permutation[i]
-                w = self.conjugators[i]
-                wi = w.inverse()
-                for a in range(1, tbl.order):
-                    img = wi * G.factor_element(target, self.isos[i][a]) * w
-                    table[(FACTOR, i, a)] = img.syllables
             self._images = table
         return self._images
 
@@ -514,7 +548,20 @@ class Automorphism:
         return self.apply(w)
 
     def validate(self) -> None:
-        """Raise InputError unless this is a genuine automorphism with exact inverse."""
+        """Raise InputError unless this is a genuine automorphism with exact inverse.
+
+        The tables make this map an endomorphism phi of G.  The declared
+        inverse psi is then checked on one composite: phi(psi(x)) = x for
+        every free generator and every non-identity factor element x.  That
+        decides what checking both composites decides.  The equalities put
+        every generator in the image, so phi is onto.  G is finitely
+        generated and residually finite, since free products of residually
+        finite groups are (Gruenberg 1957), so G is Hopfian (Mal'cev 1940)
+        and the onto endomorphism phi is bijective.  So psi(x) is
+        phi^-1(x) on every letter psi substitutes, and psi(phi(w)) = w
+        too.  A failure names the first generator, free generators first,
+        at which phi(psi(x)) != x.
+        """
         G = self.group
         k = len(G.factors)
         if len(self.free_images) != G.free_rank:
@@ -536,17 +583,13 @@ class Automorphism:
                         )
         if self.inverse is None:
             raise InputError("automorphism requires its declared inverse")
-        for j in range(G.free_rank):
-            x = G.free(j)
-            if self.inverse.apply(self.apply(x)) != x or self.apply(self.inverse.apply(x)) != x:
-                raise InputError(f"declared inverse fails on free generator {G.free_names[j]}")
-        for i, tbl in enumerate(G.factors):
-            for a in range(1, tbl.order):
-                g = G.factor_element(i, a)
-                if self.inverse.apply(self.apply(g)) != g or self.apply(self.inverse.apply(g)) != g:
-                    raise InputError(
-                        f"declared inverse fails on factor element {G.factor_names[i]}:{a}"
-                    )
+        images = self._image_table()
+        for x, image in self.inverse._generator_images():
+            if G._reduce([], chain.from_iterable(map(images.__getitem__, image))) != [x]:
+                tag, i, a = x
+                if tag == FREE:
+                    raise InputError(f"declared inverse fails on free generator {G.free_names[i]}")
+                raise InputError(f"declared inverse fails on factor element {G.factor_names[i]}:{a}")
 
     def __repr__(self):
         imgs = ", ".join(

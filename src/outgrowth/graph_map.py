@@ -23,6 +23,7 @@ bounds.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,11 +270,13 @@ def stratify(M: np.ndarray) -> StrataDecomposition:
     ``reach[i, j]`` holds when edge i lies in the image of some iterate of
     edge j: the reflexive closure of ``M > 0``, closed by Warshall's loop on
     booleans.  Its symmetric part ``reach & reach.T`` joins the edges of one
-    strongly connected block, and the rest is the strictly-below relation.
-    Blocks are placed lowest first: each step places the block of the
-    smallest unplaced edge with nothing unplaced below it.  So stratum 1 is
+    strongly connected block, named by its smallest edge.  The blocks are
+    placed lowest first by Kahn's algorithm on the arcs of M between blocks,
+    with a heap keyed by that smallest edge: each step places the block of
+    the smallest edge whose blocks below are all placed.  So stratum 1 is
     lowest, whenever M[i, j] > 0 the stratum of i is <= the stratum of j,
-    and ties in the order go to the block with the smallest edge.
+    and ties in the order go to the block with the smallest edge.  Every
+    block is cut from one copy of M permuted into stratum order.
     Eigenvalue data is attached separately.
     """
     M = np.asarray(M)
@@ -282,24 +285,47 @@ def stratify(M: np.ndarray) -> StrataDecomposition:
     if M.size and (M < 0).any():
         raise InputError("transition matrix must be nonnegative")
     n = M.shape[0]
-    reach = (M > 0) | np.eye(n, dtype=bool)
+    if not n:
+        return StrataDecomposition(M, (), ())
+    arcs = M > 0
+    reach = arcs | np.eye(n, dtype=bool)
     for k in range(n):
         reach |= reach[:, k, None] & reach[None, k, :]
-    same = reach & reach.T
-    below = reach & ~same
-    pending = below.sum(axis=0)  # per edge, the unplaced edges strictly below it
-    placed = np.zeros(n, dtype=bool)
+    root = (reach & reach.T).argmax(axis=0).tolist()  # the smallest edge of each edge's block
+    members: dict[int, list[int]] = {}
+    for e, r in enumerate(root):
+        members.setdefault(r, []).append(e)
+    above: dict[int, list[int]] = {r: [] for r in members}
+    pending = dict.fromkeys(members, 0)  # per block, its arcs from blocks below not yet placed
+    lower, upper = np.nonzero(arcs)
+    for i, j in zip(lower.tolist(), upper.tolist()):
+        if root[i] != root[j]:
+            above[root[i]].append(root[j])
+            pending[root[j]] += 1
+    ready = [r for r in members if not pending[r]]  # increasing, so already a heap
+    order: list[int] = []
+    while ready:
+        r = heapq.heappop(ready)
+        order.append(r)
+        for up in above[r]:
+            pending[up] -= 1
+            if not pending[up]:
+                heapq.heappush(ready, up)
+    perm = [e for r in order for e in members[r]]
+    permuted = M[np.ix_(perm, perm)]
+    nonzero_diagonal = (M.diagonal() != 0).tolist()
     strata = []
     stratum_of = [0] * n
-    while not placed.all():
-        members = np.flatnonzero(same[:, np.argmax(~placed & (pending == 0))])
-        placed[members] = True
-        pending -= below[members].sum(axis=0)
-        edges = tuple(members.tolist())
-        block = M[np.ix_(edges, edges)]
-        strata.append(Stratum(len(strata) + 1, edges, block, bool(block.any())))
+    start = 0
+    for index, r in enumerate(order, start=1):
+        edges = tuple(members[r])
+        stop = start + len(edges)
+        # an irreducible block of two or more edges has an arc inside it
+        growing = len(edges) > 1 or nonzero_diagonal[r]
+        strata.append(Stratum(index, edges, permuted[start:stop, start:stop], growing))
         for e in edges:
-            stratum_of[e] = len(strata)
+            stratum_of[e] = index
+        start = stop
     return StrataDecomposition(M, tuple(strata), tuple(stratum_of))
 
 

@@ -22,10 +22,10 @@ from outgrowth import (
     Violation,
     verify_representative,
 )
-from outgrowth import legality
+from outgrowth import document, legality
 from outgrowth.document import parse_word
 from outgrowth.cli import Rows, _json, main, turn_text
-from outgrowth.free_product import FreeProduct
+from outgrowth.free_product import FiniteGroupTable, FreeProduct
 from outgrowth.graph_of_groups import MarkedMetricGraph
 from conftest import chord_text, tower_text
 from test_legality import reference_classify_turns
@@ -132,6 +132,79 @@ def test_word_errors_name_unknown_tokens_before_elements_out_of_range():
         with pytest.raises(InputError) as info:
             parse_word(G, text, 4)
         assert str(info.value) == message
+
+
+def _counting_token_fallback(patch) -> Counter:
+    """Count the words parse_word reads token by token instead of through the group's token table."""
+    calls: Counter = Counter()
+    per_token = document._parse_letters
+
+    def counting(group, tokens, line):
+        calls["fallback"] += 1
+        return per_token(group, tokens, line)
+
+    patch.setattr(document, "_parse_letters", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [*range(3, 11), 25, 50, 100, 110])
+def test_emitted_words_are_all_in_the_token_table(n):
+    texts = [chord_text(n), tower_text(n)] + ([bundled_text(name) for name in bundled_names()] if n == 3 else [])
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counting_token_fallback(patch)
+        for text in texts:
+            once = emit_document(parse_document(text))
+            assert emit_document(parse_document(once)) == once
+    assert calls["fallback"] == 0
+
+
+_ODD_NAMES = ["a", "b", "a'", "1", "1'", "x:1", "P", "Q'", "R:S"]
+_ODD_TAILS = ["", "'", "''", ":0", ":1", ":2", ":01", ":-1", ":x", ":1'", ":S:1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    free=st.lists(st.sampled_from(_ODD_NAMES), max_size=4),
+    factors=st.lists(st.sampled_from(_ODD_NAMES), max_size=3),
+    tokens=st.lists(st.tuples(st.sampled_from(_ODD_NAMES), st.sampled_from(_ODD_TAILS)), min_size=1, max_size=4),
+)
+def test_token_table_agrees_with_the_per_token_reading_on_odd_names(free, factors, tokens):
+    # names with apostrophes, colons, repeats and "1": the table holds no token the
+    # per-token reading would read otherwise, whatever it reads it as
+    G = FreeProduct([FiniteGroupTable.cyclic(3, name) for name in factors], len(free), free)
+    text = " ".join(name + tail for name, tail in tokens)
+    try:
+        want = document._parse_letters(G, text.split(), 2)
+    except InputError as err:
+        want = str(err)
+    try:
+        got = parse_word(G, text, 2)
+    except InputError as err:
+        got = str(err)
+    assert got == want
+    for token, syllables in G.tokens.items():
+        assert document._parse_letters(G, [token], 0).syllables == syllables
+
+
+_ODD_WORDS = ["P:2 P:3", "P:2 zz", "a P:x", "1", "P:0 a", "a'' b", "Q:1", "P:1 P:1 a a' b", "b' P:01 a"]
+# the bound concerns hyperbolic elements, so it rejects the identity "1"
+_ODD_WORD_EXIT_CODES = {
+    "growth": [2, 2, 2, 0, 0, 2, 2, 0, 0],
+    "bound": [2, 2, 2, 2, 0, 2, 2, 0, 0],
+    "displacement": [2, 2, 2, 0, 0, 2, 2, 0, 0],
+}
+
+
+@pytest.mark.parametrize("command, option", [("growth", "--element"), ("bound", "--element"), ("displacement", "--sample")])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_odd_words_give_the_per_token_messages_and_exit_codes(command, option, fmt):
+    runs = [[command, "c2f2_mixed", option, word, "--format", fmt] for word in _ODD_WORDS]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FreeProduct, "parse_tokens", lambda group, tokens: None)  # every word token by token
+        expected = [runner.invoke(main, args) for args in runs]
+    for args, want, code in zip(runs, expected, _ODD_WORD_EXIT_CODES[command]):
+        got = runner.invoke(main, args)
+        assert (got.stdout, got.stderr, got.exit_code) == (want.stdout, want.stderr, code)
 
 
 def test_round_trip_extended_generators():

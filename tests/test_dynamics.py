@@ -35,6 +35,7 @@ from outgrowth import (
     verify_train_track,
 )
 from outgrowth.cli import default_sample, main
+from outgrowth.dynamics import off_diagonal_product
 from outgrowth.document import parse_word
 from conftest import _rose_document, chord_text, load_text, random_hyperbolic, random_word, tower_text
 from test_document_cli import IDENTITY_DOC
@@ -632,6 +633,32 @@ def test_bound_check_stratum_inequality_rows(poly):
 def test_bound_check_rejects_elliptic(c3c3):
     with pytest.raises(InputError):
         bound_check(c3c3.representative, c3c3.group.factor_element(0, 1))
+
+
+def reference_product_bound(A):
+    """The double loop ``bound_check`` ran over the off-diagonal coefficients."""
+    product_bound = 1.0
+    for i in range(len(A)):
+        for j in range(len(A)):
+            if i != j:
+                product_bound *= max(1.0, float(A[i, j]))
+    return product_bound
+
+
+def test_off_diagonal_product_matches_the_double_loop_bit_for_bit(golden, poly, c3c3, c2f2):
+    for doc, element in [(golden, "b"), (poly, "b"), (c3c3, "P:1 Q:1"), (c2f2, "P:1 a")]:
+        rpt = bound_check(doc.representative, parse_word(doc.group, element), iterations=3)
+        assert rpt.product_bound.hex() == reference_product_bound(rpt.coefficients).hex()
+    for text in (chord_text(100), tower_text(25)):
+        A = coefficient_matrix(load_text(text).representative)
+        assert off_diagonal_product(A).hex() == reference_product_bound(A).hex()
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        m = int(rng.integers(1, 9))
+        A = np.triu(rng.random((m, m)) * rng.choice([0.5, 3.0, 1e5], size=(m, m)))
+        A[rng.random((m, m)) < 0.1] = np.nan
+        got = off_diagonal_product(A)
+        assert type(got) is float and got.hex() == reference_product_bound(A).hex()
 
 
 # -- the matrix layer against the per-edge loops it replaced --------------------------

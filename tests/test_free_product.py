@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from outgrowth import (
@@ -17,6 +17,7 @@ from outgrowth import (
     relative_length,
 )
 from conftest import random_hyperbolic, random_letters, random_word
+from outgrowth.document import parse_word
 from outgrowth.free_product import Word
 
 
@@ -238,6 +239,22 @@ def test_extended_generators_bfs(f2):
     assert G.diagnostics() == []
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="relative_conjugacy_length minimises only over rotations of the cyclic core, "
+    "not over the whole conjugacy class (ROADMAP item 4)",
+)
+def test_conjugacy_length_reaches_a_generator_conjugate_off_the_core():
+    # C3 * F1 with E = {x, P:2 x P:2}: x P:1 is conjugate by P:1 to P:2 x P:2, a letter of E
+    G = FreeProduct([FiniteGroupTable.cyclic(3, "P")], free_rank=1, free_names=["x"])
+    x, p1, p2 = G.free(0), G.factor_element(0, 1), G.factor_element(0, 2)
+    G.set_relative_generators([x, p2 * x * p2])
+    assert (x * p1).conjugate(p1) == p2 * x * p2
+    assert relative_length(p2 * x * p2) == 1
+    assert relative_conjugacy_length(x * p1) == 1
+    assert relative_conjugacy_length(p2 * x * p2) == 1
+
+
 def test_extended_generators_budget_exhaustion():
     G = FreeProduct(free_rank=1, free_names=["a"], search_budget=3)
     a = G.free(0)
@@ -332,6 +349,138 @@ def test_factor_automorphism_with_conjugator(mixed_group):
     back.validate()
     p = G.factor_element(0, 1)
     assert fwd.apply(p) == w1.inverse() * p * w1
+
+
+# -- the one-composite inverse check against both composites -----------------------
+
+
+def reference_validate(auto):
+    """The former ``Automorphism.validate``: the tables, then both composites on every generator."""
+    G = auto.group
+    k = len(G.factors)
+    if len(auto.free_images) != G.free_rank:
+        raise InputError("one image required per free generator")
+    if sorted(auto.permutation) != list(range(k)):
+        raise InputError("factor permutation is not a permutation")
+    for i, tbl in enumerate(G.factors):
+        target = G.factors[auto.permutation[i]]
+        iso = auto.isos[i]
+        if tbl.order != target.order or len(iso) != tbl.order:
+            raise InputError(f"factor {G.factor_names[i]}: iso table has wrong size")
+        if sorted(iso) != list(range(tbl.order)) or iso[0] != 0:
+            raise InputError(f"factor {G.factor_names[i]}: iso table is not a bijection")
+        for a in range(tbl.order):
+            for b in range(tbl.order):
+                if iso[tbl.mul(a, b)] != target.mul(iso[a], iso[b]):
+                    raise InputError(f"factor {G.factor_names[i]}: iso is not a homomorphism at ({a},{b})")
+    if auto.inverse is None:
+        raise InputError("automorphism requires its declared inverse")
+    for j in range(G.free_rank):
+        if not _both_composites_fix(auto, G.free(j)):
+            raise InputError(f"declared inverse fails on free generator {G.free_names[j]}")
+    for i, tbl in enumerate(G.factors):
+        for a in range(1, tbl.order):
+            if not _both_composites_fix(auto, G.factor_element(i, a)):
+                raise InputError(f"declared inverse fails on factor element {G.factor_names[i]}:{a}")
+
+
+def _both_composites_fix(auto, g):
+    return reference_apply(auto.inverse, reference_apply(auto, g)) == g == reference_apply(
+        auto, reference_apply(auto.inverse, g)
+    )
+
+
+def _compose(first, then):
+    """The automorphism ``w -> then(first(w))`` of the right action, from the two tables."""
+    G = first.group
+    order = range(len(G.factors))
+    return Automorphism(
+        G,
+        [then.apply(w) for w in first.free_images],
+        [then.permutation[first.permutation[i]] for i in order],
+        [tuple(then.isos[first.permutation[i]][a] for a in first.isos[i]) for i in order],
+        [then.conjugators[first.permutation[i]] * then.apply(first.conjugators[i]) for i in order],
+    )
+
+
+def _elementary_moves(G):
+    """Pairs (automorphism, its inverse) of C2 * C3 * F2 that generate a rich set of automorphisms."""
+    x, y = G.free(0), G.free(1)
+    p, q, q2 = G.factor_element(0, 1), G.factor_element(1, 1), G.factor_element(1, 2)
+    one = G.identity()
+
+    def auto(images, isos=((0, 1), (0, 1, 2)), conjugators=(one, one)):
+        return Automorphism(G, images, [0, 1], isos, conjugators)
+
+    return [
+        (auto([x * y, y]), auto([x * y.inverse(), y])),
+        (auto([y * x, y]), auto([y.inverse() * x, y])),
+        (auto([x.inverse(), y]), auto([x.inverse(), y])),
+        (auto([y, x]), auto([y, x])),
+        (auto([x, y * p]), auto([x, y * p])),
+        (auto([q * x, y]), auto([q2 * x, y])),
+        (auto([x, y], conjugators=(x, one)), auto([x, y], conjugators=(x.inverse(), one))),
+        (auto([x, y], conjugators=(one, p * y)), auto([x, y], conjugators=(one, y.inverse() * p))),
+        (auto([x, y], isos=((0, 1), (0, 2, 1))), auto([x, y], isos=((0, 1), (0, 2, 1)))),
+    ]
+
+
+def _corrupt(G, inverse, kind, where, letter):
+    """A copy of ``inverse`` with one fault: a letter flipped, images swapped, an iso entry or a conjugator altered."""
+    images, isos, conjugators = list(inverse.free_images), [list(t) for t in inverse.isos], list(inverse.conjugators)
+    if kind == "letter":
+        j = where % 2
+        syllables = list(images[j].syllables)
+        if syllables and where % 3:
+            syllables[where % len(syllables)] = letter
+        else:
+            syllables.insert(where % (len(syllables) + 1), letter)
+        images[j] = G.word(syllables)
+    elif kind == "swap":
+        images.reverse()
+    elif kind == "iso":
+        i = where % 2
+        a = 1 + where % (len(isos[i]) - 1)
+        isos[i][a] = letter[2] % len(isos[i])
+    else:
+        i = where % 2
+        conjugators[i] = conjugators[i] * G.word([letter]) if where % 3 else G.word([letter]) * conjugators[i]
+    return Automorphism(G, images, inverse.permutation, isos, conjugators)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    moves=st.lists(st.integers(0, 8), min_size=1, max_size=6),
+    kind=st.sampled_from(["none", "letter", "swap", "iso", "conjugator"]),
+    where=st.integers(0, 60),
+    letter=_LETTER,
+)
+def test_one_composite_inverse_check_agrees_with_both_composites(mixed_group, moves, kind, where, letter):
+    G = mixed_group
+    pairs = _elementary_moves(G)
+    phi, psi = pairs[moves[0]]
+    for m in moves[1:]:
+        phi, psi = _compose(phi, pairs[m][0]), _compose(pairs[m][1], psi)
+    if kind != "none":
+        psi = _corrupt(G, psi, kind, where, letter)
+    phi.inverse = psi
+    try:
+        reference_validate(phi)
+        expected = None
+    except InputError as err:
+        expected = str(err)
+    try:
+        phi.validate()
+        got = None
+    except InputError as err:
+        got = str(err)
+    assert (got is None) == (expected is None), (got, expected)
+    if kind == "none":
+        assert got is None
+    if got is not None:
+        # the named generator may come after the first one at which either composite fails
+        assert not _both_composites_fix(phi, parse_word(G, got.rsplit(" ", 1)[1]))
+        event("same generator named" if got == expected else "a later generator named")
 
 
 # -- the one-loop normal form against the per-syllable push -----------------------

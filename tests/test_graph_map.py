@@ -309,6 +309,28 @@ def test_stratify_matches_reference_families(n):
         assert_same_stratification(M[::-1, ::-1])  # the smallest edge now sits on top
 
 
+def test_stratify_of_no_edges():
+    for dtype in (np.int64, np.float64):
+        dec = stratify(np.zeros((0, 0), dtype=dtype))
+        assert (dec.strata, dec.stratum_of, dec.matrix.shape) == ((), (), (0, 0))
+        assert_same_stratification(np.zeros((0, 0), dtype=dtype))
+
+
+def test_stratify_places_tied_chains_of_single_edges_by_smallest_edge():
+    # two interleaved chains of 1x1 strata, edge i above edge i - 2: at every step both
+    # chains offer a block, so each placement is a tie; every third edge is growing
+    n = 110
+    M = np.zeros((n, n), dtype=np.int64)
+    M[np.arange(n - 2), np.arange(2, n)] = 1
+    M[np.arange(0, n, 3), np.arange(0, n, 3)] = 2
+    dec = stratify(M)
+    assert [s.edges for s in dec.strata] == [(e,) for e in range(n)]
+    assert [s.growing for s in dec.strata] == [e % 3 == 0 for e in range(n)]
+    shuffle = np.random.default_rng(110).permutation(n)
+    for matrix in (M, M[::-1, ::-1], M.T, M[np.ix_(shuffle, shuffle)]):
+        assert_same_stratification(matrix)
+
+
 def test_block_triangularity_random():
     rng = random.Random(3)
     for _ in range(200):
