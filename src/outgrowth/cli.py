@@ -9,6 +9,7 @@ non-convergence, 4 resource guard tripped.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import sys
@@ -20,6 +21,9 @@ import click
 from . import __version__
 from .document import InputDocument, parse_document, parse_word
 from .dynamics import (
+    ITERATIONS,
+    N_GRID,
+    WORD_GUARD,
     bound_check,
     displacement_bracket,
     growth_report,
@@ -29,33 +33,46 @@ from .dynamics import (
 from .errors import InputError, NonConvergenceError, ResourceLimitError
 from .examples import BUNDLED, bundled_text
 from .free_product import Word, word_str
-from .graph_map import verify_representative
+from .graph_map import PF_TOLERANCE, TopologicalRepresentative, verify_representative
 from .legality import turn_columns, verify_rtt, verify_train_track
 from .graph_of_groups import MarkedMetricGraph
 
-EXIT_VALIDATION = 2
-EXIT_NONCONVERGENCE = 3
-EXIT_RESOURCE = 4
+#: the exit code of each library error; success exits 0
+EXIT_CODES = {InputError: 2, NonConvergenceError: 3, ResourceLimitError: 4}
 
 
 def _load(input_arg: str) -> InputDocument:
     path = Path(input_arg)
     if path.exists():
-        return parse_document(path.read_text(), name=path.name)
+        try:
+            text = path.read_text()
+        except OSError as err:
+            raise InputError(f"cannot read '{input_arg}': {err.strerror}") from None
+        except UnicodeDecodeError as err:
+            raise InputError(f"cannot read '{input_arg}': not UTF-8 ({err.reason} at byte {err.start})") from None
+        return parse_document(text, name=path.name)
     if input_arg in BUNDLED:
         return parse_document(bundled_text(input_arg), name=input_arg)
     raise InputError(f"no such file or bundled example: '{input_arg}'")
 
 
-def _require_verified(doc: InputDocument):
+def _trusted_map(doc: InputDocument, required: bool) -> TopologicalRepresentative | None:
+    """The document's map if it passes ``verify_representative``; otherwise InputError or None.
+
+    A command that needs the map (``required``) fails without a verified
+    one.  ``growth`` goes on without it by iterating words, so the
+    automorphism must then pass ``Automorphism.validate`` on its own.
+    """
     if doc.representative is None:
-        raise InputError("document has no [map] section")
-    violations = verify_representative(doc.representative)
-    if violations:
-        raise InputError(
-            "representative failed verification:\n  " + "\n  ".join(str(v) for v in violations)
-        )
-    return doc.representative
+        problem = "document has no [map] section"
+    elif violations := verify_representative(doc.representative):
+        problem = "representative failed verification:\n  " + "\n  ".join(str(v) for v in violations)
+    else:
+        return doc.representative
+    if required:
+        raise InputError(problem)
+    doc.automorphism.validate()
+    return None
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -223,24 +240,13 @@ def _emit(fmt: str, command: str, record: dict, rows: list[dict], text: list[str
     click.echo(out, file=sys.stdout)
 
 
-def _fail(fmt: str, command: str, err: Exception, code: int) -> None:
-    record = {"error": {"type": type(err).__name__, "message": str(err), "exit_code": code}}
+def _fail(fmt: str, command: str, err: Exception) -> None:
+    code = EXIT_CODES[type(err)]
     if fmt == "json":
-        click.echo(_json({"version": f"outgrowth {__version__} {command}", "report": record}), file=sys.stdout)
+        _emit(fmt, command, {"error": {"type": type(err).__name__, "message": str(err), "exit_code": code}}, [], [])
     else:
         click.echo(f"error ({type(err).__name__}): {err}", file=sys.stderr)
     sys.exit(code)
-
-
-def _guarded(fmt: str, command: str, fn):
-    try:
-        fn()
-    except ResourceLimitError as err:
-        _fail(fmt, command, err, EXIT_RESOURCE)
-    except NonConvergenceError as err:
-        _fail(fmt, command, err, EXIT_NONCONVERGENCE)
-    except InputError as err:
-        _fail(fmt, command, err, EXIT_VALIDATION)
 
 
 def _parse_sample(doc: InputDocument, sample: str | None) -> list[Word]:
@@ -263,6 +269,8 @@ def default_sample(doc: InputDocument) -> list[Word]:
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text", show_default=True
 )
+iterations_option = click.option("--iterations", default=ITERATIONS, show_default=True)
+n_grid_option = click.option("--n-grid", default=",".join(f"{n:g}" for n in N_GRID), show_default=True)
 
 
 @click.group()
@@ -271,122 +279,131 @@ def main():
     """Growth, legality and displacement reports for free product automorphisms."""
 
 
-@main.command()
-@click.argument("input_arg", metavar="INPUT")
-@format_option
-def analyze(input_arg, fmt):
+def _command(*options, verified: bool = True):
+    """Register a document command on ``main``: INPUT, then ``options``, then ``--format``.
+
+    The callback loads INPUT, takes its map under ``_trusted_map`` (required
+    when ``verified``), calls the body with the document, that map, the
+    format and the options, and emits the ``(record, rows, text)`` it
+    returns.  The library's errors exit with their ``EXIT_CODES``.
+    """
+
+    def register(body):
+        name = body.__name__
+
+        @functools.wraps(body)
+        def callback(input_arg, fmt, **kwargs):
+            try:
+                doc = _load(input_arg)
+                _emit(fmt, name, *body(doc, _trusted_map(doc, verified), fmt, **kwargs))
+            except tuple(EXIT_CODES) as err:
+                _fail(fmt, name, err)
+
+        # as stacked decorators would, the last applied comes first in the help
+        for decorate in reversed((click.argument("input_arg", metavar="INPUT"), *options, format_option)):
+            callback = decorate(callback)
+        return main.command()(callback)
+
+    return register
+
+
+@_command()
+def analyze(doc, rep, fmt):
     """Strata, eigenvalues and the legality table of the representative."""
-
-    def run():
-        doc = _load(input_arg)
-        rep = _require_verified(doc)
-        dec = rep.strata()
-        graph = doc.graph
-        strata_rows = []
-        for s in dec.strata:
-            strata_rows.append(
-                {
-                    "stratum": s.index,
-                    "edges": " ".join(graph.edge_names[e] for e in s.edges),
-                    "growing": s.growing,
-                    "eigenvalue": s.eigenvalue,
-                    "weights": ""
-                    if s.weights is None
-                    else " ".join(f"{graph.edge_names[e]}={s.weights[e]!r}" for e in sorted(s.weights)),
-                }
-            )
-        # every format decides the turns; csv prints none of them
-        turns = turn_columns(rep.legality())
-        record = {
-            "input": doc.name,
-            "transition_matrix": dec.matrix.tolist(),
-            "strata": [dict(row, bracket=list(s.bracket)) for row, s in zip(strata_rows, dec.strata)],
-            "top_eigenvalue": dec.top_eigenvalue,
-            "top_stratum": dec.top_stratum,
-            "parameters": {"pf_tolerance": 1e-12},
-        }
-        text = []
-        if fmt != "csv":
-            labels = [_direction_text(graph, graph.dart_tail(x[0]), x) for x in turns.directions]
-            names = graph.vertex_names
-            turn_names = [
-                f"{names[v]}:{{{labels[i]},{labels[j]}}}"
-                for v, i, j in zip(turns.vertex.tolist(), turns.first.tolist(), turns.second.tolist())
-            ]
-            steps = turns.steps.tolist()
-        if fmt == "json":
-            record["legality"] = Rows(
-                turn=turn_names,
-                legal=(turns.steps < 0).tolist(),
-                degenerate=(turns.steps == 0).tolist(),
-                steps_to_degeneracy=[None if k < 0 else k for k in steps],
-            )
-        elif fmt == "text":
-            text.append(f"strata: {dec.count}  top eigenvalue: {dec.top_eigenvalue!r} at stratum {dec.top_stratum}")
-            for row in strata_rows:
-                grow = "growing" if row["growing"] else "zero"
-                text.append(
-                    f"  stratum {row['stratum']} ({grow}): edges [{row['edges']}] eigenvalue {row['eigenvalue']!r}"
-                )
-                if row["weights"]:
-                    text.append(f"    weights: {row['weights']}")
-            text.append(f"turns: {len(steps)} ({sum(k < 0 for k in steps)} legal)")
-            text += [
-                f"  {name}: " + ("legal" if k < 0 else "degenerate" if k == 0 else f"illegal in {k} step(s)")
-                for name, k in zip(turn_names, steps)
-            ]
-        _emit(fmt, "analyze", record, strata_rows, text)
-
-    _guarded(fmt, "analyze", run)
-
-
-@main.command()
-@click.argument("input_arg", metavar="INPUT")
-@click.option("--element", required=True, help="word, e.g. \"a b'\" or \"P:1 a\"")
-@click.option("--iterations", default=20, show_default=True)
-@click.option("--length", "length_kind", type=click.Choice(["relative", "tree"]), default="tree", show_default=True)
-@click.option(
-    "--guard",
-    default=10**6,
-    show_default=True,
-    help="size guard: syllables of iterated words, or darts of the iterated loop on a train track",
-)
-@format_option
-def growth(input_arg, element, iterations, length_kind, guard, fmt):
-    """Orbit length sequence and growth estimates for one element."""
-
-    def run():
-        doc = _load(input_arg)
-        g = parse_word(doc.group, element)
-        if length_kind == "relative":
-            length = relative_length_function(doc.group)
-        else:
-            length = tree_length_function(doc.graph)
-        # a verified map lets legal loops iterate by crossing counts; otherwise words are rewritten
-        rep = None
-        if doc.representative is not None and not verify_representative(doc.representative):
-            rep = doc.representative
-        rpt = growth_report(doc.automorphism, g, length, iterations, guard=guard, rep=rep)
-        rows = [
+    dec = rep.strata()
+    graph = doc.graph
+    strata_rows = []
+    for s in dec.strata:
+        strata_rows.append(
             {
-                "k": k,
-                "length": rpt.values[k],
-                "root_estimate": rpt.root_estimates[k - 1] if k >= 1 else None,
-                "ratio": rpt.ratio_estimates[k - 1] if k >= 1 else None,
+                "stratum": s.index,
+                "edges": " ".join(graph.edge_names[e] for e in s.edges),
+                "growing": s.growing,
+                "eigenvalue": s.eigenvalue,
+                "weights": ""
+                if s.weights is None
+                else " ".join(f"{graph.edge_names[e]}={s.weights[e]!r}" for e in sorted(s.weights)),
             }
-            for k in range(iterations + 1)
+        )
+    # every format decides the turns; csv prints none of them
+    turns = turn_columns(rep.legality())
+    record = {
+        "input": doc.name,
+        "transition_matrix": dec.matrix.tolist(),
+        "strata": [dict(row, bracket=list(s.bracket)) for row, s in zip(strata_rows, dec.strata)],
+        "top_eigenvalue": dec.top_eigenvalue,
+        "top_stratum": dec.top_stratum,
+        "parameters": {"pf_tolerance": PF_TOLERANCE},
+    }
+    text = []
+    if fmt != "csv":
+        labels = [_direction_text(graph, graph.dart_tail(x[0]), x) for x in turns.directions]
+        names = graph.vertex_names
+        turn_names = [
+            f"{names[v]}:{{{labels[i]},{labels[j]}}}"
+            for v, i, j in zip(turns.vertex.tolist(), turns.first.tolist(), turns.second.tolist())
         ]
-        record = {"input": doc.name, **rpt.to_record()}
-        text = [
-            f"element {word_str(g)}  length {length_kind}  iterations {iterations}",
-            f"estimate {rpt.estimate!r}  converged {rpt.converged}  note: {rpt.note}",
-        ] + [
-            f"  k={row['k']:3d}  l={row['length']!r}  root={row['root_estimate']!r}  ratio={row['ratio']!r}"
-            for row in rows
+        steps = turns.steps.tolist()
+    if fmt == "json":
+        record["legality"] = Rows(
+            turn=turn_names,
+            legal=(turns.steps < 0).tolist(),
+            degenerate=(turns.steps == 0).tolist(),
+            steps_to_degeneracy=[None if k < 0 else k for k in steps],
+        )
+    elif fmt == "text":
+        text.append(f"strata: {dec.count}  top eigenvalue: {dec.top_eigenvalue!r} at stratum {dec.top_stratum}")
+        for row in strata_rows:
+            grow = "growing" if row["growing"] else "zero"
+            text.append(f"  stratum {row['stratum']} ({grow}): edges [{row['edges']}] eigenvalue {row['eigenvalue']!r}")
+            if row["weights"]:
+                text.append(f"    weights: {row['weights']}")
+        text.append(f"turns: {len(steps)} ({sum(k < 0 for k in steps)} legal)")
+        text += [
+            f"  {name}: " + ("legal" if k < 0 else "degenerate" if k == 0 else f"illegal in {k} step(s)")
+            for name, k in zip(turn_names, steps)
         ]
-        _emit(fmt, "growth", record, rows, text)
+    return record, strata_rows, text
 
-    _guarded(fmt, "growth", run)
+
+@_command(
+    click.option("--element", required=True, help="word, e.g. \"a b'\" or \"P:1 a\""),
+    iterations_option,
+    click.option("--length", "length_kind", type=click.Choice(["relative", "tree"]), default="tree", show_default=True),
+    click.option(
+        "--guard",
+        default=WORD_GUARD,
+        show_default=True,
+        help="size guard: syllables of iterated words, or darts of the iterated loop on a train track",
+    ),
+    verified=False,
+)
+def growth(doc, rep, fmt, element, iterations, length_kind, guard):
+    """Orbit length sequence and growth estimates for one element."""
+    g = parse_word(doc.group, element)
+    if length_kind == "relative":
+        length = relative_length_function(doc.group)
+    else:
+        length = tree_length_function(doc.graph)
+    # a verified map lets legal loops iterate by crossing counts; without one words are rewritten
+    rpt = growth_report(doc.automorphism, g, length, iterations, guard=guard, rep=rep)
+    rows = [
+        {
+            "k": k,
+            "length": rpt.values[k],
+            "root_estimate": rpt.root_estimates[k - 1] if k >= 1 else None,
+            "ratio": rpt.ratio_estimates[k - 1] if k >= 1 else None,
+        }
+        for k in range(iterations + 1)
+    ]
+    text = [
+        f"element {word_str(g)}  length {length_kind}  iterations {iterations}",
+        f"estimate {rpt.estimate!r}  converged {rpt.converged}  note: {rpt.note}",
+    ] + [
+        f"  k={row['k']:3d}  l={row['length']!r}  root={row['root_estimate']!r}  ratio={row['ratio']!r}"
+        for row in rows
+    ]
+    return {"input": doc.name, **rpt.to_record()}, rows, text
 
 
 def _grid(n_grid: str) -> list[float]:
@@ -404,146 +421,107 @@ def _lipschitz_rows(doc: InputDocument, rpt) -> list[dict]:
     ]
 
 
-@main.command()
-@click.argument("input_arg", metavar="INPUT")
-@click.option("--n-grid", default="1,10,100,1000", show_default=True)
-@click.option("--iterations", default=20, show_default=True)
-@click.option("--sample", default=None, help="comma-separated words (default: a small built-in sample)")
-@format_option
-def displacement(input_arg, n_grid, iterations, sample, fmt):
-    """Bracket the displacement between growth estimates and rescaled Lipschitz constants."""
-
-    def run():
-        doc = _load(input_arg)
-        rep = _require_verified(doc)
-        words = _parse_sample(doc, sample)
-        rpt = displacement_bracket(rep, _grid(n_grid), iterations, words)
-        rows = _lipschitz_rows(doc, rpt)
-        record = {"input": doc.name, **rpt.to_record()}
-        text = [
-            f"bracket [{rpt.lower!r}, {rpt.upper!r}]  width {rpt.width!r}",
-            f"top eigenvalue {rpt.top_eigenvalue!r} at stratum {rpt.top_stratum}; "
-            f"upper side attained at N={rpt.upper_at!r}",
-            f"Lipschitz constants non-increasing along grid: {rpt.monotone}",
-        ] + [f"  N={row['N']!r}  Lip={row['lipschitz']!r}  edge {row['witness_edge']}" for row in rows] + [
-            f"  growth {word_str(g.element)}: estimate {g.estimate!r} ({g.note})"
-            for g in rpt.growth_reports
-        ]
-        _emit(fmt, "displacement", record, rows, text)
-
-    _guarded(fmt, "displacement", run)
-
-
-@main.command()
-@click.argument("input_arg", metavar="INPUT")
-@click.option(
-    "--rtt-bound",
-    default=None,
-    type=int,
-    help="path bound for the injectivity check [default: twice the edge count]",
+@_command(
+    n_grid_option,
+    iterations_option,
+    click.option("--sample", default=None, help="comma-separated words (default: a small built-in sample)"),
 )
-@format_option
-def verify(input_arg, rtt_bound, fmt):
+def displacement(doc, rep, fmt, n_grid, iterations, sample):
+    """Bracket the displacement between growth estimates and rescaled Lipschitz constants."""
+    words = _parse_sample(doc, sample)
+    rpt = displacement_bracket(rep, _grid(n_grid), iterations, words)
+    rows = _lipschitz_rows(doc, rpt)
+    text = [
+        f"bracket [{rpt.lower!r}, {rpt.upper!r}]  width {rpt.width!r}",
+        f"top eigenvalue {rpt.top_eigenvalue!r} at stratum {rpt.top_stratum}; "
+        f"upper side attained at N={rpt.upper_at!r}",
+        f"Lipschitz constants non-increasing along grid: {rpt.monotone}",
+    ] + [f"  N={row['N']!r}  Lip={row['lipschitz']!r}  edge {row['witness_edge']}" for row in rows] + [
+        f"  growth {word_str(g.element)}: estimate {g.estimate!r} ({g.note})"
+        for g in rpt.growth_reports
+    ]
+    return {"input": doc.name, **rpt.to_record()}, rows, text
+
+
+@_command(
+    click.option(
+        "--rtt-bound",
+        default=None,
+        type=int,
+        help="path bound for the injectivity check [default: twice the edge count]",
+    )
+)
+def verify(doc, rep, fmt, rtt_bound):
     """Train track and relative train track verdicts for the representative."""
-
-    def run():
-        doc = _load(input_arg)
-        rep = _require_verified(doc)
-        graph = doc.graph
-        tt = verify_train_track(rep)
-        rtt = verify_rtt(rep, rtt_bound)
-        rows = [
-            {
-                "stratum": v.stratum,
-                "growing": v.growing,
-                "germs_ok": v.germs_ok,
-                "legality_ok": v.legality_ok,
-                "injectivity_ok": v.injectivity_ok,
-                "injectivity_bound": v.injectivity_bound,
-                "paths_checked": v.paths_checked,
-                "ok": v.ok,
-            }
-            for v in rtt
-        ]
-        record = {
-            "input": doc.name,
-            "representative_verified": True,
-            "train_track": {
-                "ok": tt.ok,
-                "witness_edge": None if tt.witness_edge is None else graph.edge_names[tt.witness_edge],
-                "witness_turn": None if tt.witness_turn is None else turn_text(graph, tt.witness_turn),
-            },
-            "relative_train_track": rows,
+    graph = doc.graph
+    tt = verify_train_track(rep)
+    rtt = verify_rtt(rep, rtt_bound)
+    rows = [
+        {
+            "stratum": v.stratum,
+            "growing": v.growing,
+            "germs_ok": v.germs_ok,
+            "legality_ok": v.legality_ok,
+            "injectivity_ok": v.injectivity_ok,
+            "injectivity_bound": v.injectivity_bound,
+            "paths_checked": v.paths_checked,
+            "ok": v.ok,
         }
-        text = ["representative: verified"]
-        if tt.ok:
-            text.append("train track: pass")
-        else:
-            text.append(
-                f"train track: FAIL at edge {graph.edge_names[tt.witness_edge]}"
-                f" (turn {turn_text(graph, tt.witness_turn)})"
-            )
-        for v, row in zip(rtt, rows):
-            if not v.growing:
-                text.append(f"stratum {v.stratum}: zero stratum (conditions not applicable)")
-                continue
-            text.append(
-                f"stratum {v.stratum}: germs {'ok' if v.germs_ok else 'FAIL'}"
-                + (f" (edge {graph.edge_names[v.germ_witness]})" if v.germ_witness is not None else "")
-                + f", legality {'ok' if v.legality_ok else 'FAIL'}"
-                + f", injectivity {'ok' if v.injectivity_ok else 'FAIL'}"
-                + f" up to bound {v.injectivity_bound} ({v.paths_checked} paths)"
-            )
-        _emit(fmt, "verify", record, rows, text)
+        for v in rtt
+    ]
+    record = {
+        "input": doc.name,
+        "representative_verified": True,
+        "train_track": {
+            "ok": tt.ok,
+            "witness_edge": None if tt.witness_edge is None else graph.edge_names[tt.witness_edge],
+            "witness_turn": None if tt.witness_turn is None else turn_text(graph, tt.witness_turn),
+        },
+        "relative_train_track": rows,
+    }
+    text = ["representative: verified"]
+    if tt.ok:
+        text.append("train track: pass")
+    else:
+        text.append(
+            f"train track: FAIL at edge {graph.edge_names[tt.witness_edge]} (turn {turn_text(graph, tt.witness_turn)})"
+        )
+    for v in rtt:
+        if not v.growing:
+            text.append(f"stratum {v.stratum}: zero stratum (conditions not applicable)")
+            continue
+        text.append(
+            f"stratum {v.stratum}: germs {'ok' if v.germs_ok else 'FAIL'}"
+            + (f" (edge {graph.edge_names[v.germ_witness]})" if v.germ_witness is not None else "")
+            + f", legality {'ok' if v.legality_ok else 'FAIL'}"
+            + f", injectivity {'ok' if v.injectivity_ok else 'FAIL'}"
+            + f" up to bound {v.injectivity_bound} ({v.paths_checked} paths)"
+        )
+    return record, rows, text
 
-    _guarded(fmt, "verify", run)
 
-
-@main.command()
-@click.argument("input_arg", metavar="INPUT")
-@click.option("--element", required=True)
-@click.option("--iterations", default=20, show_default=True)
-@format_option
-def bound(input_arg, element, iterations, fmt):
+@_command(click.option("--element", required=True), iterations_option)
+def bound(doc, rep, fmt, element, iterations):
     """Check the polynomial growth bound along the orbit of one element."""
-
-    def run():
-        doc = _load(input_arg)
-        rep = _require_verified(doc)
-        g = parse_word(doc.group, element)
-        rpt = bound_check(rep, g, iterations)
-        rows = rpt.rows
-        record = {"input": doc.name, **rpt.to_record()}
-        text = [
-            f"element {word_str(g)}  strata {rpt.coefficients.shape[0]}  "
-            f"top eigenvalue {rpt.top_eigenvalue!r}",
-            f"coefficient product {rpt.product_bound!r}  overall: {'pass' if rpt.ok else 'FAIL'}",
-        ] + [
-            f"  k={row['k']:3d}  observed={row['observed']!r}  bound={row['bound']!r}  "
-            f"{'ok' if row['ok'] else 'VIOLATED'}"
-            for row in rows
-        ]
-        _emit(fmt, "bound", record, rows, text)
-
-    _guarded(fmt, "bound", run)
+    g = parse_word(doc.group, element)
+    rpt = bound_check(rep, g, iterations)
+    rows = rpt.rows
+    text = [
+        f"element {word_str(g)}  strata {rpt.coefficients.shape[0]}  top eigenvalue {rpt.top_eigenvalue!r}",
+        f"coefficient product {rpt.product_bound!r}  overall: {'pass' if rpt.ok else 'FAIL'}",
+    ] + [
+        f"  k={row['k']:3d}  observed={row['observed']!r}  bound={row['bound']!r}  {'ok' if row['ok'] else 'VIOLATED'}"
+        for row in rows
+    ]
+    return {"input": doc.name, **rpt.to_record()}, rows, text
 
 
-@main.command()
-@click.argument("input_arg", metavar="INPUT")
-@click.option("--n-grid", default="1,10,100,1000", show_default=True)
-@format_option
-def sweep(input_arg, n_grid, fmt):
+@_command(n_grid_option)
+def sweep(doc, rep, fmt, n_grid):
     """Lipschitz constant of the induced map on each rescaled metric."""
-
-    def run():
-        doc = _load(input_arg)
-        rep = _require_verified(doc)
-        rows = _lipschitz_rows(doc, displacement_bracket(rep, _grid(n_grid)))
-        record = {"input": doc.name, "rows": rows}
-        text = [f"  N={r['N']!r}  Lip={r['lipschitz']!r}  edge {r['witness_edge']}" for r in rows]
-        _emit(fmt, "sweep", record, rows, text)
-
-    _guarded(fmt, "sweep", run)
+    rows = _lipschitz_rows(doc, displacement_bracket(rep, _grid(n_grid)))
+    text = [f"  N={r['N']!r}  Lip={r['lipschitz']!r}  edge {r['witness_edge']}" for r in rows]
+    return {"input": doc.name, "rows": rows}, rows, text
 
 
 @main.command()

@@ -41,6 +41,7 @@ from .errors import InputError
 from .free_product import (
     FACTOR,
     FREE,
+    SEARCH_BUDGET,
     Automorphism,
     FiniteGroupTable,
     FreeProduct,
@@ -236,7 +237,7 @@ def parse_document(text: str, name: str = "") -> InputDocument:
             factors.append(FiniteGroupTable(table, name=fname))
         else:
             raise InputError(f"[factor {fname}] needs 'cyclic = n' or 'table = ...'")
-    budget = 12
+    budget = SEARCH_BUDGET
     if "search-budget" in pres:
         n_line, value = pres["search-budget"]
         try:
@@ -486,7 +487,7 @@ def emit_document(doc: InputDocument) -> str:
     if group.relative_generators is not None:
         words = ", ".join(word_str(w) for w in group.relative_generators)
         lines.append(f"relative-generators = {words}")
-    if group.search_budget != 12:
+    if group.search_budget != SEARCH_BUDGET:
         lines.append(f"search-budget = {group.search_budget}")
     for i, table in enumerate(group.factors):
         lines.append(f"[factor {group.factor_names[i]}]")

@@ -46,6 +46,9 @@ from .graph_map import TopologicalRepresentative, assign_pf_metric, transition_m
 from .legality import loop_seam_turn, path_turns, verify_train_track
 
 WORD_GUARD = 10**6  # syllable guard for automorphism iteration
+ITERATIONS = 20  # orbit steps when a caller names none
+N_GRID = (1.0, 10.0, 100.0, 1000.0)  # rescaling factors N of the Lipschitz sweep
+GROWTH_TOLERANCE = 1e-2  # agreement of the root and ratio estimates that counts as converged
 
 
 class LengthFunction:
@@ -247,12 +250,12 @@ def _crossing_count_orbit(
     return GrowthReport(g, length.kind, values, iterations, guard=guard)
 
 
-def growth_rate_estimate(report: GrowthReport, tolerance: float = 1e-2) -> GrowthReport:
+def growth_rate_estimate(report: GrowthReport) -> GrowthReport:
     """Fill estimators and the convergence verdict into a growth report.
 
     Convergence means the normalised k-th root at the last step agrees with
-    the tail-ratio geometric mean within the tolerance; no extrapolation
-    past the computed range is claimed.
+    the tail-ratio geometric mean within ``GROWTH_TOLERANCE``; no
+    extrapolation past the computed range is claimed.
     """
     v = report.values
     K = report.iterations
@@ -278,10 +281,10 @@ def growth_rate_estimate(report: GrowthReport, tolerance: float = 1e-2) -> Growt
         # hyperbolic lengths are bounded below, so the true limsup is >= 1
         estimate = 1.0
         note = "estimate floored at 1 (hyperbolic length floor)"
-    converged = abs(root_estimate - estimate) <= tolerance
+    converged = abs(root_estimate - estimate) <= GROWTH_TOLERANCE
     if converged:
         note = note or "converged"
-    elif hyperbolic and estimate < root_estimate and estimate <= 1.0 + 10 * tolerance:
+    elif hyperbolic and estimate < root_estimate and estimate <= 1.0 + 10 * GROWTH_TOLERANCE:
         note = "unconverged-to-1-from-above"
     else:
         note = note or "unconverged"
@@ -290,7 +293,7 @@ def growth_rate_estimate(report: GrowthReport, tolerance: float = 1e-2) -> Growt
     report.estimate = estimate
     report.converged = converged
     report.note = short_run + note
-    report.tolerance = tolerance
+    report.tolerance = GROWTH_TOLERANCE
     return report
 
 
@@ -298,13 +301,12 @@ def growth_report(
     auto: Automorphism,
     g: Word,
     length: LengthFunction,
-    iterations: int = 20,
-    tolerance: float = 1e-2,
+    iterations: int = ITERATIONS,
     guard: int = WORD_GUARD,
     rep: TopologicalRepresentative | None = None,
 ) -> GrowthReport:
     """Sequence plus estimates in one call."""
-    return growth_rate_estimate(growth_sequence(auto, g, length, iterations, guard, rep), tolerance)
+    return growth_rate_estimate(growth_sequence(auto, g, length, iterations, guard, rep))
 
 
 # -- spectral and Lipschitz data ----------------------------------------------
@@ -370,7 +372,6 @@ class DisplacementReport:
     growth_reports: list[GrowthReport]
     monotone: bool
     iterations: int
-    tolerance: float
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -397,17 +398,15 @@ class DisplacementReport:
             "monotone_nonincreasing": self.monotone,
             "growth": [r.to_record() for r in self.growth_reports],
             "iterations": self.iterations,
-            "tolerance": self.tolerance,
+            "tolerance": GROWTH_TOLERANCE,
         }
 
 
 def displacement_bracket(
     rep: TopologicalRepresentative,
-    n_grid: Sequence[float] = (1.0, 10.0, 100.0, 1000.0),
-    iterations: int = 20,
+    n_grid: Sequence[float] = N_GRID,
+    iterations: int = ITERATIONS,
     sample: Sequence[Word] = (),
-    tolerance: float = 1e-2,
-    zero_length: float = 1.0,
 ) -> DisplacementReport:
     """Bracket the displacement between growth estimates and rescaled Lipschitz constants.
 
@@ -415,14 +414,14 @@ def displacement_bracket(
     rescaled eigenvector metrics.  The lower side takes the largest
     *converged* growth estimate over the hyperbolic sample, floored at 1
     (always valid) and capped at the upper side.  Unconverged estimates,
-    and converged ones above upper * (1 + tolerance), which growth cannot
-    reach, are reported but not trusted as bounds.
+    and converged ones above upper * (1 + GROWTH_TOLERANCE), which growth
+    cannot reach, are reported but not trusted as bounds.
     """
     dec = rep.strata()
     grid = np.array(n_grid, dtype=float)
     if not grid.size or not (np.isfinite(grid) & (grid > 0)).all():
         raise InputError("the N grid must be nonempty, with every N finite and positive")
-    base = assign_pf_metric(rep, 1.0, zero_length)
+    base = assign_pf_metric(rep, 1.0)
     # Lip(f_N) on edge e is sum_i M[i, e] N^s(i) L[i] / (N^s(e) L[e]) with L the
     # unscaled metric and s the stratum; images only descend, so s(i) - s(e) <= 0
     # and N^r itself, which leaves the float range on long filtrations, is never formed.
@@ -444,11 +443,11 @@ def displacement_bracket(
     for g in sample:
         if not g.is_hyperbolic():
             continue
-        rpt = growth_report(rep.automorphism, g, length, iterations, tolerance, rep=rep)
+        rpt = growth_report(rep.automorphism, g, length, iterations, rep=rep)
         reports.append(rpt)
         if not rpt.converged:
             continue
-        if rpt.estimate > upper * (1 + tolerance):
+        if rpt.estimate > upper * (1 + GROWTH_TOLERANCE):
             rpt.note += "; above the Lipschitz upper side, not used as a lower bound"
         else:
             lower = max(lower, rpt.estimate)
@@ -463,7 +462,6 @@ def displacement_bracket(
         reports,
         bool((lips[1:] <= lips[:-1] * (1 + 1e-12)).all()),
         iterations,
-        tolerance,
     )
 
 
@@ -538,8 +536,7 @@ def off_diagonal_product(A: np.ndarray) -> float:
 def bound_check(
     rep: TopologicalRepresentative,
     g: Word,
-    iterations: int = 20,
-    zero_length: float = 1.0,
+    iterations: int = ITERATIONS,
 ) -> BoundReport:
     """Verify the polynomial bound P(k) mu^k l(g) on orbit lengths, step by step.
 
@@ -554,7 +551,7 @@ def bound_check(
         raise InputError("the growth bound concerns hyperbolic elements")
     dec = rep.strata()
     m = dec.count
-    metric = assign_pf_metric(rep, 1.0, zero_length)
+    metric = assign_pf_metric(rep, 1.0)
     A = coefficient_matrix(rep, metric)
     product_bound = off_diagonal_product(A)
     mu = dec.top_eigenvalue

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: InputError -> 2,
-NonConvergenceError -> 3, ResourceLimitError -> 4.
+The command line exits with the code that its one table, ``cli.EXIT_CODES``,
+gives each of them: InputError 2, NonConvergenceError 3, ResourceLimitError 4.
 """
 
 

@@ -31,6 +31,9 @@ Syllable = tuple[int, int, int]
 
 _NO_TOP = (-1, -1, 0)  # the top of an empty normal form: no syllable has index -1
 
+SEARCH_BUDGET = 12  # letters per word in the extended-generator word ball
+SEARCH_CAP = 500_000  # elements the word ball may hold before the search gives up
+
 
 class FiniteGroupTable:
     """A finite group as a multiplication table on {0, ..., order-1}.
@@ -97,7 +100,7 @@ class FreeProduct:
     ``relative_generators`` defaults to the free basis; with the default,
     relative lengths are exact syllable counts.  An extended generating set
     switches length computations to a bounded breadth-first search over
-    products of letters (``search_budget`` letters, ``search_cap`` distinct
+    products of letters (``search_budget`` letters, ``SEARCH_CAP`` distinct
     elements).
     """
 
@@ -107,8 +110,7 @@ class FreeProduct:
         free_rank: int = 0,
         free_names: Sequence[str] | None = None,
         relative_generators: Sequence[Word] | None = None,
-        search_budget: int = 12,
-        search_cap: int = 500_000,
+        search_budget: int = SEARCH_BUDGET,
     ):
         self.factors = tuple(factors)
         self.free_rank = int(free_rank)
@@ -139,7 +141,6 @@ class FreeProduct:
                     (f"{name}:{a}", ((FACTOR, i, a),)) for a in range(1, self.factors[i].order)
                 )
         self.search_budget = search_budget
-        self.search_cap = search_cap
         self._ball: dict[Word, int] | None = None
         self._frontier: list[Word] | None = None
         self._depth = 0
@@ -294,9 +295,9 @@ class FreeProduct:
         missing = {t for t in targets if t not in self._ball}
         letters = self.generating_alphabet()
         while missing and self._frontier and self._depth < self.search_budget:
-            if len(self._ball) > self.search_cap:
+            if len(self._ball) > SEARCH_CAP:
                 raise NonConvergenceError(
-                    f"generating-set search exceeded {self.search_cap} elements"
+                    f"generating-set search exceeded {SEARCH_CAP} elements"
                 )
             self._depth += 1
             nxt = []

@@ -367,6 +367,8 @@ def attach_eigendata(dec: StrataDecomposition) -> StrataDecomposition:
 
 # -- Perron-Frobenius -----------------------------------------------------------
 
+#: relative width of the Collatz-Wielandt bracket that certifies a Perron root
+PF_TOLERANCE = 1e-12
 #: inverse iteration shifts the computed root up by this relative amount
 _INVERSE_SHIFT = 1e-9
 _INVERSE_STEPS = 3
@@ -400,16 +402,16 @@ def collatz_wielandt(blocks: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, 
     return ratios.min(axis=1) * (1 - slack), ratios.max(axis=1) * (1 + slack)
 
 
-def pf_eigen_many(blocks: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def pf_eigen_many(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Certified Perron eigenpairs of a stack of irreducible nonnegative matrices.
 
     The root comes from Noda's inverse iteration with Collatz-Wielandt
     shifts (``_perron_roots``).  Three steps of inverse iteration, shifted
     just above it, refine the row eigenvector x from the all-ones vector;
     it is normalised to maximum entry 1.  A block is certified when x > 0
-    and its Collatz-Wielandt bracket has relative width at most ``tol``;
-    the returned eigenvalue is the bracket's upper end, so powers of it
-    stay upper bounds.  1x1 blocks return their entry and x = 1.
+    and its Collatz-Wielandt bracket has relative width at most
+    ``PF_TOLERANCE``; the returned eigenvalue is the bracket's upper end,
+    so powers of it stay upper bounds.  1x1 blocks return their entry and x = 1.
     Otherwise raises NonConvergenceError with the best ``(values,
     vectors)`` so far.  Each block's result is the same alone and in any
     stack.  ``attach_eigendata`` sends every growing stratum of one size
@@ -418,7 +420,7 @@ def pf_eigen_many(blocks: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, n
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.ndim == 2:
         blocks = blocks[None]
-    values, vecs, _, _ = _pf_stack(blocks, tol)
+    values, vecs, _, _ = _pf_stack(blocks)
     return values, vecs
 
 
@@ -480,7 +482,7 @@ def _solve_each(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _pf_stack(blocks: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, ...]:
+def _pf_stack(blocks: np.ndarray, tol: float = PF_TOLERANCE) -> tuple[np.ndarray, ...]:
     """``(values, vecs, lo, hi)`` of ``pf_eigen_many`` on a float stack, with its brackets.
 
     The roots come from ``_perron_roots``; the eigenvectors from a short
@@ -517,7 +519,7 @@ def _pf_stack(blocks: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, ...]:
     return hi, vecs, lo, hi
 
 
-def pf_eigen(block: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray]:
+def pf_eigen(block: np.ndarray) -> tuple[float, np.ndarray]:
     """Certified Perron eigenvalue and positive row eigenvector of one irreducible block.
 
     The eigenvalue is the upper end of the Collatz-Wielandt bracket (see
@@ -533,7 +535,7 @@ def pf_eigen(block: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray]:
         raise InputError("eigen blocks must be nonzero")
     if block.shape[0] == 1:
         return float(block[0, 0]), np.ones(1)
-    values, vecs = pf_eigen_many(block[None], tol=tol)
+    values, vecs = pf_eigen_many(block[None])
     return float(values[0]), vecs[0]
 
 
@@ -581,7 +583,7 @@ def assign_pf_metric(
     return rep.graph.with_lengths(lengths)
 
 
-def rescale_family(rep: TopologicalRepresentative, N: float, zero_length: float | None = 1.0) -> MarkedMetricGraph:
+def rescale_family(rep: TopologicalRepresentative, N: float) -> MarkedMetricGraph:
     """The metric with stratum r rescaled by N^r (the displacement family)."""
     if not N > 0:
         raise InputError("rescaling parameter must be positive")
@@ -593,4 +595,4 @@ def rescale_family(rep: TopologicalRepresentative, N: float, zero_length: float 
             f"N^r overflows a float at N = {N} on {dec.count} strata; "
             "displacement_bracket evaluates the family without forming N^r"
         ) from None
-    return assign_pf_metric(rep, scales, zero_length)
+    return assign_pf_metric(rep, scales)

@@ -24,8 +24,10 @@ from outgrowth import (
 )
 from outgrowth import document, legality
 from outgrowth.document import parse_word
-from outgrowth.cli import Rows, _json, main, turn_text
+from outgrowth.cli import Rows, _grid, _json, main, turn_text
+from outgrowth.dynamics import ITERATIONS, N_GRID, WORD_GUARD
 from outgrowth.free_product import FiniteGroupTable, FreeProduct
+from outgrowth.graph_map import PF_TOLERANCE
 from outgrowth.graph_of_groups import MarkedMetricGraph
 from conftest import chord_text, tower_text
 from test_legality import reference_classify_turns
@@ -509,6 +511,34 @@ def test_cli_exit_code_validation():
     assert result.exit_code == 2
 
 
+def _error_message(result, fmt: str) -> str:
+    if fmt == "json":
+        return json.loads(result.stdout)["report"]["error"]["message"]
+    assert result.stderr.startswith("error (InputError): ")
+    return result.stderr.removeprefix("error (InputError): ").rstrip("\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_cli_unreadable_input_exits_with_the_validation_code(tmp_path, kind, fmt):
+    path = tmp_path
+    if kind == "not-utf-8":
+        path = tmp_path / "utf16.gog"
+        path.write_bytes(b"\xff\xfe[\x00p\x00")
+    result = runner.invoke(main, ["analyze", str(path), "--format", fmt])
+    assert result.exit_code == 2
+    assert _error_message(result, fmt).startswith(f"cannot read '{path}': ")
+
+
+def test_cli_defaults_are_the_library_constants():
+    defaults = {name: {p.name: p.default for p in command.params} for name, command in main.commands.items()}
+    assert defaults["growth"]["guard"] == WORD_GUARD
+    assert [defaults[c]["iterations"] for c in ("growth", "displacement", "bound")] == [ITERATIONS] * 3
+    assert [tuple(_grid(defaults[c]["n_grid"])) for c in ("displacement", "sweep")] == [N_GRID] * 2
+    result = runner.invoke(main, ["analyze", "golden_ratio_rose", "--format", "json"])
+    assert json.loads(result.output)["report"]["parameters"] == {"pf_tolerance": PF_TOLERANCE}
+
+
 def test_cli_exit_code_resource_guard():
     result = runner.invoke(
         main,
@@ -605,6 +635,24 @@ def test_cli_growth_without_a_verified_map_iterates_words(tmp_path, map_change):
         result = runner.invoke(main, [args[0], str(path), *args[1:], "--format", fmt])
         assert result.exit_code == bundled.exit_code == 0
         assert result.output == bundled.output
+
+
+@pytest.mark.parametrize(
+    "text, element, generator",
+    [
+        (bundled_text("golden_ratio_rose").replace("free b = a\n[map]", "free b = a a\n[map]"), "b", "b"),
+        # an endomorphism that is not onto, and no map to verify
+        (IDENTITY_DOC.split("[map]")[0].replace("[automorphism]\nfree a = a\n", "[automorphism]\nfree a = a a\n"), "a", "a"),
+    ],
+    ids=["wrong-inverse", "not-onto-no-map"],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_growth_without_a_verified_map_validates_the_automorphism(tmp_path, text, element, generator, fmt):
+    path = tmp_path / "bad.gog"
+    path.write_text(text)
+    result = runner.invoke(main, ["growth", str(path), "--element", element, "--format", fmt])
+    assert result.exit_code == 2
+    assert _error_message(result, fmt) == f"declared inverse fails on free generator {generator}"
 
 
 def test_cli_exit_code_nonconvergence(tmp_path):
