@@ -31,7 +31,6 @@ from .graph_map import (
     assign_pf_metric,
     attach_eigendata,
     pf_eigen,
-    pf_eigen_many,
     r_length,
     rescale_family,
     stratify,
@@ -45,6 +44,7 @@ from .legality import (
     derivative_turn,
     enumerate_turns,
     find_r_legal_hyperbolic,
+    illegal_turn,
     is_r_legal,
     make_turn,
     turn_columns,

@@ -312,20 +312,14 @@ def parse_document(text: str, name: str = "") -> InputDocument:
         vertex_names=vertex_names,
         edge_names=edge_names,
     )
-    free_marking = []
-    for jname in group.free_names:
-        if jname not in marking_rows:
-            raise InputError(f"[graph] is missing 'marking {jname}'")
-        n, value = marking_rows[jname]
-        free_marking.append(parse_path(graph, value, graph.base, n))
-    factor_marking = []
-    for fname in factor_names:
-        if fname not in marking_rows:
-            raise InputError(f"[graph] is missing 'marking {fname}'")
-        n, value = marking_rows[fname]
-        factor_marking.append(parse_path(graph, value, graph.base, n))
-    graph.free_marking = tuple(free_marking)
-    graph.factor_marking = tuple(factor_marking)
+    marking = []
+    for generator in (*group.free_names, *factor_names):
+        if generator not in marking_rows:
+            raise InputError(f"[graph] is missing 'marking {generator}'")
+        n, value = marking_rows[generator]
+        marking.append(parse_path(graph, value, graph.base, n))
+    graph.free_marking = tuple(marking[: group.free_rank])
+    graph.factor_marking = tuple(marking[group.free_rank :])
     # every command reads elements through the marking; other graph violations wait for
     # verify_representative, which reports them with the map's
     for violation in validate_graph(graph):

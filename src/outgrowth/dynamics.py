@@ -43,7 +43,7 @@ from .errors import InputError, ResourceLimitError
 from .free_product import Automorphism, Word, relative_conjugacy_length
 from .graph_of_groups import LENGTH_TOL, MarkedMetricGraph, crossing_counts, cyclically_reduce, standard_rose
 from .graph_map import TopologicalRepresentative, assign_pf_metric, transition_matrix
-from .legality import loop_seam_turn, path_turns, verify_train_track
+from .legality import illegal_turn, verify_train_track
 
 WORD_GUARD = 10**6  # syllable guard for automorphism iteration
 ITERATIONS = 20  # orbit steps when a caller names none
@@ -207,14 +207,10 @@ def _legal_loop_counts(rep: TopologicalRepresentative, g: Word, length: LengthFu
     graph = length.graph
     if graph is None or not rep.graph.marks_like(graph):
         return None
-    table = rep.legality()
-    if not verify_train_track(rep, table):
+    if not verify_train_track(rep):
         return None
     core, _ = cyclically_reduce(graph.loop_of_element(g))
-    if not core.steps:
-        return None
-    turns = path_turns(graph, core) + [loop_seam_turn(graph, core)]
-    if not all(table.legal(t) for t in turns):
+    if not core.steps or illegal_turn(rep, core, cyclic=True) is not None:
         return None
     return crossing_counts(core).tolist()
 

@@ -115,10 +115,10 @@ class TopologicalRepresentative:
         return self._strata
 
     def legality(self):
-        """Turn legality from the gates of the derivative on directions (cached).
+        """The gates of the derivative on directions (cached).
 
-        Returns a ``legality.LegalityTable``, which decides and keeps the
-        turns asked for; ``legality.turn_columns`` decides every turn at once.
+        Returns a ``legality.LegalityTable``, whose ``legal`` is a lookup of
+        a turn's two gates; ``legality.turn_columns`` times every turn at once.
         """
         if self._legality is None:
             from .legality import LegalityTable  # the turn calculus builds on this module
@@ -402,28 +402,6 @@ def collatz_wielandt(blocks: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, 
     return ratios.min(axis=1) * (1 - slack), ratios.max(axis=1) * (1 + slack)
 
 
-def pf_eigen_many(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified Perron eigenpairs of a stack of irreducible nonnegative matrices.
-
-    The root comes from Noda's inverse iteration with Collatz-Wielandt
-    shifts (``_perron_roots``).  Three steps of inverse iteration, shifted
-    just above it, refine the row eigenvector x from the all-ones vector;
-    it is normalised to maximum entry 1.  A block is certified when x > 0
-    and its Collatz-Wielandt bracket has relative width at most
-    ``PF_TOLERANCE``; the returned eigenvalue is the bracket's upper end,
-    so powers of it stay upper bounds.  1x1 blocks return their entry and x = 1.
-    Otherwise raises NonConvergenceError with the best ``(values,
-    vectors)`` so far.  Each block's result is the same alone and in any
-    stack.  ``attach_eigendata`` sends every growing stratum of one size
-    through one such stack.
-    """
-    blocks = np.asarray(blocks, dtype=np.float64)
-    if blocks.ndim == 2:
-        blocks = blocks[None]
-    values, vecs, _, _ = _pf_stack(blocks)
-    return values, vecs
-
-
 #: Noda's iteration converges quadratically on irreducible blocks; this caps the rest
 _NODA_STEPS = 40
 
@@ -483,10 +461,19 @@ def _solve_each(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _pf_stack(blocks: np.ndarray, tol: float = PF_TOLERANCE) -> tuple[np.ndarray, ...]:
-    """``(values, vecs, lo, hi)`` of ``pf_eigen_many`` on a float stack, with its brackets.
+    """Certified Perron eigenpairs ``(values, vecs, lo, hi)`` of a float stack of irreducible blocks.
 
-    The roots come from ``_perron_roots``; the eigenvectors from a short
-    inverse iteration shifted just above them, started from all ones.
+    The root comes from Noda's inverse iteration with Collatz-Wielandt
+    shifts (``_perron_roots``).  Three steps of inverse iteration, shifted
+    just above it, refine the row eigenvector x from the all-ones vector;
+    it is normalised to maximum entry 1.  A block is certified when x > 0
+    and its Collatz-Wielandt bracket ``(lo, hi)`` has relative width at
+    most ``tol``; the returned eigenvalue is the bracket's upper end, so
+    powers of it stay upper bounds.  1x1 blocks return their entry and
+    x = 1.  Otherwise raises NonConvergenceError with the best ``(values,
+    vectors)`` so far.  Each block's result is the same alone and in any
+    stack.  ``attach_eigendata`` sends every growing stratum of one size
+    through one such stack.
     """
     count, n, _ = blocks.shape
     if n == 1:
@@ -522,20 +509,18 @@ def _pf_stack(blocks: np.ndarray, tol: float = PF_TOLERANCE) -> tuple[np.ndarray
 def pf_eigen(block: np.ndarray) -> tuple[float, np.ndarray]:
     """Certified Perron eigenvalue and positive row eigenvector of one irreducible block.
 
-    The eigenvalue is the upper end of the Collatz-Wielandt bracket (see
-    ``pf_eigen_many``); 1x1 blocks are returned exactly.  Raises on zero or
-    non-square input; irreducibility is the caller's contract (stratify
-    guarantees it), and a block that is not certified raises
-    NonConvergenceError.
+    ``_pf_stack`` on a one-block stack: the eigenvalue is the upper end of
+    the Collatz-Wielandt bracket, and 1x1 blocks are returned exactly.
+    Raises on zero or non-square input; irreducibility is the caller's
+    contract (stratify guarantees it), and a block that is not certified
+    raises NonConvergenceError.
     """
     block = np.asarray(block)
     if block.ndim != 2 or block.shape[0] != block.shape[1]:
         raise InputError("eigen blocks must be square")
     if not block.any():
         raise InputError("eigen blocks must be nonzero")
-    if block.shape[0] == 1:
-        return float(block[0, 0]), np.ones(1)
-    values, vecs = pf_eigen_many(block[None])
+    values, vecs, _, _ = _pf_stack(block[None].astype(np.float64))
     return float(values[0]), vecs[0]
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -260,7 +260,7 @@ class MarkedMetricGraph:
             if 0 <= h < n_vertices:
                 darts[h].append(2 * m + 1)
         self._darts_at = tuple(tuple(ds) for ds in darts)
-        self._inverter: tuple | None = None  # (free marking, factor marking, their MarkingInverter)
+        self._marked: tuple | None = None  # (free marking, factor marking, what was derived from them)
 
     # -- dart helpers ---------------------------------------------------
 
@@ -370,17 +370,14 @@ class MarkedMetricGraph:
     # -- validity -----------------------------------------------------------
 
     def connected(self) -> bool:
+        """True when every vertex is reached from vertex 0 along the darts leaving each vertex."""
         if self.n_vertices == 0:
             return False
         seen = {0}
         stack = [0]
-        adj: dict[int, list[int]] = {v: [] for v in range(self.n_vertices)}
-        for t, h in self.edge_ends:
-            adj[t].append(h)
-            adj[h].append(t)
         while stack:
-            v = stack.pop()
-            for u in adj[v]:
+            for d in self.darts_at(stack.pop()):
+                u = self.dart_head(d)
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
@@ -398,13 +395,19 @@ class MarkedMetricGraph:
     def betti_number(self) -> int:
         return self.n_edges - self.n_vertices + 1
 
+    def _per_marking(self, key: str, make: Callable):
+        """``make(self)``, computed once for each assignment of the marking paths and kept under key."""
+        free, factor, derived = self._marked or (None, None, None)
+        if free is not self.free_marking or factor is not self.factor_marking:
+            derived = {}
+            self._marked = (self.free_marking, self.factor_marking, derived)
+        if key not in derived:
+            derived[key] = make(self)
+        return derived[key]
+
     def marking_inverter(self) -> MarkingInverter:
         """``MarkingInverter(self)``, folded once for each assignment of the marking paths."""
-        free, factor, inverter = self._inverter or (None, None, None)
-        if free is not self.free_marking or factor is not self.factor_marking:
-            inverter = MarkingInverter(self)
-            self._inverter = (self.free_marking, self.factor_marking, inverter)
-        return inverter
+        return self._per_marking("inverter", MarkingInverter)
 
     def with_lengths(self, lengths: Sequence[float]) -> MarkedMetricGraph:
         """Copy of this graph with new edge lengths (combinatorics unchanged)."""
@@ -435,8 +438,14 @@ def validate_graph(graph: MarkedMetricGraph) -> list[Violation]:
     Ranks, factor counts, and the endpoints and reducedness of the marking
     paths are checked first.  When they all hold, whether the marking is an
     isomorphism is decided exactly by folding (``marking_inverter``), and a
-    marking that is not one is an ``isomorphism`` violation.
+    marking that is not one is an ``isomorphism`` violation.  The checks run
+    once for each assignment of the marking paths; each call returns a
+    fresh list.
     """
+    return list(graph._per_marking("violations", _graph_violations))
+
+
+def _graph_violations(graph: MarkedMetricGraph) -> list[Violation]:
     G = graph.group
     for t, h in graph.edge_ends:
         if not (0 <= t < graph.n_vertices and 0 <= h < graph.n_vertices):

@@ -10,10 +10,12 @@ degenerate image turn is exactly a cancellation in the image.  With finite
 vertex groups ``Df`` is a function on finitely many directions, and
 legality is decided exactly (Bestvina-Handel 1992): a turn is illegal when
 some power of ``Df`` sends its two directions to the same direction.  The
-classes of directions that end up together are the gates.  Turns are
-enumerated in sorted order as columns of direction indices, and their
-meeting times are found by binary lifting on the powers ``Df^(2^k)``, so
-deciding every turn costs a few array passes per power.
+classes of directions that end up together are the gates, so the legality
+of a turn is a lookup of its two directions' gates.  Turns are enumerated
+in sorted order as columns of direction indices, and their meeting times
+are found by binary lifting on the powers ``Df^(2^k)``, so timing every
+turn costs a few array passes per power.  ``illegal_turn`` is the one walk
+along the turns of a path.
 
 Relative train track injectivity up to a bound is decided exactly: a
 shortest connecting path whose image tightens to a point is found by
@@ -136,20 +138,18 @@ class TurnEntry:
 
 
 class LegalityTable:
-    """Turn legality from the gates of the derivative, decided by binary lifting.
+    """Turn legality read off the gates of the derivative.
 
     ``Df`` is tabulated as an int array on ``directions``, numbered vertex
     by vertex.  It is injective on its periodic directions, so two
     directions that ever meet meet within as many steps as there are
     directions.  The lifts ``Df^(2^k)`` are built by squaring, for k up to
     the bit length of that count, and the last lift is the gate, which joins
-    exactly the directions that meet.  A turn is legal when its directions
-    have different gates, and otherwise its ``steps_to_degeneracy`` is their
-    meeting time: walking the lifts from the top down, both directions jump
-    together while their images differ, and a pair still apart at the end
-    meets one step later.  ``entry`` decides one turn by that walk and keeps
-    it in ``entries``; ``turn_columns`` decides every turn at once.  An edge
-    mapping to a point has no derivative and raises ``InputError``.
+    exactly the directions that meet.  ``legal`` is a gate lookup: a turn is
+    legal when its two directions have different gates.  Meeting times come
+    from ``turn_columns``, and ``entries`` holds the turns ``classify_turns``
+    decided.  An edge mapping to a point has no derivative and raises
+    ``InputError``.
     """
 
     def __init__(self, rep: TopologicalRepresentative):
@@ -163,34 +163,12 @@ class LegalityTable:
         for _ in range(len(df).bit_length()):
             lifts.append(lifts[-1][lifts[-1]])
         self.lifts = lifts
-        self._lift_lists = [f.tolist() for f in lifts]  # one turn at a time, lists index faster than numpy
-
-    def entry(self, turn: Turn) -> TurnEntry:
-        """The turn's entry, deciding it first if it is new."""
-        entry = self.entries.get(turn)
-        if entry is None:
-            d1, d2 = turn.directions
-            steps = self._meeting_time(self._index[d1], self._index[d2])
-            entry = self.entries[turn] = TurnEntry(turn, steps is None, steps == 0, steps)
-        return entry
-
-    def _meeting_time(self, x: int, y: int) -> int | None:
-        """Steps until powers of Df join directions x and y, or None when their gates differ."""
-        if x == y:
-            return 0
-        lifts = self._lift_lists
-        if lifts[-1][x] != lifts[-1][y]:
-            return None
-        steps = 1
-        for k in range(len(lifts) - 2, -1, -1):
-            f = lifts[k]
-            if f[x] != f[y]:
-                x, y = f[x], f[y]
-                steps += 1 << k
-        return steps
+        self._gate = dict(zip(directions, lifts[-1].tolist()))
 
     def legal(self, turn: Turn) -> bool:
-        return self.entry(turn).legal
+        gate = self._gate
+        d1, d2 = turn.directions
+        return gate[d1] != gate[d2]
 
     def __iter__(self):
         return iter(self.entries.values())
@@ -244,12 +222,9 @@ def classify_turns(rep: TopologicalRepresentative) -> LegalityTable:
 
 def path_turns(graph: MarkedMetricGraph, p: GraphPath) -> list[Turn]:
     """The turns taken at the interior vertices of a path."""
-    out = []
-    for i in range(len(p.steps) - 1):
-        d, e = p.steps[i]
-        d2, _ = p.steps[i + 1]
-        out.append(make_turn(graph, graph.dart_head(d), (d ^ 1, 0), (d2, e)))
-    return out
+    return [
+        make_turn(graph, graph.dart_head(d), (d ^ 1, 0), (d2, e)) for (d, e), (d2, _) in zip(p.steps, p.steps[1:])
+    ]
 
 
 def loop_seam_turn(graph: MarkedMetricGraph, loop: GraphPath) -> Turn:
@@ -262,31 +237,27 @@ def loop_seam_turn(graph: MarkedMetricGraph, loop: GraphPath) -> Turn:
     return make_turn(graph, loop.start, (dn ^ 1, 0), (d1, seam))
 
 
-def is_legal_path(rep: TopologicalRepresentative, table: LegalityTable, p: GraphPath) -> Turn | None:
-    """First illegal turn of the path, or None when the path is legal."""
-    for t in path_turns(rep.graph, p):
-        if not table.legal(t):
-            return t
-    return None
+def illegal_turn(
+    rep: TopologicalRepresentative, p: GraphPath, r: int | None = None, cyclic: bool = False
+) -> Turn | None:
+    """The first illegal turn the path takes, or None when every turn is legal.
 
-
-def is_r_legal(
-    rep: TopologicalRepresentative,
-    p: GraphPath,
-    r: int,
-    table: LegalityTable | None = None,
-    cyclic: bool = False,
-) -> bool:
-    """True when every turn of p with both edges in stratum r is legal.
-
-    With ``cyclic=True`` the seam turn of a closed path is included.
+    With ``r`` only turns with both edges in stratum r count.  With
+    ``cyclic=True`` the seam turn of a closed path comes last.
     """
-    table = table if table is not None else rep.legality()
-    stratum_of = rep.strata().stratum_of
     turns = path_turns(rep.graph, p)
     if cyclic and p.steps:
         turns.append(loop_seam_turn(rep.graph, p))
-    return all(_turn_r_ok(table, stratum_of, r, t) for t in turns)
+    table = rep.legality()
+    if r is None:
+        return next((t for t in turns if not table.legal(t)), None)
+    stratum_of = rep.strata().stratum_of
+    return next((t for t in turns if not _turn_r_ok(table, stratum_of, r, t)), None)
+
+
+def is_r_legal(rep: TopologicalRepresentative, p: GraphPath, r: int, cyclic: bool = False) -> bool:
+    """True when every turn of p with both edges in stratum r is legal, the seam too when ``cyclic``."""
+    return illegal_turn(rep, p, r, cyclic) is None
 
 
 def _turn_r_ok(table: LegalityTable, stratum_of, r: int, t: Turn) -> bool:
@@ -309,17 +280,14 @@ class TrainTrackVerdict:
         return self.ok
 
 
-def verify_train_track(
-    rep: TopologicalRepresentative, table: LegalityTable | None = None
-) -> TrainTrackVerdict:
+def verify_train_track(rep: TopologicalRepresentative) -> TrainTrackVerdict:
     """Check that the image of every edge is a legal path.
 
     Single edges contain no turns, so this is the operative content of
     "every edge is legal": iterated images never cancel.
     """
-    table = table if table is not None else rep.legality()
     for m in range(rep.graph.n_edges):
-        bad = is_legal_path(rep, table, rep.edge_images[m])
+        bad = illegal_turn(rep, rep.edge_images[m])
         if bad is not None:
             return TrainTrackVerdict(False, m, bad)
     return TrainTrackVerdict(True)
@@ -362,10 +330,9 @@ def verify_rtt(rep: TopologicalRepresentative, path_bound: int | None = None) ->
     """
     if path_bound is not None and path_bound < 1:
         raise InputError(f"the path bound must be at least 1, not {path_bound}")
-    g = rep.graph
     dec = rep.strata()
-    table = rep.legality()
-    bound = path_bound if path_bound is not None else 2 * g.n_edges
+    rep.legality()  # an edge mapping to a point raises InputError here, before its image is read
+    bound = path_bound if path_bound is not None else 2 * rep.graph.n_edges
     stratum_of = dec.stratum_of
     verdicts = []
     for s in dec.strata:
@@ -385,14 +352,9 @@ def verify_rtt(rep: TopologicalRepresentative, path_bound: int | None = None) ->
                 v.germ_witness = e
                 break
         # (3) r-legality: images of stratum edges are r-legal
-        v.legality_ok = True
-        for e in s.edges:
-            turns = path_turns(g, rep.edge_images[e])
-            bad = next((t for t in turns if not _turn_r_ok(table, stratum_of, r, t)), None)
-            if bad is not None:
-                v.legality_ok = False
-                v.legality_witness = bad
-                break
+        bad = (illegal_turn(rep, rep.edge_images[e], r) for e in s.edges)
+        v.legality_witness = next((t for t in bad if t is not None), None)
+        v.legality_ok = v.legality_witness is None
         # (2) injectivity on connecting paths through the lower filtration
         v.injectivity_bound = bound
         shortest, v.paths_checked = _rtt_injectivity(rep, dec, r, bound)

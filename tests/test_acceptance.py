@@ -28,7 +28,6 @@ from outgrowth import (
     lipschitz_constant,
     load_bundled,
     make_turn,
-    pf_eigen_many,
     r_length,
     relative_conjugacy_length,
     relative_length_function,
@@ -39,6 +38,7 @@ from outgrowth import (
     verify_train_track,
 )
 from outgrowth.cli import default_sample
+from outgrowth.graph_map import _pf_stack
 from conftest import random_hyperbolic, random_word
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -183,7 +183,7 @@ def test_criterion_4_pf_oracle_suite():
     with criterion(4, "certified Perron roots match char-poly roots on all small matrices", 10.0):
         for size in (1, 2, 3):
             blocks = np.array(list(_irreducible_matrices(size)))
-            values, vecs = pf_eigen_many(blocks.astype(float))
+            values, vecs = _pf_stack(blocks.astype(float))[:2]
             oracle = _char_poly_roots_max(blocks)
             assert np.abs(values - oracle).max() <= 1e-9
             sums = blocks.sum(axis=1)

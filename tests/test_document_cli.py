@@ -264,6 +264,16 @@ def test_verify_representative_lists_a_marking_that_is_not_an_isomorphism():
         assert verify_representative(doc.representative) == [NOT_ISOMORPHISM]
 
 
+def test_analyze_checks_the_graph_once(monkeypatch):
+    # parse_document and verify_representative share validate_graph's violations
+    calls = []
+    connected = MarkedMetricGraph.connected
+    monkeypatch.setattr(MarkedMetricGraph, "connected", lambda self: calls.append(self) or connected(self))
+    result = runner.invoke(main, ["analyze", "golden_ratio_rose"])
+    assert result.exit_code == 0
+    assert len(calls) == 1
+
+
 def test_missing_inverse_section_rejected():
     bad = IDENTITY_DOC.replace("[inverse]\nfree a = a\nfree b = b\n", "")
     with pytest.raises(InputError, match="inverse"):

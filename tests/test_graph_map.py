@@ -20,7 +20,6 @@ from outgrowth import (
     TopologicalRepresentative,
     assign_pf_metric,
     pf_eigen,
-    pf_eigen_many,
     r_length,
     rescale_family,
     standard_rose,
@@ -466,7 +465,7 @@ def test_pf_bracket_contains_chord_root(n):
 
 def test_pf_many_matches_single():
     blocks = np.array([[[0, 1], [1, 1]], [[0, 2], [2, 0]], [[3, 1], [2, 2]]], dtype=float)
-    values, vecs = pf_eigen_many(blocks)
+    values, vecs = graph_map._pf_stack(blocks)[:2]
     for k in range(3):
         mu, vec = pf_eigen(blocks[k])
         assert values[k] == pytest.approx(mu, abs=1e-11)
@@ -639,7 +638,7 @@ def test_pf_eigen_many_raises_on_a_block_it_cannot_certify_without_warnings(monk
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergenceError) as info:
-                pf_eigen_many(stack)
+                graph_map._pf_stack(stack)[:2]
         values, vecs = info.value.best
         assert values.shape == (len(stack),) and vecs.shape == (len(stack), n)
         assert len(calls) <= graph_map._NODA_STEPS + graph_map._INVERSE_STEPS

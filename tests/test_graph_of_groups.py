@@ -542,6 +542,19 @@ def test_marking_inverter_rejects_non_isomorphisms(f2, a, b):
         MarkingInverter(rose)
 
 
+def test_validate_graph_checks_each_marking_once_and_returns_fresh_lists(f2, monkeypatch):
+    rose = _f2_rose_marked(f2, [0], [2])
+    calls = []
+    connected = MarkedMetricGraph.connected
+    monkeypatch.setattr(MarkedMetricGraph, "connected", lambda self: calls.append(self) or connected(self))
+    first = validate_graph(rose)
+    first.append(Violation("caller", "owns its list"))
+    assert validate_graph(rose) == [] and len(calls) == 1
+    rose.free_marking = (rose.path(0, [(0, 0), (0, 0)]), rose.path(0, [(2, 0)]))
+    assert validate_graph(rose) == [Violation("isomorphism", "the marking is not an isomorphism")]
+    assert len(calls) == 2
+
+
 def test_marking_inverter_rejects_finite_order_free_loop(c2f2):
     # a -> sP P:1 sP' has order two
     graph = c2f2.representative.graph.with_lengths(c2f2.representative.graph.lengths)

@@ -19,12 +19,14 @@ from outgrowth import (
     derivative_turn,
     enumerate_turns,
     find_r_legal_hyperbolic,
+    illegal_turn,
     is_r_legal,
     load_bundled,
     make_turn,
     r_length,
     reduce_path,
     standard_rose,
+    tree_length_function,
     turn_columns,
     verify_representative,
     verify_rtt,
@@ -33,17 +35,17 @@ from outgrowth import (
 )
 from outgrowth import legality
 from outgrowth.document import parse_path
+from outgrowth.dynamics import _legal_loop_counts
 from outgrowth.legality import (
     Turn,
     TurnEntry,
     _rtt_injectivity,
     _turn_r_ok,
-    is_legal_path,
     loop_seam_turn,
     path_turns,
 )
 
-from conftest import chord_text, load_text, tower_text
+from conftest import chord_text, load_text, random_word, tower_text
 from test_graph_map import identity_representative
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -201,11 +203,19 @@ def test_legal_turns_have_legal_images(golden, poly, c3c3, c2f2):
                 assert table.legal(derivative_turn(rep, entry.turn))
 
 
+class ReferenceTable(LegalityTable):
+    """A table that answers ``legal`` from its entries, not from the gates."""
+
+    def legal(self, turn):
+        return self.entries[turn].legal
+
+
 # The orbit-walking classification the gate table replaced: it follows each
 # turn's derivative orbit and records every turn met on the way.  Kept as the
-# reference for legality and steps_to_degeneracy.
+# reference for legality and steps_to_degeneracy, and its table answers
+# ``legal`` from what the walk found.
 def reference_classify_turns(rep):
-    table = LegalityTable(rep)
+    table = ReferenceTable(rep)
     for start in enumerate_turns(rep.graph):
         if start in table.entries:
             continue
@@ -251,10 +261,10 @@ def test_classify_turns_matches_eager_reference():
         table = classify_turns(rep)
         assert table.entries == dict(reference)
         assert list(table.entries) == enumerate_turns(rep.graph)
-        # a lazy table decides each turn the same, whatever order it is asked in
-        lazy = LegalityTable(rep)
+        # the gates decide each turn the same, whatever order it is asked in
+        gates = LegalityTable(rep)
         for turn, entry in rng.sample(reference, len(reference)):
-            assert lazy.entry(turn) == entry
+            assert gates.legal(turn) == entry.legal
 
 
 def _large_representatives():
@@ -271,9 +281,9 @@ def test_meeting_times_match_reference_on_long_chains():
         reference = reference_classify_turns(rep).entries
         assert max(e.steps_to_degeneracy or 0 for e in reference.values()) == n - 1
         assert classify_turns(rep).entries == reference
-        lazy = LegalityTable(rep)
+        gates = LegalityTable(rep)
         for turn in rng.sample(list(reference), len(reference)):
-            assert lazy.entry(turn) == reference[turn]
+            assert gates.legal(turn) == reference[turn].legal
 
 
 def _assert_columns_match_reference(rep, rng):
@@ -287,10 +297,10 @@ def _assert_columns_match_reference(rep, rng):
     assert len(decided) == len(cols.steps)
     assert list(decided) == enumerate_turns(rep.graph)
     assert decided == {t: (e.legal, e.degenerate, e.steps_to_degeneracy) for t, e in reference.items()}
-    # a lazy table walks the same lifts one turn at a time, in any order
-    lazy = LegalityTable(rep)
+    # the gates decide each turn the same, one turn at a time, in any order
+    gates = LegalityTable(rep)
     for turn in rng.sample(list(reference), len(reference)):
-        assert lazy.entry(turn) == reference[turn]
+        assert gates.legal(turn) == reference[turn].legal
 
 
 def test_turn_columns_match_reference():
@@ -302,13 +312,46 @@ def test_turn_columns_match_reference():
         _assert_columns_match_reference(rep, rng)
 
 
-def test_verify_rtt_witnesses_unchanged(monkeypatch):
+def _legality_results(rep):
+    """Everything turn legality decides: train track and RTT verdicts, r-legal words, fast-path choices."""
+    words = {}
+    for s in rep.strata().strata:
+        if s.growing:
+            try:
+                words[s.index] = word_str(find_r_legal_hyperbolic(rep, s.index))
+            except InputError as err:
+                words[s.index] = str(err)
+    length = tree_length_function(rep.graph)
+    rng = random.Random(3)
+    elements = [random_word(rep.graph.group, rng, 6) for _ in range(12)]
+    return (
+        verify_train_track(rep),
+        verify_rtt(rep, path_bound=3),
+        words,
+        [_legal_loop_counts(rep, g, length) for g in elements],
+    )
+
+
+def _assert_gates_decide_as_the_reference(reps):
+    """The gate table and the orbit-walking reference give every caller the same answers."""
+    gates = [_legality_results(rep) for rep in reps]
+    tables = {}
+
+    def reference_legality(rep):
+        if rep not in tables:
+            tables[rep] = reference_classify_turns(rep)
+        return tables[rep]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TopologicalRepresentative, "legality", reference_legality)
+        assert [_legality_results(rep) for rep in reps] == gates
+    assert len(tables) == len(reps)  # every representative was decided by the reference
+
+
+def test_verify_rtt_witnesses_unchanged():
     from test_graph_map import _zero_stratum_representative
 
-    reps = [*_reference_representatives(), _zero_stratum_representative()]
-    lazy = [verify_rtt(rep, path_bound=3) for rep in reps]
-    monkeypatch.setattr(TopologicalRepresentative, "legality", reference_classify_turns)
-    assert [verify_rtt(rep, path_bound=3) for rep in reps] == lazy
+    _assert_gates_decide_as_the_reference([*_reference_representatives(), _zero_stratum_representative()])
 
 
 def test_edge_mapping_to_a_point_is_named():
@@ -325,7 +368,6 @@ def test_representative_caches_its_lazy_table(golden):
     rep = golden.representative
     assert rep.legality() is rep.legality()
     assert verify_train_track(rep).ok
-    assert 0 < len(rep.legality()) <= len(classify_turns(rep))
 
 
 # -- legality of paths ------------------------------------------------------------------
@@ -718,15 +760,39 @@ def test_enumeration_and_lazy_table_match_reference_on_random_rose_maps(words, s
     rep = _rose_map(words)
     _assert_enumeration_matches_reference(rep.graph)
     reference = list(reference_classify_turns(rep).entries.items())
-    lazy = LegalityTable(rep)
+    gates = LegalityTable(rep)
     for turn, entry in random.Random(seed).sample(reference, len(reference)):
-        assert lazy.entry(turn) == entry
+        assert gates.legal(turn) == entry.legal
 
 
 @settings(max_examples=100, deadline=None)
 @given(words=_rose_words, seed=st.integers(0, 2**16))
 def test_turn_columns_match_reference_on_random_rose_maps(words, seed):
     _assert_columns_match_reference(_rose_map(words), random.Random(seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=_rose_words)
+@example(words=[[1], [4], [1, 3, 5]])
+def test_gates_decide_as_the_reference_on_random_rose_maps(words):
+    _assert_gates_decide_as_the_reference([_rose_map(words)])
+
+
+def test_illegal_turn_checks_the_seam_last_and_only_stratum_turns_with_r(golden):
+    rep = golden.representative
+    rose = golden.graph
+    # b' a turns legally at {b, a}; its seam turns at {a', b'}, which Df joins in one gate
+    loop = rose.path(0, [(BI, 0), (A, 0)])
+    seam = make_turn(rose, 0, (AI, 0), (BI, 0))
+    assert illegal_turn(rep, loop) is None
+    assert illegal_turn(rep, loop, cyclic=True) == seam == loop_seam_turn(rose, loop)
+    assert not is_r_legal(rep, loop, 1, cyclic=True)
+    # a -> a', b -> c, c -> a' b' c': the image of c turns illegally at {a, b'} first, across strata
+    rep = _rose_map([[1], [4], [1, 3, 5]])
+    image = rep.edge_images[2]
+    assert illegal_turn(rep, image) == make_turn(rep.graph, 0, (0, 0), (3, 0))
+    assert illegal_turn(rep, image, 2) == make_turn(rep.graph, 0, (2, 0), (5, 0))
+    assert illegal_turn(rep, image, 1) is None
 
 
 def test_rtt_decides_past_the_old_path_cap(c2f2):
@@ -811,7 +877,6 @@ def reference_find_r_legal_hyperbolic(rep, r, iteration_cap=16, inverter=None, l
     stratum = dec.strata[r - 1]
     if not stratum.growing:
         raise InputError(f"stratum {r} is a zero stratum")
-    table = rep.legality()
     inverter = inverter if inverter is not None else MarkingInverter(g)
     longest_legal = None
 
@@ -820,7 +885,7 @@ def reference_find_r_legal_hyperbolic(rep, r, iteration_cap=16, inverter=None, l
         for _ in range(iteration_cap):
             path = reduce_path(rep.map_path(path))
             if longest_legal is None or len(path.steps) > len(longest_legal.steps):
-                if is_legal_path(rep, table, path) is None:
+                if illegal_turn(rep, path) is None:
                     longest_legal = path
             vertices = [path.start] + [g.dart_head(d) for d, _ in path.steps]
             n = len(path.steps)
@@ -832,11 +897,11 @@ def reference_find_r_legal_hyperbolic(rep, r, iteration_cap=16, inverter=None, l
                     steps = list(path.steps[i:j])
                     steps[-1] = (steps[-1][0], 0)
                     loop = GraphPath(g, vertices[i], 0, tuple(steps))
-                    word = _reference_accept_loop(rep, r, table, inverter, loop)
+                    word = _reference_accept_loop(rep, r, inverter, loop)
                     if word is not None:
                         return word
 
-    word = _reference_legal_loop_search(rep, r, table, inverter, loop_bound)
+    word = _reference_legal_loop_search(rep, r, inverter, loop_bound)
     if word is not None:
         return word
     raise NonConvergenceError(
@@ -845,19 +910,20 @@ def reference_find_r_legal_hyperbolic(rep, r, iteration_cap=16, inverter=None, l
     )
 
 
-def _reference_accept_loop(rep, r, table, inverter, loop):
+def _reference_accept_loop(rep, r, inverter, loop):
     (dn, en), d1 = loop.steps[-1], loop.steps[0][0]
     if dn ^ 1 == d1 and rep.graph.vertex_mul(loop.start, en, loop.prefix) == 0:
         return None
-    if r_length(rep, loop, r) <= 0 or not is_r_legal(rep, loop, r, table, cyclic=True):
+    if r_length(rep, loop, r) <= 0 or not is_r_legal(rep, loop, r, cyclic=True):
         return None
     word = inverter.element_of_loop_at(loop)
     return word if word.is_hyperbolic() else None
 
 
-def _reference_legal_loop_search(rep, r, table, inverter, loop_bound, max_nodes=200_000):
+def _reference_legal_loop_search(rep, r, inverter, loop_bound, max_nodes=200_000):
     g = rep.graph
     dec = rep.strata()
+    table = rep.legality()
     allowed = dec.filtration(r)
     bound = loop_bound if loop_bound is not None else 2 * g.n_edges + 2
     stratum_edges = set(dec.strata[r - 1].edges)
@@ -874,7 +940,7 @@ def _reference_legal_loop_search(rep, r, table, inverter, loop_bound, max_nodes=
             if seen > max_nodes:
                 return None
             if p.end == p.start:
-                word = _reference_accept_loop(rep, r, table, inverter, p)
+                word = _reference_accept_loop(rep, r, inverter, p)
                 if word is not None:
                     return word
             if len(p.steps) >= bound:
@@ -985,11 +1051,10 @@ def test_r_legal_search_proves_there_is_no_loop():
 def test_r_legal_paths_map_to_r_legal(golden, c2f2):
     for doc in (golden, c2f2):
         rep = doc.representative
-        table = classify_turns(rep)
         dec = rep.strata()
         top = dec.top_stratum
         for m in dec.strata[top - 1].edges:
             p = doc.graph.path(doc.graph.edge_ends[m][0], [(2 * m, 0)])
             for _ in range(4):
                 p = reduce_path(rep.map_path(p))
-                assert is_r_legal(rep, p, top, table)
+                assert is_r_legal(rep, p, top)
