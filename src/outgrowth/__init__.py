@@ -42,7 +42,6 @@ from .legality import (
     Turn,
     classify_turns,
     derivative_turn,
-    enumerate_turns,
     find_r_legal_hyperbolic,
     illegal_turn,
     is_r_legal,

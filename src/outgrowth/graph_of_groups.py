@@ -16,6 +16,7 @@ quotient object; the universal cover is never materialised.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -369,19 +370,28 @@ class MarkedMetricGraph:
 
     # -- validity -----------------------------------------------------------
 
-    def connected(self) -> bool:
-        """True when every vertex is reached from vertex 0 along the darts leaving each vertex."""
-        if self.n_vertices == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            for d in self.darts_at(stack.pop()):
+    def tree_paths(self, root: int | None = None) -> list[GraphPath | None]:
+        """Paths from ``root`` (default: the base) to each vertex along a breadth-first spanning tree.
+
+        Vertices are visited in the order reached and their darts in
+        ``darts_at`` order; a vertex that is not reached gets None.
+        """
+        root = self.base if root is None else root
+        paths: list[GraphPath | None] = [None] * self.n_vertices
+        paths[root] = self.trivial_path(root)
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for d in self.darts_at(v):
                 u = self.dart_head(d)
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n_vertices
+                if paths[u] is None:
+                    paths[u] = GraphPath(self, root, 0, paths[v].steps + ((d, 0),))
+                    queue.append(u)
+        return paths
+
+    def connected(self) -> bool:
+        """True when the search from vertex 0 reaches every vertex; a base out of range is reported apart."""
+        return self.n_vertices > 0 and None not in self.tree_paths(0)
 
     def marks_like(self, other: MarkedMetricGraph) -> bool:
         """True when ``other`` differs from this graph at most in edge lengths and names."""
@@ -557,24 +567,10 @@ class MarkingInverter:
 
     def __init__(self, graph: MarkedMetricGraph):
         self.graph = graph
-        self._tree_paths = self._spanning_tree()
-        self._lift, self._groups = self._fold()
-
-    def _spanning_tree(self) -> list[GraphPath]:
-        g = self.graph
-        paths: list[GraphPath | None] = [None] * g.n_vertices
-        paths[g.base] = g.trivial_path(g.base)
-        queue = [g.base]
-        while queue:
-            v = queue.pop(0)
-            for d in g.darts_at(v):
-                u = g.dart_head(d)
-                if paths[u] is None:
-                    paths[u] = paths[v] * GraphPath(g, v, 0, ((d, 0),))
-                    queue.append(u)
-        if any(p is None for p in paths):
+        self._tree_paths = graph.tree_paths()
+        if None in self._tree_paths:
             raise InputError("graph is not connected")
-        return paths
+        self._lift, self._groups = self._fold()
 
     def tree_path(self, v: int) -> GraphPath:
         return self._tree_paths[v]

@@ -17,11 +17,14 @@ are found by binary lifting on the powers ``Df^(2^k)``, so timing every
 turn costs a few array passes per power.  ``illegal_turn`` is the one walk
 along the turns of a path.
 
-Relative train track injectivity up to a bound is decided exactly: a
-shortest connecting path whose image tightens to a point is found by
-context-free reachability over the positions in the edge images, at a
-cost that does not depend on the bound, and only its length is compared
-with the bound.
+Relative train track injectivity is decided exactly, without a search, on
+maps that pass ``verify_representative``.  Such a map is a homotopy
+equivalence, so it sends the reduced paths from x to y one to one onto
+those from f(x) to f(y) (Serre, *Trees*, 1980): a connecting path can
+tighten to a point only between endpoints x != y with f(x) = f(y), and
+then only one path between them does.  That path is pulled back through
+the declared inverse automorphism; it is a witness when it stays in the
+lower filtration, and only its length is compared with the bound.
 
 Stratum-legal hyperbolic elements are found by an exhaustive cycle search
 in the digraph of r-legal turns, so ``InputError`` there means that no
@@ -32,14 +35,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
 from .free_product import Word
-from .graph_of_groups import GraphPath, MarkedMetricGraph
-from .graph_map import TopologicalRepresentative
+from .graph_of_groups import GraphPath, MarkedMetricGraph, reduce_path
+from .graph_map import TopologicalRepresentative, verify_representative
 
 Direction = tuple[int, int]  # (outgoing dart, vertex-group twist)
 
@@ -104,12 +108,6 @@ def _as_turns(directions: list[Direction], vertex: np.ndarray, first: np.ndarray
         new_turn(Turn, (v, (directions[i], directions[j])))
         for v, i, j in zip(vertex.tolist(), first.tolist(), second.tolist())
     ]
-
-
-def enumerate_turns(graph: MarkedMetricGraph) -> list[Turn]:
-    """All turns of the graph, one representative per vertex-group orbit, sorted."""
-    directions = _directions(graph)
-    return _as_turns(directions, *_turn_pairs(graph, {x: i for i, x in enumerate(directions)}))
 
 
 def _derivative_direction(rep: TopologicalRepresentative, v: int, direction: Direction) -> Direction:
@@ -323,22 +321,28 @@ def verify_rtt(rep: TopologicalRepresentative, path_bound: int | None = None) ->
     lower filtration holds up to ``path_bound`` darts (default: twice the
     edge count; a bound below 1 raises ``InputError``) when no reduced
     decorated connecting path of at most that many darts has an image that
-    tightens to a point.  That is decided exactly, from a shortest such
-    path, at a cost that does not depend on the bound, and the witness is
-    that path when it is no longer than the bound.  ``paths_checked`` is
-    the number of paths the bounded predicate covers, counted in closed form.
+    tightens to a point.  It is decided only on a map that passes
+    ``verify_representative``: such a map is a homotopy equivalence, and
+    the one collapsing path between two endpoints with the same image is
+    pulled back through the declared inverse, so nothing is searched.  The
+    witness is the shortest such path when it is no longer than the bound.
+    ``paths_checked`` is the number of paths the bounded predicate covers,
+    counted in closed form.  On a map that fails verification, germs and
+    legality are still decided, but every injectivity field stays None, so
+    no growing stratum is ``ok``.
     """
     if path_bound is not None and path_bound < 1:
         raise InputError(f"the path bound must be at least 1, not {path_bound}")
     dec = rep.strata()
     rep.legality()  # an edge mapping to a point raises InputError here, before its image is read
+    verified = not verify_representative(rep)
     bound = path_bound if path_bound is not None else 2 * rep.graph.n_edges
     stratum_of = dec.stratum_of
     verdicts = []
     for s in dec.strata:
         v = RttStratumVerdict(s.index, s.growing)
+        verdicts.append(v)
         if not s.growing:
-            verdicts.append(v)
             continue
         r = s.index
         # (1) r-germs: images of stratum edges begin and end in the stratum
@@ -356,12 +360,12 @@ def verify_rtt(rep: TopologicalRepresentative, path_bound: int | None = None) ->
         v.legality_witness = next((t for t in bad if t is not None), None)
         v.legality_ok = v.legality_witness is None
         # (2) injectivity on connecting paths through the lower filtration
-        v.injectivity_bound = bound
-        shortest, v.paths_checked = _rtt_injectivity(rep, dec, r, bound)
-        v.injectivity_ok = shortest is None or len(shortest) > bound
-        if not v.injectivity_ok:
-            v.injectivity_witness = shortest
-        verdicts.append(v)
+        if verified:
+            v.injectivity_bound = bound
+            shortest, v.paths_checked = _rtt_injectivity(rep, dec, r, bound)
+            v.injectivity_ok = shortest is None or len(shortest) > bound
+            if not v.injectivity_ok:
+                v.injectivity_witness = shortest
     return verdicts
 
 
@@ -371,7 +375,8 @@ def _rtt_injectivity(rep, dec, r, bound):
     Returns ``(witness, checked)``: the witness is a shortest reduced
     decorated connecting path in the lower filtration whose image tightens
     to the trivial path, or None when no path of any length does, and
-    ``checked`` counts the connecting paths of 1 to ``bound`` darts.
+    ``checked`` counts the connecting paths of 1 to ``bound`` darts.  The
+    map must pass ``verify_representative``.
     """
     g = rep.graph
     if r <= 1:
@@ -391,7 +396,7 @@ def _rtt_injectivity(rep, dec, r, bound):
         return None, 0
     lower_darts = [d for m in sorted(lower_edges) for d in (2 * m, 2 * m + 1)]
     return (
-        _shortest_collapsing_path(rep, lower_darts, endpoints),
+        _collapsing_path(rep, lower_edges, endpoints),
         _connecting_path_count(g, lower_darts, endpoints, bound),
     )
 
@@ -419,128 +424,32 @@ def _connecting_path_count(g, lower_darts, endpoints, bound):
     return checked
 
 
-def _shortest_collapsing_path(rep, lower_darts, endpoints):
-    """A shortest reduced connecting path whose image tightens to the trivial path, or None.
+def _collapsing_path(rep, lower_edges, endpoints):
+    """The shortest connecting path in ``lower_edges`` whose image tightens to the trivial path, or None.
 
-    The images of connecting paths are the label sequences of paths in one
-    graph.  Each lower dart's image is a chain of nodes, one per position,
-    joined by its dart letters and its nontrivial element letters.  A
-    control node ``(vertex, dart that would backtrack)`` enters the chain of
-    every other lower dart leaving its vertex, through the image's leading
-    element, at cost 1: that move is one dart of the path.  The chain of d
-    ends in a control node at its head for each element e after d, through
-    the image's last element times the twist of e.  An endpoint has a start
-    node, entered from its prefixes, that is no control node, so a path has
-    at least one dart.
-
-    An item ``(p, q, x)`` says that some label path from p to q tightens to
-    the bare vertex-group element x.  Items grow by an element letter, and
-    by a dart letter s, a balanced item from the node after s that tightens
-    to the identity, then the letter ``s ^ 1``: cancelling darts nest, so a
-    word tightens to an element exactly when it parses so (Reps 1998).
-    Items settle in order of least cost, and a cost never falls when items
-    combine (Knuth 1977), so the first item from a start to an endpoint's
-    control node with the identity gives a shortest path, unfolded from
-    back-pointers.  Balanced items start at every node after a dart letter
-    at cost 0.  There are finitely many items, so "none" is decided.
+    The map is a verified homotopy equivalence, so the reduced paths from x
+    to y correspond one to one to the reduced paths from f(x) to f(y).  Only
+    a pair x < y of endpoints with f(x) = f(y) has a collapsing path, then
+    exactly one, and it is pulled back: with tree paths tx and ty from the
+    base, the loop ``tether f(tx) f(ty)^-1 tether^-1`` reads an element u,
+    and the collapsing path is ``tx^-1 loop(psi(u)) ty`` tightened, where psi
+    is the declared inverse automorphism.  It is a witness when all its
+    darts lie in ``lower_edges``.  Of equally short witnesses the one of the
+    least pair (x, y) is returned; it runs from x to y.
     """
     g = rep.graph
-    mul, head = g.vertex_mul, g.dart_head
-    vertex = []  # node -> vertex of its image position
-    moves = []  # node -> [(node, element letter, cost, step (d, e) of the path or None)]
-    dart_out = []  # node -> (dart letter, node after it), or None
-
-    def new_node(v):
-        vertex.append(v)
-        moves.append([])
-        dart_out.append(None)
-        return len(vertex) - 1
-
-    after_letter = {}  # node after a dart letter -> that letter
-    control: dict[tuple[int, int], int] = {}
-    entry = {}  # lower dart -> (first node of its image chain, the image's leading element)
-    for d in lower_darts:
-        img = rep.image_dart(d)
-        node = first = new_node(img.start)
-        elem = 0
-        for sd, se in img.steps:
-            if elem:
-                node, prev = new_node(vertex[node]), node
-                moves[prev].append((node, elem, 0, None))
-            node, prev = new_node(head(sd)), node
-            dart_out[prev] = (sd, node)
-            after_letter[node] = sd
-            elem = se
-        entry[d] = first, img.prefix
-        h = head(d)
-        for e in range(g.vertex_order(h)):
-            key = (h, -1 if e else d ^ 1)
-            if key not in control:
-                control[key] = new_node(rep.vertex_images[h])
-            moves[node].append((control[key], mul(vertex[node], elem, rep.image_element(h, e)), 0, (d, e)))
-    starts = {new_node(rep.vertex_images[v]): v for v in sorted(endpoints)}
-    for (v, back), node in [*control.items(), *(((v, -1), s) for s, v in starts.items())]:
-        moves[node] += [(*entry[d], 1, None) for d in g.darts_at(v) if d in entry and d != back]
-    accepting = {c for (v, _), c in control.items() if v in endpoints}
-
-    # buckets[cost]: (item, back-pointer) in the order found; lists grow while they are walked
-    buckets: list[list] = [[((s, s, rep.image_element(v, pre)), (0, pre, None)) for s, v in starts.items()
-                            for pre in range(g.vertex_order(v))]]
-    buckets[0] += [((y, y, 0), None) for y in after_letter]
-    settled = {}  # item -> back-pointer: (0, prefix, None), (1, item, step) or (2, left item, balanced item)
-    waiting = {y: [] for y in after_letter}  # settled (cost, item) ending just before the letter into y
-    closing = {y: [] for y in after_letter}  # settled (cost, balanced item from y, node after s ^ 1)
-
-    def push(item, cost, back):
-        while len(buckets) <= cost:
-            buckets.append([])
-        buckets[cost].append((item, back))
-
-    for cost, bucket in enumerate(buckets):
-        for item, back in bucket:
-            if item in settled:
-                continue
-            settled[item] = back
-            p, q, x = item
-            if not x and q in accepting and p in starts:
-                return _unfold_path(g, settled, item, starts[p])
-            v = vertex[q]
-            for t, elem, w, step in moves[q]:
-                nxt = (p, t, mul(v, x, elem))
-                if nxt not in settled:
-                    push(nxt, cost + w, (1, item, step))
-            out = dart_out[q]
-            if out is None:
-                continue
-            s, y = out
-            waiting[y].append((cost, item))
-            for c, bal, z in closing[y]:
-                push((p, z, x), cost + c, (2, item, bal))
-            if not x and p in after_letter and s == after_letter[p] ^ 1:
-                closing[p].append((cost, item, y))
-                for c, left in waiting[p]:
-                    push((left[0], y, left[2]), c + cost, (2, left, item))
-    return None
-
-
-def _unfold_path(g, settled, item, start):
-    """The path steps an item's back-pointers record, from right to left on a stack."""
-    steps = []
-    stack = [item]
-    while stack:
-        back = settled[stack.pop()]
-        if back is None:
+    inv = g.marking_inverter()
+    tether, back, psi = rep.tether, rep.tether.inverse(), rep.automorphism.inverse
+    best = None
+    for x, y in combinations(sorted(endpoints), 2):
+        if rep.vertex_images[x] != rep.vertex_images[y]:
             continue
-        kind, a, b = back
-        if kind == 0:
-            prefix = a
-        elif kind == 1:
-            if b is not None:
-                steps.append(b)
-            stack.append(a)
-        else:
-            stack += (a, b)
-    return GraphPath(g, start, prefix, tuple(reversed(steps)))
+        tx, ty = inv.tree_path(x), inv.tree_path(y)
+        u = inv.element_of_loop(tether * rep.map_path(tx) * rep.map_path(ty).inverse() * back)
+        path = reduce_path(tx.inverse() * g.loop_of_element(psi.apply(u)) * ty)
+        if all(d >> 1 in lower_edges for d, _ in path.steps) and (best is None or len(path) < len(best)):
+            best = path
+    return best
 
 
 # -- producing legal hyperbolic elements ----------------------------------------

@@ -100,5 +100,141 @@ def chord_text(n: int) -> str:
     return _rose_document(images, inverse)
 
 
+# Verified maps that send other vertices to v0, so connecting paths between
+# them can collapse.  pinch_f3 and pinch_c2f2 send v1 to v0, and one path
+# from v0 to v1 in the lower filtration collapses: at --rtt-bound 2 in F3
+# (a' e) and at 3 in C2 * F2, where the petal a becomes the spoke sP and e
+# maps through P:1.  pinch_ties sends v1 and v2 to v0, and the three pairs
+# of them have collapsing paths of two darts each: a' e1, a' e2 and e1' e2.
+# pinch_tree, a non-identity map of the identity, sends
+# v1 and v2 to v0; the lower filtration {l, t} keeps v0 apart from the
+# tree edge t, so every collapsing connecting path leaves it.
+PINCH_TEXTS = {
+    "pinch_f3": """[presentation]
+free = a c d
+[graph]
+vertices = v0 v1
+base = v0
+edge a = v0 v0 1.0
+edge e = v0 v1 1.0
+edge c = v0 v1 1.0
+edge d = v0 v1 1.0
+marking a = a
+marking c = c e'
+marking d = d e'
+[automorphism]
+free a = a
+free c = d a'
+free d = c d a'
+[inverse]
+free a = a
+free c = d c'
+free d = c a
+[map]
+vertex v0 = v0
+vertex v1 = v0
+edge a = a
+edge e = a
+edge c = d e'
+edge d = c e' d e'
+tether =
+""",
+    "pinch_c2f2": """[presentation]
+free = c d
+factors = P
+[factor P]
+cyclic = 2
+[graph]
+vertices = v0 v1 vP
+base = v0
+vertex vP = P
+edge sP = v0 vP 0.5
+edge e = v0 v1 1.0
+edge c = v0 v1 1.0
+edge d = v0 v1 1.0
+marking c = c e'
+marking d = d e'
+marking P = sP
+[automorphism]
+free c = d P:1
+free d = c d P:1
+factor P = P : 0 1
+[inverse]
+free c = d c'
+free d = c P:1
+factor P = P : 0 1
+[map]
+vertex v0 = v0
+vertex v1 = v0
+vertex vP = vP
+twist vP = 0 1
+edge sP = sP
+edge e = sP P:1 sP'
+edge c = d e'
+edge d = c e' d e'
+tether =
+""",
+    "pinch_ties": """[presentation]
+free = a c d
+[graph]
+vertices = v0 v1 v2
+base = v0
+edge a = v0 v0 1.0
+edge e1 = v0 v1 1.0
+edge e2 = v0 v2 1.0
+edge c = v0 v1 1.0
+edge d = v0 v2 1.0
+marking a = a
+marking c = c e1'
+marking d = d e2'
+[automorphism]
+free a = a
+free c = d a'
+free d = c d a'
+[inverse]
+free a = a
+free c = d c'
+free d = c a
+[map]
+vertex v0 = v0
+vertex v1 = v0
+vertex v2 = v0
+edge a = a
+edge e1 = a
+edge e2 = a
+edge c = d e2'
+edge d = c e1' d e2'
+tether =
+""",
+    "pinch_tree": """[presentation]
+free = x y
+[graph]
+vertices = v0 v1 v2
+base = v0
+edge l = v0 v0 1.0
+edge t = v1 v2 1.0
+edge h1 = v0 v1 1.0
+edge h2 = v0 v2 1.0
+marking x = l
+marking y = h1 t h2'
+[automorphism]
+free x = x
+free y = y
+[inverse]
+free x = x
+free y = y
+[map]
+vertex v0 = v0
+vertex v1 = v0
+vertex v2 = v0
+edge l = l
+edge t = l
+edge h1 = h1 t h2' h1 t h2'
+edge h2 = h1 t h2' l
+tether =
+""",
+}
+
+
 def load_text(text: str):
     return parse_document(text, name="generated")

@@ -76,6 +76,23 @@ def test_validate_disconnected():
     assert "disconnected" in codes
 
 
+def test_validate_reports_a_base_out_of_range_and_searches_from_vertex_0():
+    G = FreeProduct(free_rank=1, free_names=["x"])
+    graph = MarkedMetricGraph(G, 1, [(0, 0, 1.0)], [None], 5)
+    assert [v.code for v in validate_graph(graph)] == ["bad base"]
+
+
+def test_tree_paths_are_breadth_first_in_dart_order():
+    G = FreeProduct(free_rank=1, free_names=["x"])
+    # the square v0 v1 v2 v3: v2 is reached through v1, over the first dart leaving v0
+    graph = MarkedMetricGraph(G, 4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)], [None] * 4, 0)
+    assert [graph.path_str(p) for p in graph.tree_paths()] == ["(trivial)", "e0", "e0 e1", "e3'"]
+    assert [graph.path_str(p) for p in graph.tree_paths(2)] == ["e1' e0'", "e1'", "(trivial)", "e2"]
+    graph.free_marking = (graph.path(0, [(0, 0), (2, 0), (4, 0), (6, 0)]),)
+    assert graph.connected() and validate_graph(graph) == []
+    assert [graph.marking_inverter().tree_path(v) for v in range(4)] == graph.tree_paths()
+
+
 @pytest.mark.parametrize("end", [3, -1])
 def test_validate_bad_edge_end(end):
     G = FreeProduct(free_rank=1, free_names=["x"])
@@ -302,7 +319,7 @@ class ReferenceInverter(MarkingInverter):
         self.graph = graph
         self.budget = budget
         self.cap = cap
-        self._tree_paths = self._spanning_tree()
+        self._tree_paths = graph.tree_paths()
         self._basis = self._basis_words()
 
     def _basis_words(self):

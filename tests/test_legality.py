@@ -1,10 +1,13 @@
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from outgrowth import (
+    FACTOR,
+    FREE,
     Automorphism,
     FiniteGroupTable,
     FreeProduct,
@@ -17,7 +20,6 @@ from outgrowth import (
     classify_turns,
     cyclically_reduce,
     derivative_turn,
-    enumerate_turns,
     find_r_legal_hyperbolic,
     illegal_turn,
     is_r_legal,
@@ -39,13 +41,17 @@ from outgrowth.dynamics import _legal_loop_counts
 from outgrowth.legality import (
     Turn,
     TurnEntry,
+    _as_turns,
+    _connecting_path_count,
+    _directions,
     _rtt_injectivity,
+    _turn_pairs,
     _turn_r_ok,
     loop_seam_turn,
     path_turns,
 )
 
-from conftest import chord_text, load_text, random_word, tower_text
+from conftest import PINCH_TEXTS, chord_text, load_text, random_word, tower_text
 from test_graph_map import identity_representative
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -55,6 +61,12 @@ A, AI, B, BI = 0, 1, 2, 3
 
 
 # -- turn enumeration ------------------------------------------------------------
+
+
+def enumerate_turns(graph):
+    """All turns of the graph, one per vertex-group orbit, sorted: the turn columns as turns."""
+    directions = _directions(graph)
+    return _as_turns(directions, *_turn_pairs(graph, {x: i for i, x in enumerate(directions)}))
 
 
 def test_enumerate_f2_rose(f2):
@@ -494,17 +506,7 @@ def reference_rtt_injectivity(rep, dec, r, bound, max_paths):
     g = rep.graph
     if r <= 1:
         return None, 0
-    lower_edges = dec.filtration(r - 1)
-    stratum_edges = set(dec.strata[r - 1].edges)
-    touches_high = set()
-    touches_low = set()
-    for m in range(g.n_edges):
-        t, h = g.edge_ends[m]
-        if m in stratum_edges:
-            touches_high.update((t, h))
-        if m in lower_edges:
-            touches_low.update((t, h))
-    endpoints = touches_high & touches_low
+    lower_edges, endpoints = _connecting_ends(g, dec, r)
     if not endpoints:
         return None, 0
     checked = 0
@@ -537,6 +539,176 @@ def reference_rtt_injectivity(rep, dec, r, bound, max_paths):
     return None, checked
 
 
+def _connecting_ends(g, dec, r):
+    """The lower filtration's edges, and the vertices both it and stratum r touch."""
+    lower_edges = dec.filtration(r - 1)
+    stratum_edges = set(dec.strata[r - 1].edges)
+    touches_high = set()
+    touches_low = set()
+    for m in range(g.n_edges):
+        t, h = g.edge_ends[m]
+        if m in stratum_edges:
+            touches_high.update((t, h))
+        if m in lower_edges:
+            touches_low.update((t, h))
+    return lower_edges, touches_high & touches_low
+
+
+# The Dyck search that the pull-back through the inverse replaced.  It reads
+# only the edge images, so it decides on maps that are not homotopy
+# equivalences too, where the pull-back does not apply.  Kept as the
+# reference for witnesses and their lengths.
+def reference_shortest_collapsing_path(rep, lower_darts, endpoints):
+    """A shortest reduced connecting path whose image tightens to the trivial path, or None.
+
+    The images of connecting paths are the label sequences of paths in one
+    graph.  Each lower dart's image is a chain of nodes, one per position,
+    joined by its dart letters and its nontrivial element letters.  A
+    control node ``(vertex, dart that would backtrack)`` enters the chain of
+    every other lower dart leaving its vertex, through the image's leading
+    element, at cost 1: that move is one dart of the path.  The chain of d
+    ends in a control node at its head for each element e after d, through
+    the image's last element times the twist of e.  An endpoint has a start
+    node, entered from its prefixes, that is no control node, so a path has
+    at least one dart.
+
+    An item ``(p, q, x)`` says that some label path from p to q tightens to
+    the bare vertex-group element x.  Items grow by an element letter, and
+    by a dart letter s, a balanced item from the node after s that tightens
+    to the identity, then the letter ``s ^ 1``: cancelling darts nest, so a
+    word tightens to an element exactly when it parses so (Reps 1998).
+    Items settle in order of least cost, and a cost never falls when items
+    combine (Knuth 1977), so the first item from a start to an endpoint's
+    control node with the identity gives a shortest path, unfolded from
+    back-pointers.  Balanced items start at every node after a dart letter
+    at cost 0.  There are finitely many items, so "none" is decided.
+    """
+    g = rep.graph
+    mul, head = g.vertex_mul, g.dart_head
+    vertex = []  # node -> vertex of its image position
+    moves = []  # node -> [(node, element letter, cost, step (d, e) of the path or None)]
+    dart_out = []  # node -> (dart letter, node after it), or None
+
+    def new_node(v):
+        vertex.append(v)
+        moves.append([])
+        dart_out.append(None)
+        return len(vertex) - 1
+
+    after_letter = {}  # node after a dart letter -> that letter
+    control: dict[tuple[int, int], int] = {}
+    entry = {}  # lower dart -> (first node of its image chain, the image's leading element)
+    for d in lower_darts:
+        img = rep.image_dart(d)
+        node = first = new_node(img.start)
+        elem = 0
+        for sd, se in img.steps:
+            if elem:
+                node, prev = new_node(vertex[node]), node
+                moves[prev].append((node, elem, 0, None))
+            node, prev = new_node(head(sd)), node
+            dart_out[prev] = (sd, node)
+            after_letter[node] = sd
+            elem = se
+        entry[d] = first, img.prefix
+        h = head(d)
+        for e in range(g.vertex_order(h)):
+            key = (h, -1 if e else d ^ 1)
+            if key not in control:
+                control[key] = new_node(rep.vertex_images[h])
+            moves[node].append((control[key], mul(vertex[node], elem, rep.image_element(h, e)), 0, (d, e)))
+    starts = {new_node(rep.vertex_images[v]): v for v in sorted(endpoints)}
+    for (v, back), node in [*control.items(), *(((v, -1), s) for s, v in starts.items())]:
+        moves[node] += [(*entry[d], 1, None) for d in g.darts_at(v) if d in entry and d != back]
+    accepting = {c for (v, _), c in control.items() if v in endpoints}
+
+    # buckets[cost]: (item, back-pointer) in the order found; lists grow while they are walked
+    buckets: list[list] = [[((s, s, rep.image_element(v, pre)), (0, pre, None)) for s, v in starts.items()
+                            for pre in range(g.vertex_order(v))]]
+    buckets[0] += [((y, y, 0), None) for y in after_letter]
+    settled = {}  # item -> back-pointer: (0, prefix, None), (1, item, step) or (2, left item, balanced item)
+    waiting = {y: [] for y in after_letter}  # settled (cost, item) ending just before the letter into y
+    closing = {y: [] for y in after_letter}  # settled (cost, balanced item from y, node after s ^ 1)
+
+    def push(item, cost, back):
+        while len(buckets) <= cost:
+            buckets.append([])
+        buckets[cost].append((item, back))
+
+    for cost, bucket in enumerate(buckets):
+        for item, back in bucket:
+            if item in settled:
+                continue
+            settled[item] = back
+            p, q, x = item
+            if not x and q in accepting and p in starts:
+                return _unfold_path(g, settled, item, starts[p])
+            v = vertex[q]
+            for t, elem, w, step in moves[q]:
+                nxt = (p, t, mul(v, x, elem))
+                if nxt not in settled:
+                    push(nxt, cost + w, (1, item, step))
+            out = dart_out[q]
+            if out is None:
+                continue
+            s, y = out
+            waiting[y].append((cost, item))
+            for c, bal, z in closing[y]:
+                push((p, z, x), cost + c, (2, item, bal))
+            if not x and p in after_letter and s == after_letter[p] ^ 1:
+                closing[p].append((cost, item, y))
+                for c, left in waiting[p]:
+                    push((left[0], y, left[2]), c + cost, (2, left, item))
+    return None
+
+
+def _unfold_path(g, settled, item, start):
+    """The path steps an item's back-pointers record, from right to left on a stack."""
+    steps = []
+    stack = [item]
+    while stack:
+        back = settled[stack.pop()]
+        if back is None:
+            continue
+        kind, a, b = back
+        if kind == 0:
+            prefix = a
+        elif kind == 1:
+            if b is not None:
+                steps.append(b)
+            stack.append(a)
+        else:
+            stack += (a, b)
+    return GraphPath(g, start, prefix, tuple(reversed(steps)))
+
+
+def reference_dyck_injectivity(rep, dec, r, bound):
+    """``_rtt_injectivity`` with its witness from the Dyck search: defined on any map."""
+    g = rep.graph
+    if r <= 1:
+        return None, 0
+    lower_edges, endpoints = _connecting_ends(g, dec, r)
+    if not endpoints:
+        return None, 0
+    lower_darts = [d for m in sorted(lower_edges) for d in (2 * m, 2 * m + 1)]
+    return (
+        reference_shortest_collapsing_path(rep, lower_darts, endpoints),
+        _connecting_path_count(g, lower_darts, endpoints, bound),
+    )
+
+
+def reference_verify_rtt(rep, path_bound=None):
+    """``verify_rtt`` with injectivity decided by the Dyck search, on maps it does not verify too."""
+    verdicts = verify_rtt(rep, path_bound)
+    bound = path_bound or 2 * rep.graph.n_edges
+    for v in verdicts:
+        if v.growing:
+            shortest, v.paths_checked = reference_dyck_injectivity(rep, rep.strata(), v.stratum, bound)
+            v.injectivity_bound, v.injectivity_ok = bound, shortest is None or len(shortest) > bound
+            v.injectivity_witness = None if v.injectivity_ok else shortest
+    return verdicts
+
+
 def _injectivity_outcome(rep, r, bound, max_paths=200_000):
     """The reference's (witness, paths checked), or its message when it hits its cap."""
     try:
@@ -550,8 +722,8 @@ def _assert_collapses(rep, path):
     assert path.is_reduced() and image.steps == () and image.prefix == 0
 
 
-def _assert_searches_agree(rep, bounds, max_paths=200_000):
-    """The shortest collapsing path against the reference at every bound.
+def _assert_searches_agree(rep, bounds, max_paths=200_000, injectivity=_rtt_injectivity):
+    """The shortest collapsing path, found by ``injectivity``, against the reference at every bound.
 
     Either finds a path up to the bound exactly when the other does; the
     shortest path is reduced, tightens to the trivial path and is as long
@@ -564,7 +736,7 @@ def _assert_searches_agree(rep, bounds, max_paths=200_000):
         if not s.growing:
             continue
         for bound in bounds:
-            shortest, checked = _rtt_injectivity(rep, dec, s.index, bound)
+            shortest, checked = injectivity(rep, dec, s.index, bound)
             expected = _injectivity_outcome(rep, s.index, bound, max_paths)
             if isinstance(expected, str):
                 assert checked > max_paths, (s.index, bound)
@@ -576,7 +748,7 @@ def _assert_searches_agree(rep, bounds, max_paths=200_000):
                 assert checked >= count
             else:
                 assert checked == count, (s.index, bound)
-        shortest, _ = _rtt_injectivity(rep, dec, s.index, 1)
+        shortest, _ = injectivity(rep, dec, s.index, 1)
         if shortest is not None:
             _assert_collapses(rep, shortest)
             n = len(shortest)
@@ -611,11 +783,11 @@ def test_rtt_injectivity_matches_reference_on_towers():
 def test_rtt_injectivity_matches_reference_through_vertex_groups(c2f2):
     # the lower filtration {a, sP} passes through vP with nontrivial P elements
     through = _c2f2_variant(c2f2, "a", "b sP P:1 sP' a", "sP")
-    _assert_searches_agree(through, range(1, 9))
-    assert _rtt_injectivity(through, through.strata(), 3, 8) == (None, 193)
+    _assert_searches_agree(through, range(1, 9), injectivity=reference_dyck_injectivity)
+    assert reference_dyck_injectivity(through, through.strata(), 3, 8) == (None, 193)
     assert _injectivity_outcome(through, 3, 8) == (None, 193)
     collapsing = _c2f2_variant(c2f2, "sP P:1 sP'", "b a", "sP")
-    _assert_searches_agree(collapsing, range(1, 9))
+    _assert_searches_agree(collapsing, range(1, 9), injectivity=reference_dyck_injectivity)
 
 
 def test_rtt_injectivity_cap_matches_reference(c2f2):
@@ -626,29 +798,182 @@ def test_rtt_injectivity_cap_matches_reference(c2f2):
     assert _rtt_injectivity(rep, rep.strata(), 2, 10) == (None, 118_096)
 
 
-def test_rtt_injectivity_finds_collapsing_paths(c2f2):
+def _squashed_tower():
+    """Tower 3 with a2 -> a1: not a homotopy equivalence, and a1 a2' collapses."""
     tower = load_text(tower_text(3)).representative
     g = tower.graph
     images = [parse_path(g, text, g.base) for text in ("a1", "a1", "a3 a2")]
-    squashed = TopologicalRepresentative(g, tower.automorphism, tower.vertex_images, images)
+    return TopologicalRepresentative(g, tower.automorphism, tower.vertex_images, images)
+
+
+def test_rtt_injectivity_finds_collapsing_paths(c2f2):
+    squashed = _squashed_tower()
+    g = squashed.graph
     witness, checked = reference_rtt_injectivity(squashed, squashed.strata(), 3, 6, 200_000)
     assert g.path_str(witness) == "a2' a2' a2' a1 a2 a2"
     assert checked == 36
-    v3 = verify_rtt(squashed, path_bound=6)[2]
+    v3 = reference_verify_rtt(squashed, path_bound=6)[2]
     assert v3.stratum == 3 and v3.injectivity_ok is False
     assert g.path_str(v3.injectivity_witness) == "a1 a2'"
     assert v3.paths_checked == 4 * (1 + 3 + 9 + 27 + 81 + 243)  # every path up to the bound, as with none
-    assert verify_rtt(squashed, path_bound=1)[2].injectivity_ok is True
+    assert reference_verify_rtt(squashed, path_bound=1)[2].injectivity_ok is True
 
     collapsing = _c2f2_variant(c2f2, "sP P:1 sP'", "b a", "sP")
     witness, checked = reference_rtt_injectivity(collapsing, collapsing.strata(), 3, 8, 200_000)
     assert collapsing.graph.path_str(witness) == "sP P:1 sP' a'"
     assert checked == 2
-    shortest, _ = _rtt_injectivity(collapsing, collapsing.strata(), 3, 8)
+    shortest, _ = reference_dyck_injectivity(collapsing, collapsing.strata(), 3, 8)
     assert collapsing.graph.path_str(shortest) == "a a"
 
     for rep, w in ((squashed, v3.injectivity_witness), (collapsing, shortest), (collapsing, witness)):
         _assert_collapses(rep, w)
+
+
+def test_verify_rtt_leaves_injectivity_undecided_on_a_map_it_does_not_verify():
+    squashed = _squashed_tower()
+    assert verify_representative(squashed)
+    verdicts = verify_rtt(squashed, path_bound=6)
+    v3 = verdicts[2]
+    assert v3.injectivity_ok is None and v3.ok is False
+    assert (v3.injectivity_witness, v3.injectivity_bound, v3.paths_checked) == (None, None, None)
+    assert v3.germs_ok is not None and v3.legality_ok is not None
+    decided = [(v.germs_ok, v.germ_witness, v.legality_ok, v.legality_witness) for v in verdicts]
+    assert decided == [(v.germs_ok, v.germ_witness, v.legality_ok, v.legality_witness)
+                       for v in reference_verify_rtt(squashed, path_bound=6)]
+
+
+def _witness_lengths(verdicts):
+    return [replace(v, injectivity_witness=v.injectivity_witness and len(v.injectivity_witness)) for v in verdicts]
+
+
+def _assert_pullback_matches_dyck(rep, bounds):
+    """On a verified map, the pulled-back witnesses against the Dyck search's.
+
+    The shortest collapsing paths are equally long, tighten to the trivial
+    path and run from the smaller vertex, and at every bound ``verify_rtt``
+    agrees with the Dyck search's verdicts up to the witnesses' direction.
+    """
+    assert verify_representative(rep) == []
+    dec = rep.strata()
+    for s in dec.strata:
+        if s.growing:
+            got, want = (search(rep, dec, s.index, 1)[0] for search in (_rtt_injectivity, reference_dyck_injectivity))
+            assert (got is None) == (want is None), s.index
+            if got is not None:
+                assert len(got) == len(want) and got.start < got.end
+                _assert_collapses(rep, got)
+    for bound in bounds:
+        assert _witness_lengths(verify_rtt(rep, bound)) == _witness_lengths(reference_verify_rtt(rep, bound))
+
+
+def test_rtt_pullback_matches_the_dyck_search_on_verified_maps():
+    from test_graph_map import _zero_stratum_representative
+
+    for rep in [*_reference_representatives(), _zero_stratum_representative()]:
+        _assert_pullback_matches_dyck(rep, [1, 2, 3, None])
+
+
+def test_rtt_pullback_finds_the_collapsing_path_on_the_pinch_documents():
+    # both maps send v1 to v0, and the one path from v0 to v1 that collapses stays in the lower filtration
+    expected = {"pinch_f3": ("a' e", 2), "pinch_c2f2": ("sP P:1 sP' e", 3)}
+    for name in expected:
+        rep = load_text(PINCH_TEXTS[name]).representative
+        _assert_pullback_matches_dyck(rep, [1, 2, 3, 4, None])
+        witness, fails_from = expected[name]
+        for bound in range(1, 5):
+            v = verify_rtt(rep, bound)[2]
+            assert v.injectivity_ok is (bound < fails_from), (name, bound)
+        assert rep.graph.path_str(verify_rtt(rep, 4)[2].injectivity_witness) == witness
+
+
+def test_rtt_pullback_drops_collapsing_paths_that_leave_the_lower_filtration():
+    rep = load_text(PINCH_TEXTS["pinch_tree"]).representative
+    g = rep.graph
+    _assert_pullback_matches_dyck(rep, [1, 3, 8, None])
+    assert [s.edges for s in rep.strata().strata] == [(0,), (1,), (2, 3)]
+    assert all(v.injectivity_ok for v in verify_rtt(rep, 8) if v.growing)
+    # v0, v1 and v2 all map to v0, and the collapsing paths between them cross h1 and h2 of stratum 3
+    lower_edges, endpoints = _connecting_ends(g, rep.strata(), 3)
+    assert endpoints == {0, 1, 2}
+    for y in (1, 2):
+        two_ends = legality._collapsing_path(rep, set(range(g.n_edges)), {0, y})
+        _assert_collapses(rep, two_ends)
+        assert {d >> 1 for d, _ in two_ends.steps} >= {2, 3}
+
+
+def test_rtt_pullback_breaks_ties_by_the_least_pair():
+    rep = load_text(PINCH_TEXTS["pinch_ties"]).representative
+    g = rep.graph
+    _assert_pullback_matches_dyck(rep, [1, 2, 3, None])
+    assert g.path_str(verify_rtt(rep, 2)[3].injectivity_witness) == "a' e1"
+    lower_edges = rep.strata().filtration(3)
+    for ends, path in (({0, 2}, "a' e2"), ({1, 2}, "e1' e2")):
+        assert g.path_str(legality._collapsing_path(rep, lower_edges, ends)) == path
+
+
+_PINCH_DOCS = {name: load_text(PINCH_TEXTS[name]) for name in ("pinch_f3", "pinch_c2f2")}
+
+
+def _pinch_variant(name, moves, target, letters):
+    """A pinch document's graph and marking under another automorphism and image of e.
+
+    The automorphism is the document's, then each move ``(i, y, left)``,
+    which multiplies free generator i by the letter y on that side.  The
+    image of e is the loop of ``letters`` followed by the tree path to
+    ``target``, the image of v1.  The rest follows from the marking
+    identity with an empty tether: the petal a maps to the loop of phi(a),
+    x in {c, d}, marked ``x e'``, to the loop of phi(x) and then the image
+    of e, and sP to itself.  So the map is verified when no image is empty.
+    """
+    doc = _PINCH_DOCS[name]
+    g, G, auto = doc.graph, doc.graph.group, doc.representative.automorphism
+    phi = list(auto.free_images)
+    psi = list(auto.inverse.free_images)
+    for i, letter, left in moves:
+        x, y = G.free(i), G.word([letter])
+        mu = [G.free(j) for j in range(G.free_rank)]
+        mu_inv = list(mu)
+        mu[i], mu_inv[i] = (y * x, y.inverse() * x) if left else (x * y, x * y.inverse())
+        phi = [Automorphism(G, phi).apply(w) for w in mu]
+        psi = [Automorphism(G, mu_inv).apply(w) for w in psi]
+    auto = Automorphism(G, phi, inverse=Automorphism(G, psi))
+    fe = reduce_path(g.loop_of_element(G.word(letters)) * g.marking_inverter().tree_path(target))
+    images = []
+    for m, edge in enumerate(g.edge_names):
+        if edge == "e":
+            images.append(fe)
+        elif edge in ("c", "d"):
+            images.append(reduce_path(g.loop_of_element(auto.apply(G.free(G.free_names.index(edge)))) * fe))
+        elif edge == "a":
+            images.append(g.loop_of_element(auto.apply(G.free(0))))
+        else:
+            images.append(doc.representative.edge_images[m])
+    vertex_images = [0, target, *doc.representative.vertex_images[2:]]
+    rep = doc.representative
+    return TopologicalRepresentative(g, auto, vertex_images, images, vertex_isos=rep.vertex_isos)
+
+
+@st.composite
+def _pinch_maps(draw):
+    name = draw(st.sampled_from(["pinch_f3", "pinch_c2f2"]))
+    G = _PINCH_DOCS[name].graph.group
+    free = [(FREE, j, sign) for j in range(G.free_rank) for sign in (1, -1)]
+    factor = [(FACTOR, 0, 1)] if G.factors else []
+    moves = []
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, G.free_rank - 1))
+        y = draw(st.sampled_from([x for x in free if x[1] != i] + factor))
+        moves.append((i, y, draw(st.booleans())))
+    target = draw(st.integers(0, _PINCH_DOCS[name].graph.n_vertices - 1))
+    letters = draw(st.lists(st.sampled_from(free + factor), max_size=3))
+    return _pinch_variant(name, moves, target, letters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=_pinch_maps())
+def test_rtt_pullback_matches_the_dyck_search_on_random_pinch_maps(rep):
+    assume(all(p.steps for p in rep.edge_images))
+    _assert_pullback_matches_dyck(rep, [1, 3])
 
 
 @st.composite
@@ -683,7 +1008,7 @@ def _c2f2_image(draw, end):
 def test_rtt_injectivity_matches_reference_on_random_maps_through_vertex_groups(c2f2, a, b, sP):
     g = c2f2.graph
     rep = _c2f2_variant(c2f2, *(GraphPath(g, 0, 0, steps) for steps in (a, b, sP)))
-    _assert_searches_agree(rep, range(1, 7))
+    _assert_searches_agree(rep, range(1, 7), injectivity=reference_dyck_injectivity)
 
 
 _rose_words = st.lists(
@@ -706,7 +1031,7 @@ def _rose_map(words):
 @settings(max_examples=200, deadline=None)
 @given(words=_rose_words, bound=st.integers(1, 5))
 def test_rtt_injectivity_matches_reference_on_random_rose_maps(words, bound):
-    _assert_searches_agree(_rose_map(words), [bound])
+    _assert_searches_agree(_rose_map(words), [bound], injectivity=reference_dyck_injectivity)
 
 
 @settings(max_examples=200, deadline=None)
