@@ -9,7 +9,6 @@ from .free_product import (
     FiniteGroupTable,
     FreeProduct,
     Word,
-    is_hyperbolic,
     relative_conjugacy_length,
     relative_length,
     word_str,
@@ -44,9 +43,7 @@ from .legality import (
     derivative_turn,
     find_r_legal_hyperbolic,
     illegal_turn,
-    is_r_legal,
     make_turn,
-    turn_columns,
     verify_rtt,
     verify_train_track,
 )
@@ -62,10 +59,8 @@ from .dynamics import (
     growth_report,
     growth_sequence,
     index_count,
-    index_total,
     lipschitz_constant,
     relative_length_function,
-    spectral_growth_rate,
     stretch_lower_bound,
     tree_length_function,
 )

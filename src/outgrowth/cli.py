@@ -34,7 +34,7 @@ from .errors import InputError, NonConvergenceError, ResourceLimitError
 from .examples import BUNDLED, bundled_text
 from .free_product import Word, word_str
 from .graph_map import PF_TOLERANCE, TopologicalRepresentative, verify_representative
-from .legality import turn_columns, verify_rtt, verify_train_track
+from .legality import classify_turns, verify_rtt, verify_train_track
 from .graph_of_groups import MarkedMetricGraph
 
 #: the exit code of each library error; success exits 0
@@ -326,7 +326,7 @@ def analyze(doc, rep, fmt):
             }
         )
     # every format decides the turns; csv prints none of them
-    turns = turn_columns(rep.legality())
+    turns = classify_turns(rep)
     record = {
         "input": doc.name,
         "transition_matrix": dec.matrix.tolist(),

@@ -244,6 +244,8 @@ def parse_document(text: str, name: str = "") -> InputDocument:
             budget = int(value)
         except ValueError:
             raise InputError(f"line {n_line}: search budget must be an integer")
+        if budget < 1:
+            raise InputError(f"line {n_line}: search budget must be positive")
     group = FreeProduct(factors, len(free_names), free_names or None, search_budget=budget)
     if "relative-generators" in pres:
         n_line, value = pres["relative-generators"]

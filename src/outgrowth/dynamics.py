@@ -308,12 +308,6 @@ def growth_report(
 # -- spectral and Lipschitz data ----------------------------------------------
 
 
-def spectral_growth_rate(rep: TopologicalRepresentative) -> tuple[float, int]:
-    """Largest stratum eigenvalue and the highest stratum index attaining it."""
-    dec = rep.strata()
-    return dec.top_eigenvalue, dec.top_stratum
-
-
 def lipschitz_constant(
     rep: TopologicalRepresentative, metric: MarkedMetricGraph | None = None
 ) -> tuple[float, int]:
@@ -488,11 +482,6 @@ def index_count(k: int, r: int, m: int) -> int:
     if not (1 <= r <= m and k >= 1):
         raise InputError("index_count requires 1 <= r <= m and k >= 1")
     return math.comb(k + m - r, k)
-
-
-def index_total(k: int, m: int) -> int:
-    """Sum of index_count(k, r, m) over r = 1..m (integer part of the bound polynomial)."""
-    return sum(index_count(k, r, m) for r in range(1, m + 1))
 
 
 @dataclass

@@ -100,8 +100,8 @@ class FreeProduct:
     ``relative_generators`` defaults to the free basis; with the default,
     relative lengths are exact syllable counts.  An extended generating set
     switches length computations to a bounded breadth-first search over
-    products of letters (``search_budget`` letters, ``SEARCH_CAP`` distinct
-    elements).
+    products of letters (``search_budget`` letters, at least 1, and
+    ``SEARCH_CAP`` distinct elements).
     """
 
     def __init__(
@@ -140,6 +140,8 @@ class FreeProduct:
                 self.tokens.update(
                     (f"{name}:{a}", ((FACTOR, i, a),)) for a in range(1, self.factors[i].order)
                 )
+        if search_budget < 1:
+            raise InputError("search budget must be positive")
         self.search_budget = search_budget
         self._ball: dict[Word, int] | None = None
         self._frontier: list[Word] | None = None
@@ -464,10 +466,6 @@ def relative_conjugacy_length(w: Word) -> int:
     return min(
         relative_length(Word(w.group, syls[r:] + syls[:r])) for r in range(len(syls))
     )
-
-
-def is_hyperbolic(w: Word) -> bool:
-    return w.is_hyperbolic()
 
 
 # -- automorphisms ----------------------------------------------------------

@@ -64,6 +64,7 @@ class TopologicalRepresentative:
         self._odd_images: dict[int, GraphPath] = {}
         self._strata: StrataDecomposition | None = None
         self._legality = None
+        self._violations: list[Violation] | None = None
 
     # -- the map ----------------------------------------------------------
 
@@ -118,7 +119,8 @@ class TopologicalRepresentative:
         """The gates of the derivative on directions (cached).
 
         Returns a ``legality.LegalityTable``, whose ``legal`` is a lookup of
-        a turn's two gates; ``legality.turn_columns`` times every turn at once.
+        a turn's two gates; ``legality.classify_turns`` times every turn at
+        once on it.
         """
         if self._legality is None:
             from .legality import LegalityTable  # the turn calculus builds on this module
@@ -128,7 +130,18 @@ class TopologicalRepresentative:
 
 
 def verify_representative(rep: TopologicalRepresentative) -> list[Violation]:
-    """All structural invariants plus the exact marking identity per generator."""
+    """All structural invariants plus the exact marking identity per generator.
+
+    The checks run once per representative, as its strata and gates are
+    found once, so the map and its graph's marking are taken as fixed; each
+    call returns a fresh list.
+    """
+    if rep._violations is None:
+        rep._violations = _representative_violations(rep)
+    return list(rep._violations)
+
+
+def _representative_violations(rep: TopologicalRepresentative) -> list[Violation]:
     g = rep.graph
     G = g.group
     out = list(validate_graph(g))

@@ -118,9 +118,6 @@ class GraphPath:
                 return False
         return True
 
-    def reduced(self) -> GraphPath:
-        return reduce_path(self)
-
 
 def join_path(
     graph: MarkedMetricGraph,

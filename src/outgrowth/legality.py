@@ -11,11 +11,11 @@ vertex groups ``Df`` is a function on finitely many directions, and
 legality is decided exactly (Bestvina-Handel 1992): a turn is illegal when
 some power of ``Df`` sends its two directions to the same direction.  The
 classes of directions that end up together are the gates, so the legality
-of a turn is a lookup of its two directions' gates.  Turns are enumerated
-in sorted order as columns of direction indices, and their meeting times
-are found by binary lifting on the powers ``Df^(2^k)``, so timing every
-turn costs a few array passes per power.  ``illegal_turn`` is the one walk
-along the turns of a path.
+of a turn is a lookup of its two directions' gates.  ``classify_turns``
+enumerates the turns in sorted order as columns of direction indices and
+finds their meeting times by binary lifting on the powers ``Df^(2^k)``, so
+timing every turn costs a few array passes per power.  ``illegal_turn`` is
+the one walk along the turns of a path.
 
 Relative train track injectivity is decided exactly, without a search, on
 maps that pass ``verify_representative``.  Such a map is a homotopy
@@ -49,7 +49,7 @@ Direction = tuple[int, int]  # (outgoing dart, vertex-group twist)
 
 
 class Turn(NamedTuple):
-    # a named tuple hashes and compares in C: turns key the table and sort at grouped vertices
+    # a named tuple hashes and compares in C: turns fill a set and sort at grouped vertices
     vertex: int
     directions: tuple[Direction, Direction]
 
@@ -102,14 +102,6 @@ def _turn_pairs(graph: MarkedMetricGraph, index: dict[Direction, int]) -> tuple[
     return tuple(np.concatenate(c) for c in zip(*columns))
 
 
-def _as_turns(directions: list[Direction], vertex: np.ndarray, first: np.ndarray, second: np.ndarray) -> list[Turn]:
-    new_turn = tuple.__new__  # Turn's own __new__ is a Python call per turn
-    return [
-        new_turn(Turn, (v, (directions[i], directions[j])))
-        for v, i, j in zip(vertex.tolist(), first.tolist(), second.tolist())
-    ]
-
-
 def _derivative_direction(rep: TopologicalRepresentative, v: int, direction: Direction) -> Direction:
     """Df on one direction at v: the first dart of its image path, twisted."""
     d, tw = direction
@@ -127,14 +119,6 @@ def derivative_turn(rep: TopologicalRepresentative, turn: Turn) -> Turn:
     return make_turn(rep.graph, rep.vertex_images[v], d1, d2)
 
 
-@dataclass(slots=True)
-class TurnEntry:
-    turn: Turn
-    legal: bool
-    degenerate: bool
-    steps_to_degeneracy: int | None
-
-
 class LegalityTable:
     """Turn legality read off the gates of the derivative.
 
@@ -144,15 +128,12 @@ class LegalityTable:
     directions.  The lifts ``Df^(2^k)`` are built by squaring, for k up to
     the bit length of that count, and the last lift is the gate, which joins
     exactly the directions that meet.  ``legal`` is a gate lookup: a turn is
-    legal when its two directions have different gates.  Meeting times come
-    from ``turn_columns``, and ``entries`` holds the turns ``classify_turns``
-    decided.  An edge mapping to a point has no derivative and raises
-    ``InputError``.
+    legal when its two directions have different gates, and
+    ``classify_turns`` times every turn at once on the lifts.  An edge
+    mapping to a point has no derivative and raises ``InputError``.
     """
 
     def __init__(self, rep: TopologicalRepresentative):
-        self.rep = rep
-        self.entries: dict[Turn, TurnEntry] = {}
         g = rep.graph
         self.directions = directions = _directions(g)
         self._index = index = {x: i for i, x in enumerate(directions)}
@@ -168,15 +149,10 @@ class LegalityTable:
         d1, d2 = turn.directions
         return gate[d1] != gate[d2]
 
-    def __iter__(self):
-        return iter(self.entries.values())
 
-    def __len__(self):
-        return len(self.entries)
-
-
-class TurnColumns(NamedTuple):
-    """Every turn in enumeration order, one index array per field.
+@dataclass(frozen=True, slots=True)
+class TurnColumns:
+    """Every turn in enumeration order, one index array per field; ``len`` is the turn count.
 
     ``first`` and ``second`` index ``directions``; ``steps`` is the meeting
     time, 0 on a degenerate turn and -1 on a legal one.
@@ -188,10 +164,14 @@ class TurnColumns(NamedTuple):
     second: np.ndarray
     steps: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.steps)
 
-def turn_columns(table: LegalityTable) -> TurnColumns:
-    """Every turn of the table's graph, decided at once by binary lifting on its arrays."""
-    vertex, first, second = _turn_pairs(table.rep.graph, table._index)
+
+def classify_turns(rep: TopologicalRepresentative) -> TurnColumns:
+    """Every turn of the graph, decided at once by binary lifting on the cached ``rep.legality()``."""
+    table = rep.legality()
+    vertex, first, second = _turn_pairs(rep.graph, table._index)
     *lifts, gate = table.lifts
     steps = np.where(gate[first] == gate[second], 0, -1)
     apart = np.flatnonzero((steps == 0) & (first != second))
@@ -204,15 +184,6 @@ def turn_columns(table: LegalityTable) -> TurnColumns:
         meet[jump] += 1 << k
     steps[apart] = meet
     return TurnColumns(table.directions, vertex, first, second, steps)
-
-
-def classify_turns(rep: TopologicalRepresentative) -> LegalityTable:
-    """A fresh table holding every turn, in enumeration order, filled from ``turn_columns``."""
-    table = LegalityTable(rep)
-    cols = turn_columns(table)
-    for turn, s in zip(_as_turns(cols.directions, cols.vertex, cols.first, cols.second), cols.steps.tolist()):
-        table.entries[turn] = TurnEntry(turn, s < 0, s == 0, None if s < 0 else s)
-    return table
 
 
 # -- turns along paths ---------------------------------------------------------
@@ -251,11 +222,6 @@ def illegal_turn(
         return next((t for t in turns if not table.legal(t)), None)
     stratum_of = rep.strata().stratum_of
     return next((t for t in turns if not _turn_r_ok(table, stratum_of, r, t)), None)
-
-
-def is_r_legal(rep: TopologicalRepresentative, p: GraphPath, r: int, cyclic: bool = False) -> bool:
-    """True when every turn of p with both edges in stratum r is legal, the seam too when ``cyclic``."""
-    return illegal_turn(rep, p, r, cyclic) is None
 
 
 def _turn_r_ok(table: LegalityTable, stratum_of, r: int, t: Turn) -> bool:

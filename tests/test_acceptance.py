@@ -24,14 +24,12 @@ from outgrowth import (
     find_r_legal_hyperbolic,
     growth_report,
     index_count,
-    index_total,
     lipschitz_constant,
     load_bundled,
     make_turn,
     r_length,
     relative_conjugacy_length,
     relative_length_function,
-    spectral_growth_rate,
     standard_rose,
     tree_length_function,
     verify_representative,
@@ -40,6 +38,7 @@ from outgrowth import (
 from outgrowth.cli import default_sample
 from outgrowth.graph_map import _pf_stack
 from conftest import random_hyperbolic, random_word
+from test_legality import column_entries
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -67,7 +66,7 @@ def test_criterion_1_golden_ratio_fixture():
         rep = doc.representative
         assert verify_representative(rep) == []
         oracle = float(np.abs(np.roots([1.0, -1.0, -1.0])).max())
-        mu, _ = spectral_growth_rate(rep)
+        mu = rep.strata().top_eigenvalue
         assert abs(mu - oracle) <= 1e-9
         metric = assign_pf_metric(rep)
         lip, _ = lipschitz_constant(rep, metric)
@@ -121,7 +120,7 @@ def test_criterion_3_free_product_fixtures():
         doc = load_bundled("c2f2_mixed")
         rep = doc.representative
         assert verify_representative(rep) == []
-        mu, _ = spectral_growth_rate(rep)
+        mu = rep.strata().top_eigenvalue
         metric = assign_pf_metric(rep)
         rpt = growth_report(
             doc.automorphism, doc.group.free(0), tree_length_function(metric), 20
@@ -210,7 +209,7 @@ def test_criterion_5_growth_bound_suite():
                     continue
                 assert bound_check(rep, g, iterations=20).ok, (name, g)
             m = rep.strata().count
-            values = [index_total(k, m) for k in range(1, m + 3)]
+            values = [sum(index_count(k, r, m) for r in range(1, m + 1)) for k in range(1, m + 3)]
             diffs = values
             for _ in range(m):
                 diffs = [b - a for a, b in zip(diffs, diffs[1:])]
@@ -273,13 +272,14 @@ def test_criterion_7_legality_suite():
         doc = load_bundled("golden_ratio_rose")
         rep = doc.representative
         rose = doc.graph
-        table = classify_turns(rep)
-        illegal = table.entries[make_turn(rose, 0, (1, 0), (3, 0))]  # {a', b'}
+        table = column_entries(classify_turns(rep))
+        illegal = table[make_turn(rose, 0, (1, 0), (3, 0))]  # {a', b'}
         assert not illegal.legal and illegal.steps_to_degeneracy == 1
-        legal = table.entries[make_turn(rose, 0, (1, 0), (2, 0))]  # {a', b}
+        legal = table[make_turn(rose, 0, (1, 0), (2, 0))]  # {a', b}
         assert legal.legal
         assert verify_train_track(rep).ok
-        mu, top = spectral_growth_rate(rep)
+        dec = rep.strata()
+        mu, top = dec.top_eigenvalue, dec.top_stratum
         g = find_r_legal_hyperbolic(rep, top)
         core, _ = cyclically_reduce(rose.loop_of_element(g))
         base = r_length(rep, core, top)

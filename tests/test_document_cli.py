@@ -26,7 +26,7 @@ from outgrowth import document, legality
 from outgrowth.document import parse_word
 from outgrowth.cli import Rows, _grid, _json, main, turn_text
 from outgrowth.dynamics import ITERATIONS, N_GRID, WORD_GUARD
-from outgrowth.free_product import FiniteGroupTable, FreeProduct
+from outgrowth.free_product import Automorphism, FiniteGroupTable, FreeProduct
 from outgrowth.graph_map import PF_TOLERANCE
 from outgrowth.graph_of_groups import MarkedMetricGraph
 from conftest import chord_text, tower_text
@@ -219,6 +219,19 @@ def test_round_trip_extended_generators():
     once = emit_document(doc)
     assert "relative-generators = a b, b" in once
     assert emit_document(parse_document(once)) == once
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_search_budget_below_one_rejected(tmp_path, budget):
+    bad = IDENTITY_DOC.replace("free = a b", f"free = a b\nrelative-generators = a, b, a b\nsearch-budget = {budget}")
+    with pytest.raises(InputError, match="^line 5: search budget must be positive$"):
+        parse_document(bad)
+    path = tmp_path / "budget.gog"
+    path.write_text(bad)
+    result = runner.invoke(main, ["growth", str(path), "--element", "a b", "--length", "relative"])
+    assert result.exit_code == 2
+    with pytest.raises(InputError, match="search budget must be positive"):
+        FreeProduct(free_rank=1, free_names=["a"], search_budget=int(budget))
 
 
 def test_empty_document_rejected():
@@ -589,6 +602,14 @@ def test_cli_verify_rejects_an_rtt_bound_below_one(bound):
     assert "must be at least 1" in runner.invoke(main, ["verify", "c2f2_mixed", "--rtt-bound", bound]).output
 
 
+def test_cli_verify_validates_the_automorphism_once(monkeypatch):
+    calls = []
+    validate = Automorphism.validate
+    monkeypatch.setattr(Automorphism, "validate", lambda self: calls.append(self) or validate(self))
+    assert runner.invoke(main, ["verify", "c2f2_mixed"]).exit_code == 0
+    assert len(calls) == 1
+
+
 def test_cli_verify_decides_c2f2_past_the_old_path_cap():
     result = runner.invoke(main, ["verify", "c2f2_mixed", "--rtt-bound", "12", "--format", "json"])
     assert result.exit_code == 0
@@ -807,8 +828,7 @@ def test_analyze_json_equals_dumps_of_the_reference_table(tmp_path, name):
 
 def test_analyze_builds_no_turn_objects(monkeypatch, tmp_path):
     calls = []
-    entry, normalise = legality.TurnEntry, legality.make_turn
-    monkeypatch.setattr(legality, "TurnEntry", lambda *args: calls.append("TurnEntry") or entry(*args))
+    normalise = legality.make_turn
     monkeypatch.setattr(legality, "make_turn", lambda *args: calls.append("make_turn") or normalise(*args))
     path = tmp_path / "chord25.gog"
     path.write_text(chord_text(25))
@@ -816,10 +836,9 @@ def test_analyze_builds_no_turn_objects(monkeypatch, tmp_path):
     assert result.exit_code == 0
     assert len(json.loads(result.output)["report"]["legality"]) == 25 * 51
     assert calls == []
-    # the patches do see a grouped vertex's normalisation and the library's entries
+    # the patch does see a grouped vertex's normalisation
     assert runner.invoke(main, ["analyze", "c2f2_mixed", "--format", "json"]).exit_code == 0
-    legality.classify_turns(load_bundled("golden_ratio_rose").representative)
-    assert set(calls) == {"make_turn", "TurnEntry"}
+    assert set(calls) == {"make_turn"}
 
 
 def test_analyze_json_never_takes_the_pure_python_encoder(monkeypatch, tmp_path):

@@ -20,14 +20,12 @@ from outgrowth import (
     growth_report,
     growth_sequence,
     index_count,
-    index_total,
     lipschitz_constant,
     load_bundled,
     make_turn,
     r_length,
     relative_length_function,
     rescale_family,
-    spectral_growth_rate,
     standard_rose,
     stretch_lower_bound,
     tree_length_function,
@@ -115,19 +113,22 @@ def test_estimate_elliptic_tree_length(c2f2):
 
 
 def test_spectral_identity(f2):
-    mu, top = spectral_growth_rate(identity_representative(f2))
+    dec = identity_representative(f2).strata()
+    mu, top = dec.top_eigenvalue, dec.top_stratum
     assert mu == 1.0
     assert top == 2  # ties resolve to the highest stratum
 
 
 def test_spectral_golden(golden):
-    mu, top = spectral_growth_rate(golden.representative)
+    dec = golden.representative.strata()
+    mu, top = dec.top_eigenvalue, dec.top_stratum
     assert mu == pytest.approx(GOLDEN, abs=1e-9)
     assert top == 1
 
 
 def test_spectral_polynomial(poly):
-    mu, top = spectral_growth_rate(poly.representative)
+    dec = poly.representative.strata()
+    mu, top = dec.top_eigenvalue, dec.top_stratum
     assert mu == 1.0
     assert top == 2
 
@@ -252,7 +253,8 @@ def test_equality_chain_at_desk_scale(golden, poly, c3c3, c2f2):
     tol = 5e-2
     for doc in (golden, poly, c3c3, c2f2):
         rep = doc.representative
-        mu, top = spectral_growth_rate(rep)
+        dec = rep.strata()
+        mu, top = dec.top_eigenvalue, dec.top_stratum
         g = find_r_legal_hyperbolic(rep, top)
         metric = assign_pf_metric(rep)
         rpt = growth_report(doc.automorphism, g, tree_length_function(metric), 20)
@@ -592,7 +594,7 @@ def test_index_count_rejects_bad_arguments():
 def test_index_total_polynomial_degree():
     # the bound polynomial has degree m-1: its m-th finite difference vanishes
     for m in range(1, 6):
-        values = [index_total(k, m) for k in range(1, m + 3)]
+        values = [sum(index_count(k, r, m) for r in range(1, m + 1)) for k in range(1, m + 3)]
         diffs = values
         for _ in range(m):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]

@@ -12,7 +12,6 @@ from outgrowth import (
     FreeProduct,
     InputError,
     NonConvergenceError,
-    is_hyperbolic,
     relative_conjugacy_length,
     relative_length,
 )
@@ -177,11 +176,11 @@ def test_conjugacy_length_examples(mixed_group):
 
 def test_hyperbolicity(mixed_group):
     G = mixed_group
-    assert not is_hyperbolic(G.identity())
-    assert is_hyperbolic(G.free(0))
+    assert not G.identity().is_hyperbolic()
+    assert G.free(0).is_hyperbolic()
     p = G.factor_element(0, 1)
-    assert not is_hyperbolic(G.free(0) * p * G.free(0).inverse())
-    assert is_hyperbolic(G.factor_element(0, 1) * G.factor_element(1, 1))
+    assert not (G.free(0) * p * G.free(0).inverse()).is_hyperbolic()
+    assert (G.factor_element(0, 1) * G.factor_element(1, 1)).is_hyperbolic()
 
 
 def test_conjugacy_invariance_random(mixed_group):

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,14 +22,12 @@ from outgrowth import (
     derivative_turn,
     find_r_legal_hyperbolic,
     illegal_turn,
-    is_r_legal,
     load_bundled,
     make_turn,
     r_length,
     reduce_path,
     standard_rose,
     tree_length_function,
-    turn_columns,
     verify_representative,
     verify_rtt,
     verify_train_track,
@@ -40,8 +38,6 @@ from outgrowth.document import parse_path
 from outgrowth.dynamics import _legal_loop_counts
 from outgrowth.legality import (
     Turn,
-    TurnEntry,
-    _as_turns,
     _connecting_path_count,
     _directions,
     _rtt_injectivity,
@@ -63,10 +59,15 @@ A, AI, B, BI = 0, 1, 2, 3
 # -- turn enumeration ------------------------------------------------------------
 
 
+def column_turns(directions, vertex, first, second):
+    """Turns from columns of vertices and direction indices."""
+    return [Turn(v, (directions[i], directions[j])) for v, i, j in zip(vertex.tolist(), first.tolist(), second.tolist())]
+
+
 def enumerate_turns(graph):
     """All turns of the graph, one per vertex-group orbit, sorted: the turn columns as turns."""
     directions = _directions(graph)
-    return _as_turns(directions, *_turn_pairs(graph, {x: i for i, x in enumerate(directions)}))
+    return column_turns(directions, *_turn_pairs(graph, {x: i for i, x in enumerate(directions)}))
 
 
 def test_enumerate_f2_rose(f2):
@@ -170,21 +171,37 @@ def test_degenerate_maps_to_degenerate(golden, poly, c3c3, c2f2):
 # -- classification -------------------------------------------------------------------
 
 
+@dataclass
+class ReferenceEntry:
+    """One turn's verdict, as the reference classification records it."""
+
+    turn: Turn
+    legal: bool
+    degenerate: bool
+    steps_to_degeneracy: int | None
+
+
+def column_entries(cols):
+    """The verdicts of ``classify_turns``' columns, one reference record per turn, in column order."""
+    turns = column_turns(cols.directions, cols.vertex, cols.first, cols.second)
+    return {t: ReferenceEntry(t, s < 0, s == 0, None if s < 0 else s) for t, s in zip(turns, cols.steps.tolist())}
+
+
 def test_classify_identity_all_legal(f2):
     rep = identity_representative(f2)
-    table = classify_turns(rep)
-    for entry in table:
+    table = column_entries(classify_turns(rep))
+    for entry in table.values():
         assert entry.legal == (not entry.turn.degenerate)
 
 
 def test_classify_golden(golden):
     rep = golden.representative
     rose = golden.graph
-    table = classify_turns(rep)
-    illegal = table.entries[make_turn(rose, 0, (AI, 0), (BI, 0))]
+    table = column_entries(classify_turns(rep))
+    illegal = table[make_turn(rose, 0, (AI, 0), (BI, 0))]
     assert not illegal.legal
     assert illegal.steps_to_degeneracy == 1
-    legal = table.entries[make_turn(rose, 0, (AI, 0), (B, 0))]
+    legal = table[make_turn(rose, 0, (AI, 0), (B, 0))]
     assert legal.legal
     # the orbit cycles with period 2 through {b', a} and {b', b}
     assert derivative_turn(rep, derivative_turn(rep, derivative_turn(rep, legal.turn))) == derivative_turn(
@@ -195,7 +212,7 @@ def test_classify_golden(golden):
 def test_classify_polynomial_hand_trace(poly):
     rep = poly.representative
     rose = poly.graph
-    table = classify_turns(rep)
+    table = rep.legality()
     t = make_turn(rose, 0, (AI, 0), (B, 0))
     # a -> a and b -> ba fix this turn, so its orbit never degenerates
     assert derivative_turn(rep, t) == t
@@ -209,14 +226,18 @@ def test_classify_polynomial_hand_trace(poly):
 def test_legal_turns_have_legal_images(golden, poly, c3c3, c2f2):
     for doc in (golden, poly, c3c3, c2f2):
         rep = doc.representative
-        table = classify_turns(rep)
-        for entry in table:
+        table = rep.legality()
+        for entry in column_entries(classify_turns(rep)).values():
             if entry.legal:
                 assert table.legal(derivative_turn(rep, entry.turn))
 
 
 class ReferenceTable(LegalityTable):
     """A table that answers ``legal`` from its entries, not from the gates."""
+
+    def __init__(self, rep):
+        super().__init__(rep)
+        self.entries: dict[Turn, ReferenceEntry] = {}
 
     def legal(self, turn):
         return self.entries[turn].legal
@@ -243,14 +264,14 @@ def reference_classify_turns(rep):
                         if known.steps_to_degeneracy is not None
                         else None
                     )
-                    table.entries[t] = TurnEntry(t, known.legal, t.degenerate, steps)
+                    table.entries[t] = ReferenceEntry(t, known.legal, t.degenerate, steps)
                 break
             if node.degenerate:
-                table.entries[node] = TurnEntry(node, False, True, 0)
+                table.entries[node] = ReferenceEntry(node, False, True, 0)
                 continue
             if node in position:
                 for t in chain:
-                    table.entries[t] = TurnEntry(t, True, False, None)
+                    table.entries[t] = ReferenceEntry(t, True, False, None)
                 break
             position[node] = len(chain)
             chain.append(node)
@@ -266,19 +287,6 @@ def _reference_representatives():
         yield load_text(tower_text(n)).representative
 
 
-def test_classify_turns_matches_eager_reference():
-    rng = random.Random(5)
-    for rep in _reference_representatives():
-        reference = list(reference_classify_turns(rep).entries.items())
-        table = classify_turns(rep)
-        assert table.entries == dict(reference)
-        assert list(table.entries) == enumerate_turns(rep.graph)
-        # the gates decide each turn the same, whatever order it is asked in
-        gates = LegalityTable(rep)
-        for turn, entry in rng.sample(reference, len(reference)):
-            assert gates.legal(turn) == entry.legal
-
-
 def _large_representatives():
     for n in (25, 50):
         yield load_text(chord_text(n)).representative
@@ -292,7 +300,7 @@ def test_meeting_times_match_reference_on_long_chains():
         rep = load_text(tower_text(n)).representative
         reference = reference_classify_turns(rep).entries
         assert max(e.steps_to_degeneracy or 0 for e in reference.values()) == n - 1
-        assert classify_turns(rep).entries == reference
+        assert column_entries(classify_turns(rep)) == reference
         gates = LegalityTable(rep)
         for turn in rng.sample(list(reference), len(reference)):
             assert gates.legal(turn) == reference[turn].legal
@@ -300,15 +308,11 @@ def test_meeting_times_match_reference_on_long_chains():
 
 def _assert_columns_match_reference(rep, rng):
     reference = reference_classify_turns(rep).entries
-    cols = turn_columns(LegalityTable(rep))
-    dirs = cols.directions
-    decided = {
-        Turn(v, (dirs[i], dirs[j])): (steps < 0, steps == 0, None if steps < 0 else steps)
-        for v, i, j, steps in zip(cols.vertex.tolist(), cols.first.tolist(), cols.second.tolist(), cols.steps.tolist())
-    }
+    cols = classify_turns(rep)
+    decided = column_entries(cols)
     assert len(decided) == len(cols.steps)
     assert list(decided) == enumerate_turns(rep.graph)
-    assert decided == {t: (e.legal, e.degenerate, e.steps_to_degeneracy) for t, e in reference.items()}
+    assert decided == reference
     # the gates decide each turn the same, one turn at a time, in any order
     gates = LegalityTable(rep)
     for turn in rng.sample(list(reference), len(reference)):
@@ -382,6 +386,19 @@ def test_representative_caches_its_lazy_table(golden):
     assert verify_train_track(rep).ok
 
 
+def test_classify_turns_tabulates_the_derivative_once(monkeypatch):
+    built = []
+    init = LegalityTable.__init__
+    monkeypatch.setattr(LegalityTable, "__init__", lambda self, rep: built.append(rep) or init(self, rep))
+    rep = load_bundled("golden_ratio_rose").representative
+    assert len(classify_turns(rep)) == 10
+    assert classify_turns(rep).directions is rep.legality().directions
+    assert built == [rep]
+    # a chord rose with n petals has 2n directions at its one vertex, so n(2n + 1) turns
+    for n in (3, 7):
+        assert len(classify_turns(load_text(chord_text(n)).representative)) == n * (2 * n + 1)
+
+
 # -- legality of paths ------------------------------------------------------------------
 
 
@@ -391,16 +408,16 @@ def test_single_edge_always_r_legal(golden, poly):
         for m in range(doc.graph.n_edges):
             p = doc.graph.path(doc.graph.edge_ends[m][0], [(2 * m, 0)])
             for r in range(1, rep.strata().count + 1):
-                assert is_r_legal(rep, p, r)
+                assert illegal_turn(rep, p, r) is None
 
 
 def test_r_legal_lookup_golden(golden):
     rep = golden.representative
     rose = golden.graph
     good = rose.path(0, [(A, 0), (B, 0)])  # takes only the legal turn {a', b}
-    assert is_r_legal(rep, good, 1)
+    assert illegal_turn(rep, good, 1) is None
     bad = rose.path(0, [(A, 0), (BI, 0)])  # takes the illegal turn {a', b'}
-    assert not is_r_legal(rep, bad, 1)
+    assert illegal_turn(rep, bad, 1) is not None
 
 
 # -- train track verification ---------------------------------------------------------
@@ -425,7 +442,7 @@ def test_train_track_failure_with_witness(f2):
     verdict = verify_train_track(rep)
     assert not verdict.ok
     assert verdict.witness_edge == 0
-    table = classify_turns(rep)
+    table = rep.legality()
     assert not table.legal(verdict.witness_turn)
 
 
@@ -1051,12 +1068,13 @@ def test_rtt_legality_witnesses_are_illegal_turns_of_their_stratum(words):
 # because images only descend.  These tests keep that condition.
 def _assert_derivative_keeps_turns_r_legal(rep):
     dec = rep.strata()
-    table = classify_turns(rep)
+    table = rep.legality()
+    turns = list(column_entries(classify_turns(rep)))
     for s in dec.strata:
         if not s.growing:
             continue
         lower = dec.filtration(s.index)
-        for t in table.entries:
+        for t in turns:
             if all(e in lower for e in t.edges()) and _turn_r_ok(table, dec.stratum_of, s.index, t):
                 assert _turn_r_ok(table, dec.stratum_of, s.index, derivative_turn(rep, t)), (s.index, t)
 
@@ -1075,7 +1093,7 @@ def test_derivative_keeps_turns_r_legal(c2f2):
 @given(words=_rose_words)
 def test_gates_keep_turns_r_legal_on_random_rose_maps(words):
     rep = _rose_map(words)
-    assert classify_turns(rep).entries == reference_classify_turns(rep).entries
+    assert column_entries(classify_turns(rep)) == reference_classify_turns(rep).entries
     _assert_derivative_keeps_turns_r_legal(rep)
 
 
@@ -1111,7 +1129,7 @@ def test_illegal_turn_checks_the_seam_last_and_only_stratum_turns_with_r(golden)
     seam = make_turn(rose, 0, (AI, 0), (BI, 0))
     assert illegal_turn(rep, loop) is None
     assert illegal_turn(rep, loop, cyclic=True) == seam == loop_seam_turn(rose, loop)
-    assert not is_r_legal(rep, loop, 1, cyclic=True)
+    assert illegal_turn(rep, loop, 1, cyclic=True) is not None
     # a -> a', b -> c, c -> a' b' c': the image of c turns illegally at {a, b'} first, across strata
     rep = _rose_map([[1], [4], [1, 3, 5]])
     image = rep.edge_images[2]
@@ -1239,7 +1257,7 @@ def _reference_accept_loop(rep, r, inverter, loop):
     (dn, en), d1 = loop.steps[-1], loop.steps[0][0]
     if dn ^ 1 == d1 and rep.graph.vertex_mul(loop.start, en, loop.prefix) == 0:
         return None
-    if r_length(rep, loop, r) <= 0 or not is_r_legal(rep, loop, r, cyclic=True):
+    if r_length(rep, loop, r) <= 0 or illegal_turn(rep, loop, r, cyclic=True) is not None:
         return None
     word = inverter.element_of_loop_at(loop)
     return word if word.is_hyperbolic() else None
@@ -1297,7 +1315,7 @@ def _assert_r_legal_hyperbolic(rep, r, word):
     closed = core.steps + ((core.steps[0][0], g.vertex_mul(core.start, core.steps[-1][1], core.prefix)),)
     for (d, e), (d2, _) in zip(closed, closed[1:]):
         assert not (e == 0 and d2 == d ^ 1)
-    assert is_r_legal(rep, core, r, cyclic=True)
+    assert illegal_turn(rep, core, r, cyclic=True) is None
 
 
 def _assert_search_finds_what_the_reference_finds(rep, **caps):
@@ -1382,4 +1400,4 @@ def test_r_legal_paths_map_to_r_legal(golden, c2f2):
             p = doc.graph.path(doc.graph.edge_ends[m][0], [(2 * m, 0)])
             for _ in range(4):
                 p = reduce_path(rep.map_path(p))
-                assert is_r_legal(rep, p, top)
+                assert illegal_turn(rep, p, top) is None

@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
 import outgrowth.cli  # noqa: F401  (the tracer wraps the command callbacks too)
 from outgrowth import graph_map
@@ -29,3 +30,16 @@ def test_tracer_installs_on_every_layer():
     finally:
         tracer.uninstall()
     assert graph_map.stratify is original
+
+
+def test_analyze_runs_the_traced_turn_layer():
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        result = CliRunner().invoke(outgrowth.cli.main, ["analyze", "golden_ratio_rose", "--format", "json"])
+    finally:
+        tracer.uninstall()
+    assert result.exit_code == 0
+    summary = tracer.summary(0, len(tracer))
+    assert summary["legality.classify_turns.calls"] == 1
+    assert summary["legality.classify_turns.turns"] == 10
