@@ -1,6 +1,11 @@
 """Growth rates, train track verification and Lipschitz displacement for
 automorphisms of free products of finite groups with a free group."""
 
+import os
+
+# the matrices here are small, so OpenBLAS's worker threads cost more to start than they save
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import InputError, NonConvergenceError, OutgrowthError, ResourceLimitError
 from .free_product import (
     FACTOR,

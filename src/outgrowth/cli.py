@@ -45,7 +45,7 @@ def _load(input_arg: str) -> InputDocument:
     path = Path(input_arg)
     if path.exists():
         try:
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8")
         except OSError as err:
             raise InputError(f"cannot read '{input_arg}': {err.strerror}") from None
         except UnicodeDecodeError as err:
@@ -312,6 +312,7 @@ def analyze(doc, rep, fmt):
     """Strata, eigenvalues and the legality table of the representative."""
     dec = rep.strata()
     graph = doc.graph
+    W = dec.weight_matrix
     strata_rows = []
     for s in dec.strata:
         strata_rows.append(
@@ -320,9 +321,9 @@ def analyze(doc, rep, fmt):
                 "edges": " ".join(graph.edge_names[e] for e in s.edges),
                 "growing": s.growing,
                 "eigenvalue": s.eigenvalue,
-                "weights": ""
-                if s.weights is None
-                else " ".join(f"{graph.edge_names[e]}={s.weights[e]!r}" for e in sorted(s.weights)),
+                "weights": " ".join(f"{graph.edge_names[e]}={float(W[s.index - 1, e])!r}" for e in s.edges)
+                if s.growing
+                else "",
             }
         )
     # every format decides the turns; csv prints none of them

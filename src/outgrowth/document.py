@@ -4,7 +4,8 @@ Sections are ``[name]`` headers followed by ``key = value`` lines; ``#``
 starts a comment.  Words use free-letter names with a trailing apostrophe
 for inverses and ``Factor:index`` tokens for factor elements; paths use
 edge names (apostrophe reverses) with the same factor-element tokens
-between them.  Parsing is positional: errors name the offending line.
+between them.  Parsing is positional: errors name the offending line,
+and each section takes only the keys listed in ``_KEYS``.
 A graph whose marking is not an isomorphism is rejected with
 ``InputError`` (``validate_graph``).
 Emission is canonical, so parse-emit-parse is the identity on documents.
@@ -63,44 +64,85 @@ class InputDocument:
 
 # -- low-level section scanner ---------------------------------------------------
 
+#: the keys each section takes.  A name ending in a space is followed by a name of the
+#: document's own, as in ``[factor P]`` or ``edge a = ...``
+_KEYS = {
+    "presentation": {"free", "factors", "relative-generators", "search-budget"},
+    "factor ": {"cyclic", "table"},
+    "graph": {"vertices", "base", "vertex ", "edge ", "marking "},
+    "automorphism": {"free ", "factor ", "conjugator "},
+    "inverse": {"free ", "factor ", "conjugator "},
+    "map": {"vertex ", "twist ", "twist-conjugator ", "edge ", "tether"},
+}
 
-def _scan(text: str) -> dict[str, list[tuple[int, str, str]]]:
-    sections: dict[str, list[tuple[int, str, str]]] = {}
+
+def _scan(text: str) -> dict[str, dict[str, tuple[int, str]]]:
+    """Each section as an ordered map ``key -> (line, value)``, checked against ``_KEYS``.
+
+    Runs of whitespace inside section and key names read as one space.  A
+    repeated or unknown section or key, a second key in a ``[factor X]``
+    section, and a ``[factor X]`` section for a factor that ``[presentation]``
+    does not declare are errors at their line.
+    """
+    sections: dict[str, dict[str, tuple[int, str]]] = {}
+    factor_lines: dict[str, int] = {}
     current: str | None = None
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
+            current = " ".join(line[1:-1].split())
             if current in sections:
                 raise InputError(f"line {n}: duplicate section [{current}]")
-            sections[current] = []
+            kind, space, factor = current.partition(" ")
+            allowed = _KEYS.get(kind + space)
+            if allowed is None:
+                raise InputError(f"line {n}: unknown section [{current}]")
+            if factor:  # of the sections, only [factor X] takes a name
+                factor_lines[factor] = n
+            sections[current] = rows = {}
             continue
         if current is None:
             raise InputError(f"line {n}: content before any section header")
         if "=" not in line:
             raise InputError(f"line {n}: expected 'key = value'")
         key, value = line.split("=", 1)
-        sections[current].append((n, key.strip(), value.strip()))
+        key = " ".join(key.split())
+        if key in rows:
+            raise InputError(f"line {n}: duplicate key '{key}' in [{current}]")
+        head, space, _ = key.partition(" ")
+        if head + space not in allowed:
+            raise InputError(f"line {n}: unknown key '{key}' in [{current}]")
+        if rows and factor:
+            raise InputError(f"line {n}: [{current}] takes one of 'cyclic' and 'table'")
+        rows[key] = (n, value.strip())
     if not sections:
         raise InputError("empty document: no sections found")
+    if "presentation" not in sections:
+        raise InputError("document has no [presentation] section")
+    declared = sections["presentation"].get("factors", (0, ""))[1].split()
+    for fname, n in factor_lines.items():
+        if fname not in declared:
+            raise InputError(f"line {n}: [factor {fname}] is not declared in [presentation]")
     return sections
 
 
-def _as_map(entries: list[tuple[int, str, str]], section: str) -> dict[str, tuple[int, str]]:
-    out: dict[str, tuple[int, str]] = {}
-    for n, key, value in entries:
-        if key in out:
-            raise InputError(f"line {n}: duplicate key '{key}' in [{section}]")
-        out[key] = (n, value)
-    return out
+def _named(rows: dict[str, tuple[int, str]], *kinds: str) -> list[dict[str, tuple[int, str]]]:
+    """Per kind, the rows ``kind <name> = value`` of one section as ``name -> (line, value)``, in order."""
+    out: dict[str, dict[str, tuple[int, str]]] = {kind: {} for kind in kinds}
+    for key, row in rows.items():
+        kind, _, name = key.partition(" ")
+        if kind in out:
+            out[kind][name] = row
+    return list(out.values())
 
 
-def _check_fresh(seen: set[str], key: str, n: int, section: str) -> None:
-    if key in seen:
-        raise InputError(f"line {n}: duplicate key '{key}' in [{section}]")
-    seen.add(key)
+def _ints(text: str, line: int, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split())
+    except ValueError:
+        raise InputError(f"line {line}: {what} entries must be integers") from None
 
 
 # -- token helpers ------------------------------------------------------------------
@@ -207,17 +249,14 @@ def _float_str(x: float) -> str:
 
 def parse_document(text: str, name: str = "") -> InputDocument:
     sections = _scan(text)
-    if "presentation" not in sections:
-        raise InputError("document has no [presentation] section")
-    pres = _as_map(sections["presentation"], "presentation")
+    pres = sections["presentation"]
     free_names = pres.get("free", (0, ""))[1].split()
     factor_names = pres.get("factors", (0, ""))[1].split()
     factors = []
     for fname in factor_names:
-        sect = f"factor {fname}"
-        if sect not in sections:
+        fmap = sections.get(f"factor {fname}")
+        if fmap is None:
             raise InputError(f"missing [factor {fname}] section")
-        fmap = _as_map(sections[sect], sect)
         if "cyclic" in fmap:
             n_line, value = fmap["cyclic"]
             try:
@@ -229,12 +268,7 @@ def parse_document(text: str, name: str = "") -> InputDocument:
             factors.append(FiniteGroupTable.cyclic(order, name=fname))
         elif "table" in fmap:
             n_line, value = fmap["table"]
-            rows = [row.split() for row in value.split("/")]
-            try:
-                table = [[int(x) for x in row] for row in rows]
-            except ValueError:
-                raise InputError(f"line {n_line}: table entries must be integers")
-            factors.append(FiniteGroupTable(table, name=fname))
+            factors.append(FiniteGroupTable([_ints(row, n_line, "table") for row in value.split("/")], name=fname))
         else:
             raise InputError(f"[factor {fname}] needs 'cyclic = n' or 'table = ...'")
     budget = SEARCH_BUDGET
@@ -255,42 +289,23 @@ def parse_document(text: str, name: str = "") -> InputDocument:
     if "graph" not in sections:
         raise InputError("document has no [graph] section")
     gmap = sections["graph"]
-    vertex_names: list[str] = []
-    base_name = None
-    vertex_assignments: dict[str, tuple[int, str]] = {}
-    edge_rows: list[tuple[int, str, str]] = []
-    marking_rows: dict[str, tuple[int, str]] = {}
-    seen: set[str] = set()
-    for n, key, value in gmap:
-        _check_fresh(seen, key, n, "graph")
-        if key == "vertices":
-            vertex_names = value.split()
-        elif key == "base":
-            base_name = value
-        elif key.startswith("vertex "):
-            vertex_assignments[key.split(None, 1)[1]] = (n, value)
-        elif key.startswith("edge "):
-            edge_rows.append((n, key.split(None, 1)[1], value))
-        elif key.startswith("marking "):
-            marking_rows[key.split(None, 1)[1]] = (n, value)
-        else:
-            raise InputError(f"line {n}: unknown graph key '{key}'")
+    vertex_names = gmap.get("vertices", (0, ""))[1].split()
     if not vertex_names:
         raise InputError("[graph] must declare vertices")
     v_index = {name: i for i, name in enumerate(vertex_names)}
-    if base_name is None or base_name not in v_index:
+    if gmap.get("base", (0, ""))[1] not in v_index:
         raise InputError("[graph] must declare a valid base vertex")
     vertex_factor: list[int | None] = [None] * len(vertex_names)
     f_index = group.factor_index
-    for vname, (n, fname) in vertex_assignments.items():
+    vertex_rows, edge_rows, marking_rows = _named(gmap, "vertex", "edge", "marking")
+    for vname, (n, fname) in vertex_rows.items():
         if vname not in v_index:
             raise InputError(f"line {n}: unknown vertex '{vname}'")
         if fname not in f_index:
             raise InputError(f"line {n}: unknown factor '{fname}'")
         vertex_factor[v_index[vname]] = f_index[fname]
     edges = []
-    edge_names = []
-    for n, ename, value in edge_rows:
+    for ename, (n, value) in edge_rows.items():
         parts = value.split()
         if len(parts) != 3:
             raise InputError(f"line {n}: edge '{ename}' needs 'tail head length'")
@@ -304,15 +319,14 @@ def parse_document(text: str, name: str = "") -> InputDocument:
         if not length > 0:
             raise InputError(f"line {n}: edge '{ename}' has non-positive length {length_s}")
         edges.append((v_index[tail], v_index[head], length))
-        edge_names.append(ename)
     graph = MarkedMetricGraph(
         group,
         len(vertex_names),
         edges,
         vertex_factor,
-        v_index[base_name],
+        v_index[gmap["base"][1]],
         vertex_names=vertex_names,
-        edge_names=edge_names,
+        edge_names=list(edge_rows),
     )
     marking = []
     for generator in (*group.free_names, *factor_names):
@@ -348,37 +362,26 @@ def _parse_automorphism(sections, section_name, group) -> Automorphism:
     permutation = [None] * len(group.factors)
     isos: list[tuple[int, ...] | None] = [None] * len(group.factors)
     conjugators: list[Word] = [group.identity()] * len(group.factors)
-    seen: set[str] = set()
-    for n, key, value in rows:
-        _check_fresh(seen, key, n, section_name)
-        if key.startswith("free "):
-            name = key.split(None, 1)[1]
-            if name not in group.free_index:
-                raise InputError(f"line {n}: unknown free letter '{name}'")
-            free_images[name] = parse_word(group, value, n)
-        elif key.startswith("factor "):
-            name = key.split(None, 1)[1]
-            if name not in f_index:
-                raise InputError(f"line {n}: unknown factor '{name}'")
-            if ":" not in value:
-                raise InputError(f"line {n}: expected 'Target : image table'")
-            target, _, table_s = value.partition(":")
-            target = target.strip()
-            if target not in f_index:
-                raise InputError(f"line {n}: unknown target factor '{target}'")
-            try:
-                iso = tuple(int(x) for x in table_s.split())
-            except ValueError:
-                raise InputError(f"line {n}: iso table entries must be integers")
-            permutation[f_index[name]] = f_index[target]
-            isos[f_index[name]] = iso
-        elif key.startswith("conjugator "):
-            name = key.split(None, 1)[1]
-            if name not in f_index:
-                raise InputError(f"line {n}: unknown factor '{name}'")
-            conjugators[f_index[name]] = parse_word(group, value, n)
-        else:
-            raise InputError(f"line {n}: unknown [{section_name}] key '{key}'")
+    free_rows, factor_rows, conjugator_rows = _named(rows, "free", "factor", "conjugator")
+    for name, (n, value) in free_rows.items():
+        if name not in group.free_index:
+            raise InputError(f"line {n}: unknown free letter '{name}'")
+        free_images[name] = parse_word(group, value, n)
+    for name, (n, value) in factor_rows.items():
+        if name not in f_index:
+            raise InputError(f"line {n}: unknown factor '{name}'")
+        if ":" not in value:
+            raise InputError(f"line {n}: expected 'Target : image table'")
+        target, _, table_s = value.partition(":")
+        target = target.strip()
+        if target not in f_index:
+            raise InputError(f"line {n}: unknown target factor '{target}'")
+        permutation[f_index[name]] = f_index[target]
+        isos[f_index[name]] = _ints(table_s, n, "iso table")
+    for name, (n, value) in conjugator_rows.items():
+        if name not in f_index:
+            raise InputError(f"line {n}: unknown factor '{name}'")
+        conjugators[f_index[name]] = parse_word(group, value, n)
     images = []
     for name in group.free_names:
         if name not in free_images:
@@ -403,41 +406,27 @@ def _parse_map(rows, group, graph, automorphism, v_index) -> TopologicalRepresen
     vertex_images: list[int | None] = [None] * graph.n_vertices
     twists: dict[int, tuple[int, ...]] = {}
     twist_conjugators: dict[int, int] = {}
-    edge_rows: dict[str, tuple[int, str]] = {}
-    tether_row: tuple[int, str] | None = None
-    seen: set[str] = set()
-    for n, key, value in rows:
-        _check_fresh(seen, key, n, "map")
-        if key.startswith("vertex "):
-            name = key.split(None, 1)[1]
-            if name not in v_index or value not in v_index:
-                raise InputError(f"line {n}: unknown vertex in '{key} = {value}'")
-            vertex_images[v_index[name]] = v_index[value]
-        elif key.startswith("twist-conjugator "):
-            name = key.split(None, 1)[1]
-            if name not in v_index:
-                raise InputError(f"line {n}: unknown vertex '{name}'")
-            fname, _, elem = value.partition(":")
-            if fname not in f_index:
-                raise InputError(f"line {n}: conjugator must be 'Factor:index'")
-            try:
-                twist_conjugators[v_index[name]] = int(elem)
-            except ValueError:
-                raise InputError(f"line {n}: bad conjugator token '{value}'")
-        elif key.startswith("twist "):
-            name = key.split(None, 1)[1]
-            if name not in v_index:
-                raise InputError(f"line {n}: unknown vertex '{name}'")
-            try:
-                twists[v_index[name]] = tuple(int(x) for x in value.split())
-            except ValueError:
-                raise InputError(f"line {n}: twist table entries must be integers")
-        elif key.startswith("edge "):
-            edge_rows[key.split(None, 1)[1]] = (n, value)
-        elif key == "tether":
-            tether_row = (n, value)
-        else:
-            raise InputError(f"line {n}: unknown map key '{key}'")
+    vertex_rows, conjugator_rows, twist_rows, edge_rows = _named(
+        rows, "vertex", "twist-conjugator", "twist", "edge"
+    )
+    for name, (n, value) in vertex_rows.items():
+        if name not in v_index or value not in v_index:
+            raise InputError(f"line {n}: unknown vertex in 'vertex {name} = {value}'")
+        vertex_images[v_index[name]] = v_index[value]
+    for name, (n, value) in conjugator_rows.items():
+        if name not in v_index:
+            raise InputError(f"line {n}: unknown vertex '{name}'")
+        fname, _, elem = value.partition(":")
+        if fname not in f_index:
+            raise InputError(f"line {n}: conjugator must be 'Factor:index'")
+        try:
+            twist_conjugators[v_index[name]] = int(elem)
+        except ValueError:
+            raise InputError(f"line {n}: bad conjugator token '{value}'")
+    for name, (n, value) in twist_rows.items():
+        if name not in v_index:
+            raise InputError(f"line {n}: unknown vertex '{name}'")
+        twists[v_index[name]] = _ints(value, n, "twist table")
     for v in range(graph.n_vertices):
         if vertex_images[v] is None:
             raise InputError(f"[map] is missing 'vertex {graph.vertex_names[v]}'")
@@ -452,12 +441,12 @@ def _parse_map(rows, group, graph, automorphism, v_index) -> TopologicalRepresen
         n, value = edge_rows[ename]
         start = vertex_images[graph.edge_ends[m][0]]
         edge_images.append(parse_path(graph, value, start, n))
-    if tether_row is None:
+    if "tether" not in rows:
         tether = graph.trivial_path(graph.base)
         if vertex_images[graph.base] != graph.base:
             raise InputError("[map] moves the base vertex, so it needs a tether")
     else:
-        n, value = tether_row
+        n, value = rows["tether"]
         tether = parse_path(graph, value, graph.base, n)
     return TopologicalRepresentative(
         graph,

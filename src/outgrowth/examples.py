@@ -22,7 +22,7 @@ def bundled_names() -> list[str]:
 def bundled_text(name: str) -> str:
     if name not in BUNDLED:
         raise InputError(f"no bundled example named '{name}'")
-    return (resources.files(__package__) / "fixtures" / f"{name}.gog").read_text()
+    return (resources.files(__package__) / "fixtures" / f"{name}.gog").read_text(encoding="utf-8")
 
 
 def load_bundled(name: str) -> InputDocument:

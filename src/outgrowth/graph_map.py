@@ -255,7 +255,6 @@ class Stratum:
     growing: bool
     eigenvalue: float | None = None  # upper end of the certified bracket
     bracket: tuple[float, float] | None = None  # Collatz-Wielandt (lo, hi) around the Perron root
-    weights: dict[int, float] | None = None
 
 
 @dataclass
@@ -350,11 +349,12 @@ def attach_eigendata(dec: StrataDecomposition) -> StrataDecomposition:
     larger size is one stack through Noda's iteration for the roots and a
     short inverse iteration for the eigenvectors, whose Collatz-Wielandt
     bracket is computed once and kept.  Each block's data is the same as
-    it would be alone, whatever its stack-mates.  Zero strata get
-    root 0, bracket (0, 0) and no weights.  ``top_eigenvalue`` is the
-    largest upper end.  ``top_stratum`` is the highest stratum whose
-    bracket reaches the largest lower end: strata whose brackets cannot
-    tell their roots apart count as tied, and ties go up.  A block that is
+    it would be alone, whatever its stack-mates.  The weights are the
+    rows of ``weight_matrix``.  Zero strata get root 0, bracket (0, 0)
+    and a zero row.  ``top_eigenvalue`` is the largest upper end.
+    ``top_stratum`` is the highest stratum whose bracket reaches the
+    largest lower end: strata whose brackets cannot tell their roots
+    apart count as tied, and ties go up.  A block that is
     not certified raises NonConvergenceError for its whole stack.
     """
     W = np.zeros((dec.count, dec.matrix.shape[0]))
@@ -363,14 +363,14 @@ def attach_eigendata(dec: StrataDecomposition) -> StrataDecomposition:
         if s.growing:
             by_size.setdefault(len(s.edges), []).append(s)
         else:
-            s.eigenvalue, s.bracket, s.weights = 0.0, (0.0, 0.0), None
+            s.eigenvalue, s.bracket = 0.0, (0.0, 0.0)
     for n, stack in by_size.items():
         values, vecs, lo, hi = _pf_stack(np.array([s.block for s in stack], dtype=np.float64))
         rows = [s.index - 1 for s in stack]
         edges = [s.edges for s in stack]
         W[np.repeat(rows, n), np.concatenate(edges)] = vecs.ravel()
-        for s, e, value, vec, b in zip(stack, edges, values.tolist(), vecs.tolist(), zip(lo.tolist(), hi.tolist())):
-            s.eigenvalue, s.bracket, s.weights = value, b, dict(zip(e, vec))
+        for s, value, b in zip(stack, values.tolist(), zip(lo.tolist(), hi.tolist())):
+            s.eigenvalue, s.bracket = value, b
     dec.weight_matrix = W
     dec.top_eigenvalue = max(s.eigenvalue for s in dec.strata)
     floor = max(s.bracket[0] for s in dec.strata)
@@ -566,19 +566,15 @@ def assign_pf_metric(
         raise InputError(f"{dec.count} stratum scales required")
     if any(not c > 0 for c in scales):
         raise InputError("stratum scales must be positive")
-    lengths = [0.0] * rep.graph.n_edges
-    for s in dec.strata:
-        c = float(scales[s.index - 1])
-        for e in s.edges:
-            if s.weights is not None:
-                lengths[e] = c * s.weights[e]
-            elif zero_length is not None:
-                lengths[e] = c * float(zero_length)
-            else:
-                raise InputError(
-                    f"stratum {s.index} is a zero stratum and needs an explicit edge length"
-                )
-    return rep.graph.with_lengths(lengths)
+    row = np.array(dec.stratum_of, dtype=np.intp) - 1  # each edge's row of the weight matrix
+    # each column holds one nonzero entry, on its growing stratum's row
+    weights = dec.weight_matrix[row, np.arange(row.size)]
+    zero = [s.index for s in dec.strata if not s.growing]
+    if zero and zero_length is None:
+        raise InputError(f"stratum {zero[0]} is a zero stratum and needs an explicit edge length")
+    if zero:
+        weights[np.isin(row + 1, zero)] = zero_length
+    return rep.graph.with_lengths((np.asarray(scales, dtype=float)[row] * weights).tolist())
 
 
 def rescale_family(rep: TopologicalRepresentative, N: float) -> MarkedMetricGraph:

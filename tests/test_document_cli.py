@@ -2,7 +2,11 @@ import contextlib
 import gc
 import io
 import json
+import os
+import re
 import shlex
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -22,6 +26,7 @@ from outgrowth import (
     Violation,
     verify_representative,
 )
+import outgrowth
 from outgrowth import document, legality
 from outgrowth.document import parse_word
 from outgrowth.cli import Rows, _grid, _json, main, turn_text
@@ -255,6 +260,48 @@ def test_duplicate_key_rejected():
     bad = IDENTITY_DOC.replace("free a = a\n", "free a = a\nfree a = b\n", 1)
     with pytest.raises(InputError, match="duplicate"):
         parse_document(bad)
+
+
+GOLDEN_TEXT = bundled_text("golden_ratio_rose")
+C3C3_TEXT = bundled_text("c3c3_swap")
+# each document is bundled text with one fault, and the message names the fault's line
+SCAN_FAULTS = {
+    "misspelt relative-generators": (
+        GOLDEN_TEXT.replace("free = a b\n", "free = a b\nrelative-generator = a, b, a b\n"),
+        "line 6: unknown key 'relative-generator' in [presentation]",
+    ),
+    "misspelt graph key": (
+        GOLDEN_TEXT.replace("edge a =", "edgee a ="),
+        "line 9: unknown key 'edgee a' in [graph]",
+    ),
+    "unknown factor key": (
+        C3C3_TEXT.replace("[factor Q]\n", "order = 3\n[factor Q]\n"),
+        "line 7: unknown key 'order' in [factor P]",
+    ),
+    "cyclic and table": (
+        C3C3_TEXT.replace("[factor Q]\n", "table = 0 1 2 / 1 2 0 / 2 0 1\n[factor Q]\n"),
+        "line 7: [factor P] takes one of 'cyclic' and 'table'",
+    ),
+    "undeclared factor": (
+        C3C3_TEXT.replace("[graph]\n", "[factor R]\ncyclic = 2\n[graph]\n"),
+        "line 9: [factor R] is not declared in [presentation]",
+    ),
+    "misspelt map section": (
+        GOLDEN_TEXT.replace("[map]\n", "[mapp]\n"),
+        f"line {GOLDEN_TEXT.splitlines().index('[map]') + 1}: unknown section [mapp]",
+    ),
+    "repeated key in an unknown section": (
+        GOLDEN_TEXT + "[notes]\nx = 1\nx = 2\n",
+        f"line {len(GOLDEN_TEXT.splitlines()) + 1}: unknown section [notes]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_FAULTS))
+def test_scan_rejects_a_fault_at_its_line(case):
+    text, message = SCAN_FAULTS[case]
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        parse_document(text)
 
 
 NOT_ISOMORPHISMS = {
@@ -551,6 +598,46 @@ def test_cli_unreadable_input_exits_with_the_validation_code(tmp_path, kind, fmt
     result = runner.invoke(main, ["analyze", str(path), "--format", fmt])
     assert result.exit_code == 2
     assert _error_message(result, fmt).startswith(f"cannot read '{path}': ")
+
+
+def test_cli_growth_rejects_a_misspelt_map_section(tmp_path):
+    path = tmp_path / "mapp.gog"
+    path.write_text(SCAN_FAULTS["misspelt map section"][0])
+    result = runner.invoke(main, ["growth", str(path), "--element", "a"])
+    assert result.exit_code == 2
+    assert _error_message(result, "text") == SCAN_FAULTS["misspelt map section"][1]
+
+
+def _fresh_python(args: list[str], **env: str) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter that imports this outgrowth, with ``env`` over
+    the current environment less OPENBLAS_NUM_THREADS."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = str(Path(outgrowth.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], env={**base, **env}, capture_output=True, timeout=120)
+
+
+def test_cli_reads_input_as_utf_8_under_any_locale(tmp_path):
+    path = tmp_path / "cafe.gog"
+    path.write_text("# café\n" + GOLDEN_TEXT, encoding="utf-8")
+    command = ["-m", "outgrowth.cli", "analyze", str(path)]
+    utf8 = _fresh_python(command, PYTHONUTF8="1")
+    ascii_locale = _fresh_python(command, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert utf8.returncode == 0, utf8.stderr
+    assert ascii_locale.returncode == 0, ascii_locale.stderr
+    assert ascii_locale.stdout == utf8.stdout
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_asks_openblas_for_one_thread_unless_told_otherwise(preset):
+    code = "import os, outgrowth; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    if Path("/proc/self/task").is_dir():  # Linux lists the process's threads there
+        code += "; print(len(os.listdir('/proc/self/task')))"
+    result = _fresh_python(["-c", code], **({} if preset is None else {"OPENBLAS_NUM_THREADS": preset}))
+    assert result.returncode == 0, result.stderr
+    value, *threads = result.stdout.decode().split()
+    assert value == (preset or "1")
+    if preset is None:
+        assert threads in ([], ["1"])
 
 
 def test_cli_defaults_are_the_library_constants():

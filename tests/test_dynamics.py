@@ -6,8 +6,11 @@ import random
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outgrowth import (
+    FREE,
     Automorphism,
     InputError,
     ResourceLimitError,
@@ -28,12 +31,13 @@ from outgrowth import (
     rescale_family,
     standard_rose,
     stretch_lower_bound,
+    transition_matrix,
     tree_length_function,
     verify_representative,
     verify_train_track,
 )
 from outgrowth.cli import default_sample, main
-from outgrowth.dynamics import off_diagonal_product
+from outgrowth.dynamics import GROWTH_TOLERANCE, N_GRID, WORD_GUARD, off_diagonal_product
 from outgrowth.document import parse_word
 from conftest import _rose_document, chord_text, load_text, random_hyperbolic, random_word, tower_text
 from test_document_cli import IDENTITY_DOC
@@ -261,6 +265,64 @@ def test_equality_chain_at_desk_scale(golden, poly, c3c3, c2f2):
         assert rpt.estimate >= mu - tol
         bracket = displacement_bracket(rep, sample=[g], iterations=20)
         assert bracket.upper <= mu + tol
+
+
+def nielsen_rose_text(n: int, moves: list[tuple[int, int]]) -> str:
+    """The positive automorphism of F_n composed of the Nielsen moves a_i -> a_i a_j, in order.
+
+    Composing on the right keeps every image positive: the image of a_i
+    becomes the image of a_i followed by that of a_j.  The inverse of each
+    move, a_i -> a_i a_j', is substituted into the inverse images, which the
+    parser reduces.
+    """
+    names = [f"a{i}" for i in range(1, n + 1)]
+    images = [[a] for a in names]
+    inverse = [[a] for a in names]
+    for i, j in moves:
+        images[i] = images[i] + images[j]
+        undo = {names[i]: [names[i], names[j] + "'"], names[i] + "'": [names[j], names[i] + "'"]}
+        inverse = [[y for x in w for y in undo.get(x, [x])] for w in inverse]
+    return _rose_document(images, inverse)
+
+
+@st.composite
+def _nielsen_roses(draw):
+    """2..5 petals, 1..6 Nielsen moves and 1..3 positive sample words as petal indices."""
+    n = draw(st.integers(2, 5))
+    move = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(lambda m: (m[0], (m[0] + m[1]) % n))
+    moves = draw(st.lists(move, min_size=1, max_size=6))
+    words = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), min_size=1, max_size=3))
+    return n, moves, words
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nielsen_roses())
+def test_inequality_chain_on_positive_rose_automorphisms(case):
+    # positive images take only legal turns, so each map is a train track, and a
+    # positive sample word is a legal loop: growth <= displacement <= Lipschitz
+    n, moves, words = case
+    doc = load_text(nielsen_rose_text(n, moves))
+    rep = doc.representative
+    assert verify_representative(rep) == [] and verify_train_track(rep)
+    # 20 iterations, or fewer where an orbit would pass the guard: the loop of a
+    # positive word crosses each petal once per letter, and M counts the crossings
+    M = transition_matrix(rep).tolist()
+    iterations = 20
+    for word in words:
+        counts = [word.count(i) for i in range(n)]
+        for k in range(iterations):
+            counts = [sum(m * c for m, c in zip(row, counts)) for row in M]
+            if sum(counts) > WORD_GUARD:
+                iterations = k
+                break
+    sample = [doc.group.word([(FREE, i, 1) for i in word]) for word in words]
+    rpt = displacement_bracket(rep, N_GRID, iterations, sample)
+    for growth in rpt.growth_reports:
+        if growth.converged:
+            assert growth.estimate <= rpt.upper * (1 + GROWTH_TOLERANCE)
+    assert rpt.top_eigenvalue <= rpt.upper * (1 + 1e-12)
+    if rep.strata().count == 1:
+        assert rpt.upper == pytest.approx(rpt.top_eigenvalue, rel=1e-12, abs=0.0)
 
 
 def test_hyperbolic_growth_values_respect_floor(golden, c2f2):
@@ -683,8 +745,8 @@ def loop_lipschitz(rep, metric):
 
 
 def loop_r_length(rep, path, r):
-    weights = rep.strata().strata[r - 1].weights
-    return 0.0 if weights is None else sum(weights.get(d >> 1, 0.0) for d, _ in path.steps)
+    weights = rep.strata().weight_matrix[r - 1].tolist()
+    return sum(weights[d >> 1] for d, _ in path.steps)
 
 
 def loop_coefficients(rep, metric):

@@ -182,7 +182,7 @@ def test_stratify_zero_block():
     assert not dec.strata[0].growing
     attach_eigendata(dec)
     assert dec.strata[0].eigenvalue == 0.0
-    assert dec.strata[0].weights is None
+    assert not dec.weight_matrix[0].any()
 
 
 def _reference_scc(M: np.ndarray) -> list[list[int]]:
@@ -460,7 +460,7 @@ def test_pf_bracket_contains_chord_root(n):
     assert Fraction(lo) <= a and b <= Fraction(hi)
     assert hi - lo <= 1e-12 * hi
     assert s.eigenvalue == hi == dec.top_eigenvalue
-    assert all(w > 0 for w in s.weights.values())
+    assert all(w > 0 for w in dec.weight_matrix[0, list(s.edges)])
 
 
 def test_pf_many_matches_single():
@@ -682,13 +682,11 @@ def reference_attach_eigendata(dec):
         if not s.growing:
             s.eigenvalue = 0.0
             s.bracket = (0.0, 0.0)
-            s.weights = None
             continue
         value, vec = pf_eigen(s.block)
         lo, hi = collatz_wielandt(s.block, vec)
         s.eigenvalue = value
         s.bracket = (float(lo[0]), float(hi[0]))
-        s.weights = {e: float(vec[i]) for i, e in enumerate(s.edges)}
         W[s.index - 1, list(s.edges)] = vec
     dec.weight_matrix = W
     dec.top_eigenvalue = max(s.eigenvalue for s in dec.strata)
@@ -719,11 +717,6 @@ def _assert_same_eigendata(M):
     for s, t in zip(got.strata, expected.strata, strict=True):
         assert _bits(s.eigenvalue) == _bits(t.eigenvalue)
         assert tuple(map(_bits, s.bracket)) == tuple(map(_bits, t.bracket))
-        if t.weights is None:
-            assert s.weights is None
-        else:
-            assert list(s.weights) == list(t.weights)
-            assert list(map(_bits, s.weights.values())) == list(map(_bits, t.weights.values()))
     return got
 
 
@@ -883,7 +876,7 @@ def test_zero_stratum_lengths():
     dec = rep.strata()
     zero = [s for s in dec.strata if not s.growing]
     assert len(zero) == 1 and zero[0].edges == (0,)
-    assert zero[0].eigenvalue == 0.0 and zero[0].weights is None
+    assert zero[0].eigenvalue == 0.0 and not dec.weight_matrix[zero[0].index - 1].any()
     metric = assign_pf_metric(rep, 1.0, zero_length=0.25)
     assert metric.lengths[0] == 0.25
     assert metric.lengths[1] == metric.lengths[2] == 1.0
