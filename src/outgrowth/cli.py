@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 
 import click
@@ -81,32 +82,19 @@ _CONSTANT_TYPES = frozenset({bool, type(None)})
 _LISTS = frozenset({list, tuple})
 
 
-class Rows:
-    """Dicts with one set of str keys, held column by column.
-
-    ``columns`` maps each key to its values, one per row: all scalars, or
-    all lists of scalars.  ``_json`` writes a ``Rows`` exactly as the list
-    of those dicts, without building them.
-    """
-
-    __slots__ = ("columns",)
-
-    def __init__(self, **columns: list):
-        self.columns = columns
-
-
 def _json(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, through the C encoder.
 
     ``indent`` makes ``json`` fall back to its pure-Python encoder, so each
     run of scalars (a list of scalars or a flat dict) goes to the C encoder
     in one call without it, and a list of dicts that share one set of
-    keys, or a ``Rows``, goes column by column (``_json_columns``) when its
-    values are scalars or lists of scalars.  Its separators carry the
-    newline and the indent: ``ensure_ascii`` escapes every control
-    character, so each raw newline in the output is a separator.  The
-    pieces are collected in one list and joined once, so no level copies
-    the text of the levels below it.
+    keys goes column by column (``_json_columns``) when its values are
+    scalars or lists of scalars.  Its separators carry the newline and the
+    indent: ``ensure_ascii`` escapes every control character, so each raw
+    newline in the output is a separator.  A callable in ``obj`` is a
+    fragment written in advance: it is called with the newline and indent
+    of its level and returns its pieces.  The pieces are collected in one
+    list and joined once, so no level copies the text of the levels below it.
     """
     out: list[str] = []
     _json_parts(obj, "\n", out)
@@ -146,9 +134,8 @@ def _json_parts(obj, pad: str, out: list[str]) -> None:
                 _json_parts(x, inner, out)
                 opening = "," + inner
             out.append(pad + "]")
-    elif isinstance(obj, Rows):
-        keys = sorted(obj.columns)
-        out += _json_columns(keys, [obj.columns[k] for k in keys], pad)
+    elif callable(obj):
+        out += obj(pad)
     else:
         out.append(json.dumps(obj))
 
@@ -224,8 +211,10 @@ def _json_columns(keys: list[str], columns: list[list], pad: str) -> list[str]:
 def _emit(fmt: str, command: str, record: dict, rows: list[dict], text: list[str]) -> None:
     header = f"outgrowth {__version__} {command}"
     if fmt == "json":
-        out = _json({"version": header, "report": record})
-    elif fmt == "csv":
+        # ensure_ascii leaves no raw ESC for click's ANSI strip to remove, so skip its scan
+        print(_json({"version": header, "report": record}), flush=True)
+        return
+    if fmt == "csv":
         out = f"# {header}"
         if rows:
             buf = io.StringIO()
@@ -250,9 +239,11 @@ def _fail(fmt: str, command: str, err: Exception) -> None:
 
 
 def _parse_sample(doc: InputDocument, sample: str | None) -> list[Word]:
-    if sample:
-        return [parse_word(doc.group, part.strip()) for part in sample.split(",") if part.strip()]
-    return default_sample(doc)
+    if sample is None:
+        return default_sample(doc)
+    if words := [parse_word(doc.group, part.strip()) for part in sample.split(",") if part.strip()]:
+        return words
+    raise InputError(f"sample '{sample}' names no word")
 
 
 def default_sample(doc: InputDocument) -> list[Word]:
@@ -338,20 +329,13 @@ def analyze(doc, rep, fmt):
     }
     text = []
     if fmt != "csv":
+        # each turn's row gathers its pieces by vertex, by direction and by step count k at k + 1
         labels = [_direction_text(graph, graph.dart_tail(x[0]), x) for x in turns.directions]
         names = graph.vertex_names
-        turn_names = [
-            f"{names[v]}:{{{labels[i]},{labels[j]}}}"
-            for v, i, j in zip(turns.vertex.tolist(), turns.first.tolist(), turns.second.tolist())
-        ]
-        steps = turns.steps.tolist()
+        top = int(turns.steps.max(initial=0))
+        index = [turns.vertex.tolist(), turns.first.tolist(), turns.second.tolist(), (turns.steps + 1).tolist()]
     if fmt == "json":
-        record["legality"] = Rows(
-            turn=turn_names,
-            legal=(turns.steps < 0).tolist(),
-            degenerate=(turns.steps == 0).tolist(),
-            steps_to_degeneracy=[None if k < 0 else k for k in steps],
-        )
+        record["legality"] = functools.partial(_legality_json, names, labels, top, index)
     elif fmt == "text":
         text.append(f"strata: {dec.count}  top eigenvalue: {dec.top_eigenvalue!r} at stratum {dec.top_stratum}")
         for row in strata_rows:
@@ -359,11 +343,10 @@ def analyze(doc, rep, fmt):
             text.append(f"  stratum {row['stratum']} ({grow}): edges [{row['edges']}] eigenvalue {row['eigenvalue']!r}")
             if row["weights"]:
                 text.append(f"    weights: {row['weights']}")
-        text.append(f"turns: {len(steps)} ({sum(k < 0 for k in steps)} legal)")
-        text += [
-            f"  {name}: " + ("legal" if k < 0 else "degenerate" if k == 0 else f"illegal in {k} step(s)")
-            for name, k in zip(turn_names, steps)
-        ]
+        status = ["legal", "degenerate", *(f"illegal in {k} step(s)" for k in range(1, top + 1))]
+        tables = [[f"\n  {v}:{{" for v in names], [s + "," for s in labels], [s + "}: " for s in labels], status]
+        legal = int((turns.steps < 0).sum())
+        text.append(f"turns: {len(turns.steps)} ({legal} legal)" + "".join(_gather(tables, index)))
     return record, strata_rows, text
 
 
@@ -533,6 +516,43 @@ def examples(fmt):
     record = {"examples": rows}
     text = [f"  {row['name']}: {row['description']}" for row in rows]
     _emit(fmt, "examples", record, rows, text)
+
+
+def _gather(tables: list[list[str]], indices: list[list[int]]) -> list[str]:
+    """Row after row, the piece that each index column picks from its table for the row."""
+    width, count = len(tables), len(indices[0])
+    parts = [""] * (width * count)
+    for c, (table, idx) in enumerate(zip(tables, indices)):
+        # one index gives itemgetter a bare item, not a tuple
+        parts[c::width] = itemgetter(*idx)(table) if count > 1 else [table[i] for i in idx]
+    return parts
+
+
+def _legality_json(names: list[str], labels: list[str], top: int, index: list[list[int]], pad: str) -> list[str]:
+    """The pieces of the legality rows at ``pad``, from ``analyze``'s tables, as ``_json`` writes their dicts.
+
+    JSON escapes one code point at a time, so escaped names and labels join to the escaped turn text.
+    """
+    vertex, first, second, step = index
+    if not step:
+        return ["[]"]
+    inner, deep = pad + "  ", pad + "    "
+    # by step count k at k + 1: a row's fields up to the opening quote of its turn text
+    fields = [
+        {"degenerate": k == 0, "legal": k < 0, "steps_to_degeneracy": None if k < 0 else k, "turn": ""}
+        for k in range(-1, top + 1)
+    ]
+    escaped = [json.dumps(s)[1:-1] for s in labels]
+    tables = [
+        [f",{inner}{{{deep}" + json.dumps(f, sort_keys=True, separators=("," + deep, ": "))[1:-2] for f in fields],
+        [json.dumps(v)[1:-1] + ":{" for v in names],
+        [s + "," for s in escaped],
+        [s + '}"' + inner + "}" for s in escaped],
+    ]
+    parts = _gather(tables, [step, vertex, first, second])
+    parts[0] = "[" + parts[0][1:]  # the first row opens the list, not after a row
+    parts.append(pad + "]")
+    return parts
 
 
 def _direction_text(graph: MarkedMetricGraph, v: int, direction) -> str:

@@ -29,7 +29,7 @@ from outgrowth import (
 import outgrowth
 from outgrowth import document, legality
 from outgrowth.document import parse_word
-from outgrowth.cli import Rows, _grid, _json, main, turn_text
+from outgrowth.cli import _grid, _json, main, turn_text
 from outgrowth.dynamics import ITERATIONS, N_GRID, WORD_GUARD
 from outgrowth.free_product import Automorphism, FiniteGroupTable, FreeProduct
 from outgrowth.graph_map import PF_TOLERANCE
@@ -533,6 +533,13 @@ def test_cli_rejects_bad_n_grid(command, grid):
     assert json.loads(result.output)["report"]["error"]["type"] == "InputError"
 
 
+@pytest.mark.parametrize("sample", [",", " ", " , ", ""], ids=["comma", "space", "commas", "empty"])
+def test_cli_rejects_a_sample_that_names_no_word(sample):
+    result = runner.invoke(main, ["displacement", "golden_ratio_rose", "--sample", sample, "--format", "json"])
+    assert result.exit_code == 2
+    assert json.loads(result.output)["report"]["error"]["type"] == "InputError"
+
+
 def test_cli_sweep_and_displacement_past_the_float_range_of_n_to_the_r(tmp_path):
     # N^r overflows a float at N = 1000 from r = 103 on; the tower has 110 strata
     path = tmp_path / "tower110.gog"
@@ -873,6 +880,7 @@ _RECORDS = st.recursive(
 @example([[], {}, (), [{}], [{"a": 1}, {}], [[]], ({"b": -0.0},)])
 @example({"m": [[1, 0], [0, 1]], "n": {0: [True], 2.5: None}, "o": {None: [1e308, float("nan")]}})
 @example({"rows": [{"turn": t, "legal": i % 2 == 0, "steps": None if i % 3 else i} for i, t in enumerate(_TRICKY_TEXT)]})
+@example([{"turn": t, "legal": i % 2 == 0, "steps": None if i % 3 else i} for i, t in enumerate(_TRICKY_TEXT)])
 @example([{"x": x, "y": None} for x in (float("nan"), float("inf"), float("-inf"), -0.0, 1e308, 0, -(10**30))])
 @example([[{"a": 1, "b": 2}, {"a": 1, "c": 2}], [{1: 2}, {1: 3}], [{"1": 1}, {1: 1}], [{"a": [1]}, {"a": 2}]])
 @example([{"b": [1.0, 2.5], "c": []}, {"b": [-0.0], "c": [None, True, "x\n"]}, {"b": [[1]], "c": []}])
@@ -881,26 +889,69 @@ def test_json_emitter_equals_indented_dumps(record):
     assert _json(record) == json.dumps(record, indent=2, sort_keys=True)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_uniform_rows())
-@example([{"turn": t, "legal": i % 2 == 0, "steps": None if i % 3 else i} for i, t in enumerate(_TRICKY_TEXT)])
-def test_json_writes_rows_as_their_list_of_dicts(rows):
-    columns = {k: [row[k] for row in rows] for k in rows[0]}
-    assert _json({"rows": Rows(**columns)}) == json.dumps({"rows": rows}, indent=2, sort_keys=True)
-    assert _json([Rows(**{k: [] for k in columns})]) == json.dumps([[]], indent=2)
+# c2f2_mixed with names that JSON escapes, that hold the turn text's own
+# punctuation, and an astral character that JSON writes as a surrogate pair
+_TRICKY_NAMES = {
+    "V": 'v{0},"\\',
+    "W": "w\U0001d11e\x1b}",
+    "E": 'e"{,é',
+    "F": "f\\\U0001d11e}",
+    "S": "s,\x1b{",
+    "P": 'Q"\\é',
+}
+_TRICKY_DOC = """
+[presentation]
+free = a b
+factors = <P>
+[factor <P>]
+cyclic = 2
+[graph]
+vertices = <V> <W>
+base = <V>
+vertex <W> = <P>
+edge <E> = <V> <V> 1.0
+edge <F> = <V> <V> 1.0
+edge <S> = <V> <W> 0.5
+marking a = <E>
+marking b = <F>
+marking <P> = <S>
+[automorphism]
+free a = b
+free b = a b
+factor <P> = <P> : 0 1
+[inverse]
+free a = b a'
+free b = a
+factor <P> = <P> : 0 1
+[map]
+vertex <V> = <V>
+vertex <W> = <W>
+twist <W> = 0 1
+edge <E> = <F>
+edge <F> = <E> <F>
+edge <S> = <S>
+tether =
+"""
 
 
-@pytest.mark.parametrize("name", ["chord25", "tower25", "c2f2_mixed"])
+@pytest.mark.parametrize("name", ["chord25", "tower25", "c2f2_mixed", "tricky_names"])
 def test_analyze_json_equals_dumps_of_the_reference_table(tmp_path, name):
     if name in bundled_names():
         arg, doc = name, load_bundled(name)
     else:
         path = tmp_path / f"{name}.gog"
-        path.write_text(chord_text(25) if name.startswith("chord") else tower_text(25))
-        arg, doc = str(path), parse_document(path.read_text())
+        if name == "tricky_names":
+            text = _TRICKY_DOC
+            for key, value in _TRICKY_NAMES.items():
+                text = text.replace(f"<{key}>", value)
+        else:
+            text = chord_text(25) if name.startswith("chord") else tower_text(25)
+        path.write_text(text, encoding="utf-8")
+        arg, doc = str(path), parse_document(text)
     result = runner.invoke(main, ["analyze", arg, "--format", "json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
+    reference = sorted(reference_classify_turns(doc.representative).entries.items())
     payload["report"]["legality"] = [
         {
             "turn": turn_text(doc.graph, turn),
@@ -908,9 +959,24 @@ def test_analyze_json_equals_dumps_of_the_reference_table(tmp_path, name):
             "degenerate": entry.degenerate,
             "steps_to_degeneracy": entry.steps_to_degeneracy,
         }
-        for turn, entry in sorted(reference_classify_turns(doc.representative).entries.items())
+        for turn, entry in reference
     ]
     assert result.output == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    result = runner.invoke(main, ["analyze", arg, "--format", "text"])
+    assert result.exit_code == 0
+    _, turn_lines = result.output.split("\nturns: ")
+    assert turn_lines.split("\n") == [
+        f"{len(reference)} ({sum(entry.legal for _, entry in reference)} legal)",
+        *(
+            f"  {turn_text(doc.graph, turn)}: "
+            + ("legal" if e.legal else "degenerate" if e.degenerate else f"illegal in {e.steps_to_degeneracy} step(s)")
+            for turn, e in reference
+        ),
+        "",
+    ]
+    if name == "tricky_names":
+        assert all(value in result.output for value in _TRICKY_NAMES.values())
+        assert f"[{_TRICKY_NAMES['P']}:1]" in result.output  # a twisted label
 
 
 def test_analyze_builds_no_turn_objects(monkeypatch, tmp_path):
@@ -959,8 +1025,6 @@ def test_analyze_strata_rows_take_the_columnar_writer(monkeypatch, tmp_path):
 
 
 def _dicts_in(obj) -> int:
-    if isinstance(obj, Rows):
-        obj = obj.columns
     if isinstance(obj, dict):
         return 1 + sum(map(_dicts_in, obj.values()))
     if isinstance(obj, (list, tuple)):
@@ -968,7 +1032,7 @@ def _dicts_in(obj) -> int:
     return 0
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 def test_analyze_builds_no_dict_per_turn(monkeypatch, tmp_path, fmt):
     from outgrowth import cli
 
@@ -981,11 +1045,14 @@ def test_analyze_builds_no_dict_per_turn(monkeypatch, tmp_path, fmt):
     result = runner.invoke(main, ["analyze", str(path), "--format", fmt])
     assert result.exit_code == 0
     [(_, _, record, rows, text)] = emitted
-    # the record, its parameters, the legality columns and one stratum in record and rows
-    assert _dicts_in([record, rows, text]) <= 5
+    # the record, its parameters and one stratum in record and rows
+    assert _dicts_in([record, rows, text]) <= 4
     if fmt == "csv":
         assert labels == []  # csv prints only the strata
         assert len(result.output.splitlines()) == 3
     else:
         assert len(labels) == 2 * 25
+    if fmt == "json":
         assert len(json.loads(result.output)["report"]["legality"]) == 25 * 51
+    if fmt == "text":
+        assert len(result.output.split("\nturns: ")[1].splitlines()) == 1 + 25 * 51
