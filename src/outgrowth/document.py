@@ -42,7 +42,6 @@ from .errors import InputError
 from .free_product import (
     FACTOR,
     FREE,
-    SEARCH_BUDGET,
     Automorphism,
     FiniteGroupTable,
     FreeProduct,
@@ -67,7 +66,7 @@ class InputDocument:
 #: the keys each section takes.  A name ending in a space is followed by a name of the
 #: document's own, as in ``[factor P]`` or ``edge a = ...``
 _KEYS = {
-    "presentation": {"free", "factors", "relative-generators", "search-budget"},
+    "presentation": {"free", "factors", "relative-generators"},
     "factor ": {"cyclic", "table"},
     "graph": {"vertices", "base", "vertex ", "edge ", "marking "},
     "automorphism": {"free ", "factor ", "conjugator "},
@@ -271,16 +270,7 @@ def parse_document(text: str, name: str = "") -> InputDocument:
             factors.append(FiniteGroupTable([_ints(row, n_line, "table") for row in value.split("/")], name=fname))
         else:
             raise InputError(f"[factor {fname}] needs 'cyclic = n' or 'table = ...'")
-    budget = SEARCH_BUDGET
-    if "search-budget" in pres:
-        n_line, value = pres["search-budget"]
-        try:
-            budget = int(value)
-        except ValueError:
-            raise InputError(f"line {n_line}: search budget must be an integer")
-        if budget < 1:
-            raise InputError(f"line {n_line}: search budget must be positive")
-    group = FreeProduct(factors, len(free_names), free_names or None, search_budget=budget)
+    group = FreeProduct(factors, len(free_names), free_names or None)
     if "relative-generators" in pres:
         n_line, value = pres["relative-generators"]
         words = [parse_word(group, part.strip(), n_line) for part in value.split(",") if part.strip()]
@@ -389,16 +379,8 @@ def _parse_automorphism(sections, section_name, group) -> Automorphism:
         images.append(free_images[name])
     for i, fname in enumerate(group.factor_names):
         if permutation[i] is None:
-            if len(group.factors) == 0:
-                break
             raise InputError(f"[{section_name}] is missing 'factor {fname}'")
-    return Automorphism(
-        group,
-        images,
-        permutation if group.factors else None,
-        isos if group.factors else None,
-        conjugators if group.factors else None,
-    )
+    return Automorphism(group, images, permutation, isos, conjugators)
 
 
 def _parse_map(rows, group, graph, automorphism, v_index) -> TopologicalRepresentative:
@@ -472,8 +454,6 @@ def emit_document(doc: InputDocument) -> str:
     if group.relative_generators is not None:
         words = ", ".join(word_str(w) for w in group.relative_generators)
         lines.append(f"relative-generators = {words}")
-    if group.search_budget != SEARCH_BUDGET:
-        lines.append(f"search-budget = {group.search_budget}")
     for i, table in enumerate(group.factors):
         lines.append(f"[factor {group.factor_names[i]}]")
         cyclic = FiniteGroupTable.cyclic(table.order).product

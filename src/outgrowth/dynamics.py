@@ -111,6 +111,7 @@ def relative_length_function(group) -> LengthFunction:
 
 def tree_length_function(graph: MarkedMetricGraph) -> LengthFunction:
     """Translation length on a marked metric graph: C = 0, floor = shortest edge."""
+    graph.require_edges()
     return LengthFunction("tree", graph.translation_length, 0.0, min(graph.lengths), graph)
 
 

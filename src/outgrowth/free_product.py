@@ -98,10 +98,11 @@ class FreeProduct:
     """The group G = G_1 * ... * G_k * F_r with an optional relative generating set.
 
     ``relative_generators`` defaults to the free basis; with the default,
-    relative lengths are exact syllable counts.  An extended generating set
-    switches length computations to a bounded breadth-first search over
-    products of letters (``search_budget`` letters, at least 1, and
-    ``SEARCH_CAP`` distinct elements).
+    relative lengths are exact syllable counts.  An extended generating set E
+    switches both relative lengths to one breadth-first word ball over the
+    letters of E u Ghat, grown in place on first use (no lock) up to
+    ``SEARCH_BUDGET`` letters and ``SEARCH_CAP`` elements.  The ball keeps
+    the depth of each element and the least depth of each conjugacy class.
     """
 
     def __init__(
@@ -110,7 +111,6 @@ class FreeProduct:
         free_rank: int = 0,
         free_names: Sequence[str] | None = None,
         relative_generators: Sequence[Word] | None = None,
-        search_budget: int = SEARCH_BUDGET,
     ):
         self.factors = tuple(factors)
         self.free_rank = int(free_rank)
@@ -140,12 +140,6 @@ class FreeProduct:
                 self.tokens.update(
                     (f"{name}:{a}", ((FACTOR, i, a),)) for a in range(1, self.factors[i].order)
                 )
-        if search_budget < 1:
-            raise InputError("search budget must be positive")
-        self.search_budget = search_budget
-        self._ball: dict[Word, int] | None = None
-        self._frontier: list[Word] | None = None
-        self._depth = 0
         self.relative_generators = None
         if relative_generators is not None:
             self.set_relative_generators(relative_generators)
@@ -157,8 +151,12 @@ class FreeProduct:
             if w.group is not self:
                 raise InputError("relative generator built for another presentation")
         self.relative_generators = words
-        self._ball = None
-        self._frontier = None
+        ghat = (self.factor_element(i, a) for i, t in enumerate(self.factors) for a in range(1, t.order))
+        self._letters = tuple(dict.fromkeys((*words, *(w.inverse() for w in words), *ghat)))  # E u Ghat, once each
+        # the word ball over them: element -> depth, class key -> least depth
+        self._ball = {self.identity(): 0}
+        self._classes = {(): 0}
+        self._frontier = [self.identity()]
         self._depth = 0
 
     def diagnostics(self) -> list[str]:
@@ -170,10 +168,8 @@ class FreeProduct:
         if not (k >= 2 or (k >= 1 and r >= 1) or (k == 0 and r >= 1)):
             notes.append("no hyperbolic elements exist for this (k, r)")
         if self.relative_generators is not None:
-            basis = {self.free(j) for j in range(r)}
-            found = self._search_ball(basis)
             for j in range(r):
-                if self.free(j) not in found:
+                if self._depth_of(self._ball, self.free(j)) is None:
                     notes.append(f"free letter {self.free_names[j]} not reached from E")
         return notes
 
@@ -267,51 +263,81 @@ class FreeProduct:
             ptag, px, py = tag, x, y
         return out
 
-    # -- bounded search over an extended generating set -------------------
+    # -- cyclic cores and the word ball over an extended generating set ----
 
-    def generating_alphabet(self) -> list[Word]:
-        """Letters of the alphabet E u Ghat: generators, inverses, factor elements."""
-        letters: list[Word] = []
-        gens = self.relative_generators
-        if gens is None:
-            gens = [self.free(j) for j in range(self.free_rank)]
-        for w in gens:
-            letters.append(w)
-            wi = w.inverse()
-            if wi != w:
-                letters.append(wi)
-        for i, table in enumerate(self.factors):
-            for a in range(1, table.order):
-                letters.append(self.factor_element(i, a))
-        return letters
+    def _cyclic_core(self, syllables: Sequence[Syllable]) -> tuple[list[Syllable], list[Syllable]]:
+        """(core, conjugator) syllables with w = conjugator * core * conjugator^-1.
 
-    def _search_ball(self, targets: set[Word]) -> dict[Word, int]:
-        """Grow the E u Ghat word ball until all targets appear or budget runs out.
-
-        The ball is cached across calls; returns the word -> shortest-length map.
+        The core is cyclically reduced: its first and last syllables neither
+        cancel nor share a factor.  Linear time via an index window.
         """
-        if self._ball is None:
-            self._ball = {self.identity(): 0}
-            self._frontier = [self.identity()]
-            self._depth = 0
-        missing = {t for t in targets if t not in self._ball}
-        letters = self.generating_alphabet()
-        while missing and self._frontier and self._depth < self.search_budget:
-            if len(self._ball) > SEARCH_CAP:
-                raise NonConvergenceError(
-                    f"generating-set search exceeded {SEARCH_CAP} elements"
-                )
+        syls = list(syllables)
+        lo, hi = 0, len(syls)
+        conj: list[Syllable] = []
+        while hi - lo >= 2:
+            t1, x1, y1 = syls[lo]
+            t2, x2, y2 = syls[hi - 1]
+            if t1 != t2 or x1 != x2 or (t1 == FREE and y1 != -y2):
+                break
+            hi -= 1
+            if t1 == FREE:
+                conj.append(syls[lo])
+                lo += 1
+                continue
+            # conjugating by the inverse of the last syllable rotates it onto the
+            # front, where it merges
+            conj.append((FACTOR, x1, self.factors[x1].inv(y2)))
+            prod = self._products[x1][y2][y1]
+            if prod:
+                syls[lo] = (FACTOR, x1, prod)
+            else:
+                lo += 1
+        return syls[lo:hi], conj
+
+    def _class_key(self, syllables: Sequence[Syllable]) -> tuple[Syllable, ...]:
+        """The least rotation of the cyclic core: on hyperbolic elements, equal exactly on conjugates.
+
+        The cyclically reduced conjugates of a hyperbolic element are the
+        rotations of one core (Magnus, Karrass and Solitar, *Combinatorial
+        Group Theory*, 1966).  A rotation inside a run of free letters is a
+        conjugate of the same length too, so rotating letter by letter keeps
+        the key a class invariant.  An elliptic key has at most one syllable.
+        """
+        core, _ = self._cyclic_core(syllables)
+        if not core:
+            return ()
+        least = min(core)
+        return min(tuple(core[r:] + core[:r]) for r, syl in enumerate(core) if syl == least)
+
+    def _depth_of(self, table: dict, key) -> int | None:
+        """Depth of ``key`` in ``table``, the word ball or its class table, grown as needed.
+
+        The ball over E u Ghat grows one depth at a time until ``key`` is in
+        ``table``.  Each new element gets its depth and its class key the
+        least depth seen.  None if ``key`` is not there within
+        ``SEARCH_BUDGET`` depths and ``SEARCH_CAP`` elements.
+        """
+        ball, classes, letters = self._ball, self._classes, self._letters
+        while key not in table and self._frontier and self._depth < SEARCH_BUDGET and len(ball) <= SEARCH_CAP:
             self._depth += 1
-            nxt = []
+            depth, nxt = self._depth, []
             for w in self._frontier:
                 for s in letters:
                     ws = w * s
-                    if ws not in self._ball:
-                        self._ball[ws] = self._depth
+                    if ws not in ball:
+                        ball[ws] = depth
+                        classes.setdefault(self._class_key(ws.syllables), depth)
                         nxt.append(ws)
-                        missing.discard(ws)
             self._frontier = nxt
-        return self._ball
+        return table.get(key)
+
+    def _exceeded(self, syllables: Sequence[Syllable]) -> NonConvergenceError:
+        """The ball's give-up error; its bound counts 1 per factor syllable and the depth of each free letter."""
+        depths = [1 if tag == FACTOR else self._ball.get(self.free(x)) for tag, x, _ in syllables]
+        return NonConvergenceError(
+            f"relative length search exceeded {SEARCH_BUDGET} letters or {SEARCH_CAP} elements",
+            best=None if None in depths else sum(depths),
+        )
 
 
 class Word:
@@ -377,42 +403,15 @@ class Word:
         """Return (core, conjugator) with self = conjugator * core * conjugator^-1.
 
         The core is cyclically reduced: its first and last syllables neither
-        cancel nor share a factor.  Linear time via an index window.
+        cancel nor share a factor.
         """
-        G = self.group
-        syls = list(self.syllables)
-        lo, hi = 0, len(syls)
-        conj: list[Syllable] = []
-        while hi - lo >= 2:
-            t1, x1, y1 = syls[lo]
-            t2, x2, y2 = syls[hi - 1]
-            if t1 == FREE and t2 == FREE and x1 == x2 and y1 == -y2:
-                conj.append(syls[lo])
-                lo += 1
-                hi -= 1
-                continue
-            if t1 == FACTOR and t2 == FACTOR and x1 == x2:
-                prod = G.factors[x1].mul(y2, y1)
-                # conjugating by the inverse of the last syllable rotates it
-                # onto the front, where it merges
-                conj.append((FACTOR, x1, G.factors[x1].inv(y2)))
-                hi -= 1
-                if prod != 0:
-                    syls[lo] = (FACTOR, x1, prod)
-                else:
-                    lo += 1
-                continue
-            break
-        return Word(G, tuple(syls[lo:hi])), G.word(conj)
+        core, conj = self.group._cyclic_core(self.syllables)
+        return Word(self.group, tuple(core)), self.group.word(conj)
 
     def is_hyperbolic(self) -> bool:
         """True unless the word is conjugate into a factor (or trivial)."""
-        core, _ = self.cyclic_form()
-        if len(core.syllables) >= 2:
-            return True
-        if len(core.syllables) == 1:
-            return core.syllables[0][0] == FREE
-        return False
+        core, _ = self.group._cyclic_core(self.syllables)
+        return len(core) >= 2 or (len(core) == 1 and core[0][0] == FREE)
 
 
 # -- length functions ------------------------------------------------------
@@ -422,37 +421,26 @@ def relative_length(w: Word) -> int:
     """Length of a shortest word over E u Ghat representing w.
 
     With the default generating set this is the syllable count.  With an
-    extended set it is found by breadth-first search over products of
-    letters; if the ball up to the search budget misses w, the raised error
-    carries the best upper bound assembled from per-letter distances.
+    extended set it is the depth of w in the group's word ball; if the ball
+    up to ``SEARCH_BUDGET`` letters and ``SEARCH_CAP`` elements misses w, the
+    raised error carries the best upper bound assembled from per-letter
+    distances.
     """
     G = w.group
     if G.relative_generators is None:
         return len(w.syllables)
-    ball = G._search_ball({w})
-    if w in ball:
-        return ball[w]
-    upper: int | None = 0
-    for tag, x, _ in w.syllables:
-        if tag == FACTOR:
-            upper += 1
-        else:
-            d = ball.get(G.free(x))
-            if d is None:
-                upper = None
-                break
-            upper += d
-    raise NonConvergenceError(
-        f"relative length search budget ({G.search_budget}) exhausted", best=upper
-    )
+    depth = G._depth_of(G._ball, w)
+    if depth is None:
+        raise G._exceeded(w.syllables)
+    return depth
 
 
 def relative_conjugacy_length(w: Word) -> int:
     """Minimal relative length over the conjugacy class of w.
 
-    Elliptic words cost 0 (identity) or 1; hyperbolic words are measured on
-    the cyclically reduced core, minimising over its rotations when an
-    extended generating set is in force.
+    Elliptic words cost 0 (identity) or 1; hyperbolic words cost their
+    core's syllable count with the default generating set, and with an
+    extended set the least depth of their conjugacy class in the word ball.
     """
     core, _ = w.cyclic_form()
     n = len(core.syllables)
@@ -460,12 +448,13 @@ def relative_conjugacy_length(w: Word) -> int:
         return 0
     if n == 1 and core.syllables[0][0] == FACTOR:
         return 1
-    if w.group.relative_generators is None:
+    G = w.group
+    if G.relative_generators is None:
         return n
-    syls = core.syllables
-    return min(
-        relative_length(Word(w.group, syls[r:] + syls[:r])) for r in range(len(syls))
-    )
+    depth = G._depth_of(G._classes, G._class_key(core.syllables))
+    if depth is None:
+        raise G._exceeded(core.syllables)
+    return depth
 
 
 # -- automorphisms ----------------------------------------------------------

@@ -110,6 +110,7 @@ class TopologicalRepresentative:
     def strata(self) -> StrataDecomposition:
         """Stratification with eigenvalues and eigenvector weights (cached)."""
         if self._strata is None:
+            self.graph.require_edges()
             dec = stratify(transition_matrix(self))
             attach_eigendata(dec)
             self._strata = dec

@@ -266,6 +266,11 @@ class MarkedMetricGraph:
     def n_edges(self) -> int:
         return len(self.edge_ends)
 
+    def require_edges(self) -> None:
+        """Raise InputError on a graph with no edges, which has no strata and no tree lengths."""
+        if not self.edge_ends:
+            raise InputError("graph has no edges: strata and tree lengths need at least one edge")
+
     def dart_tail(self, d: int) -> int:
         return self.edge_ends[d >> 1][d & 1]
 

@@ -27,7 +27,7 @@ from outgrowth import (
     verify_representative,
 )
 import outgrowth
-from outgrowth import document, legality
+from outgrowth import document, free_product, legality
 from outgrowth.document import parse_word
 from outgrowth.cli import _grid, _json, main, turn_text
 from outgrowth.dynamics import ITERATIONS, N_GRID, WORD_GUARD
@@ -216,27 +216,24 @@ def test_odd_words_give_the_per_token_messages_and_exit_codes(command, option, f
 
 def test_round_trip_extended_generators():
     doc_text = IDENTITY_DOC.replace(
-        "free = a b", "free = a b\nrelative-generators = a b, b\nsearch-budget = 6"
+        "free = a b", "free = a b\nrelative-generators = a b, b"
     )
     doc = parse_document(doc_text)
     assert doc.group.relative_generators is not None
-    assert doc.group.search_budget == 6
     once = emit_document(doc)
     assert "relative-generators = a b, b" in once
     assert emit_document(parse_document(once)) == once
 
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
-def test_search_budget_below_one_rejected(tmp_path, budget):
+@pytest.mark.parametrize("budget", ["0", "-3", "6"])
+def test_search_budget_key_is_unknown(tmp_path, budget):
     bad = IDENTITY_DOC.replace("free = a b", f"free = a b\nrelative-generators = a, b, a b\nsearch-budget = {budget}")
-    with pytest.raises(InputError, match="^line 5: search budget must be positive$"):
+    with pytest.raises(InputError, match="^line 5: unknown key 'search-budget' in \\[presentation\\]$"):
         parse_document(bad)
     path = tmp_path / "budget.gog"
     path.write_text(bad)
     result = runner.invoke(main, ["growth", str(path), "--element", "a b", "--length", "relative"])
     assert result.exit_code == 2
-    with pytest.raises(InputError, match="search budget must be positive"):
-        FreeProduct(free_rank=1, free_names=["a"], search_budget=int(budget))
 
 
 def test_empty_document_rejected():
@@ -780,9 +777,10 @@ def test_cli_growth_without_a_verified_map_validates_the_automorphism(tmp_path, 
     assert _error_message(result, fmt) == f"declared inverse fails on free generator {generator}"
 
 
-def test_cli_exit_code_nonconvergence(tmp_path):
+def test_cli_exit_code_nonconvergence(tmp_path, monkeypatch):
+    monkeypatch.setattr(free_product, "SEARCH_BUDGET", 2)
     text = IDENTITY_DOC.replace(
-        "free = a b", "free = a b\nrelative-generators = a, b\nsearch-budget = 2"
+        "free = a b", "free = a b\nrelative-generators = a, b"
     )
     path = tmp_path / "tight.gog"
     path.write_text(text)
@@ -814,6 +812,49 @@ def test_cli_rejects_a_marking_that_is_not_an_isomorphism(tmp_path, case):
         assert result.exit_code == 2
         error = {"type": "InputError", "message": "the marking is not an isomorphism", "exit_code": 2}
         assert json.loads(result.output)["report"] == {"error": error}
+
+
+EDGELESS_DOC = """
+[presentation]
+factors = P
+[factor P]
+cyclic = 2
+[graph]
+vertices = vP
+base = vP
+vertex vP = P
+marking P =
+[automorphism]
+factor P = P : 0 1
+[inverse]
+factor P = P : 0 1
+[map]
+vertex vP = vP
+tether =
+"""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_rejects_a_graph_with_no_edges(tmp_path, fmt):
+    path = tmp_path / "edgeless.gog"
+    path.write_text(EDGELESS_DOC)
+    for command in (["analyze"], ["verify"], ["sweep"], ["displacement"], ["growth", "--element", "P:1"]):
+        result = runner.invoke(main, [command[0], str(path), *command[1:], "--format", fmt])
+        assert result.exit_code == 2, (command, result.output)
+        assert _error_message(result, fmt) == "graph has no edges: strata and tree lengths need at least one edge"
+    result = runner.invoke(main, ["growth", str(path), "--element", "P:1", "--length", "relative", "--format", fmt])
+    assert result.exit_code == 0
+
+
+def test_readme_key_table_is_the_parser_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| section | keys |", 1)[1].split("\n\n", 1)[0]
+    keys: dict[str, set[str]] = {}
+    for row in table.splitlines()[2:]:
+        sections, names = (re.findall(r"`([^`]*)`", cell) for cell in row.strip("|").split("|"))
+        for section in sections:
+            keys[re.sub(r"<\w+>", "", section.strip("[]"))] = {re.sub(r"<\w+>", "", name) for name in names}
+    assert keys == document._KEYS
 
 
 def test_cli_validation_failure_on_broken_map(tmp_path):

@@ -16,6 +16,7 @@ from outgrowth import (
     relative_length,
 )
 from conftest import random_hyperbolic, random_letters, random_word
+from outgrowth import free_product
 from outgrowth.document import parse_word
 from outgrowth.free_product import Word
 
@@ -238,11 +239,6 @@ def test_extended_generators_bfs(f2):
     assert G.diagnostics() == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="relative_conjugacy_length minimises only over rotations of the cyclic core, "
-    "not over the whole conjugacy class (ROADMAP item 4)",
-)
 def test_conjugacy_length_reaches_a_generator_conjugate_off_the_core():
     # C3 * F1 with E = {x, P:2 x P:2}: x P:1 is conjugate by P:1 to P:2 x P:2, a letter of E
     G = FreeProduct([FiniteGroupTable.cyclic(3, "P")], free_rank=1, free_names=["x"])
@@ -254,13 +250,61 @@ def test_conjugacy_length_reaches_a_generator_conjugate_off_the_core():
     assert relative_conjugacy_length(p2 * x * p2) == 1
 
 
-def test_extended_generators_budget_exhaustion():
-    G = FreeProduct(free_rank=1, free_names=["a"], search_budget=3)
+def test_extended_generators_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(free_product, "SEARCH_BUDGET", 3)
+    G = FreeProduct(free_rank=1, free_names=["a"])
     a = G.free(0)
     G.set_relative_generators([a])
     with pytest.raises(NonConvergenceError) as err:
         relative_length(a**7)
     assert err.value.best == 7
+
+
+def _short_elements(G, letters):
+    """Every element that is a product of at most ``letters`` letters: free letters, their inverses, factor elements."""
+    alphabet = [G.free(j, s) for j in range(G.free_rank) for s in (1, -1)]
+    alphabet += [G.factor_element(i, a) for i, t in enumerate(G.factors) for a in range(1, t.order)]
+    layer = seen = {G.identity()}
+    for _ in range(letters):
+        layer = {c * s for c in layer for s in alphabet} - seen
+        seen = seen | layer
+    return seen
+
+
+@pytest.mark.parametrize("factors", [(), (FiniteGroupTable.cyclic(3, "P"),)], ids=["F2", "C3*F1"])
+def test_conjugacy_length_is_the_class_minimum(monkeypatch, factors):
+    # a smaller cap keeps each ball small; a word the search gives up on is skipped
+    monkeypatch.setattr(free_product, "SEARCH_CAP", 2_000)
+    G = FreeProduct(factors, free_rank=2 - len(factors), free_names=["a", "b"][: 2 - len(factors)])
+    rng = random.Random(43)
+    conjugators = _short_elements(G, 3)
+    cases = []
+    for _ in range(12):
+        gens = [w for w in (random_word(G, rng, 3) for _ in range(rng.randint(1, 3))) if w]
+        cases += [(gens, random_hyperbolic(G, rng, 4)) for _ in range(4)]
+    if G.factors:  # a letter of E whose cyclic core, x P:1, has only rotations of length 2
+        x, p2 = G.free(0), G.factor_element(0, 2)
+        cases.append(([x, p2 * x * p2], p2 * x * p2))
+    answered = 0
+    for gens, w in cases:
+        G.set_relative_generators(gens)
+        try:
+            n = relative_conjugacy_length(w)
+        except NonConvergenceError:
+            continue
+        answered += 1
+        reached = False
+        for c in conjugators:
+            u = w.conjugate(c)
+            assert relative_conjugacy_length(u) == n
+            try:
+                length = relative_length(u)
+            except NonConvergenceError:
+                continue  # u lies past the ball, which already reaches depth n
+            assert n <= length
+            reached = reached or length == n
+        assert reached, (gens, w, n)
+    assert answered >= 10
 
 
 # -- automorphisms ----------------------------------------------------------------
