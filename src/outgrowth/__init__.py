@@ -66,10 +66,9 @@ from .dynamics import (
     index_count,
     lipschitz_constant,
     relative_length_function,
-    stretch_lower_bound,
     tree_length_function,
 )
-from .document import InputDocument, emit_document, parse_document
-from .examples import bundled_names, bundled_text, load_bundled
+from .document import InputDocument, parse_document
+from .examples import bundled_text, load_bundled
 
 __version__ = "0.1.0"

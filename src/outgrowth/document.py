@@ -8,7 +8,6 @@ between them.  Parsing is positional: errors name the offending line,
 and each section takes only the keys listed in ``_KEYS``.
 A graph whose marking is not an isomorphism is rejected with
 ``InputError`` (``validate_graph``).
-Emission is canonical, so parse-emit-parse is the identity on documents.
 
     [presentation]
     free = a b
@@ -46,7 +45,6 @@ from .free_product import (
     FiniteGroupTable,
     FreeProduct,
     Word,
-    word_str,
 )
 from .graph_of_groups import GraphPath, MarkedMetricGraph, validate_graph
 from .graph_map import TopologicalRepresentative
@@ -237,10 +235,6 @@ def parse_path(graph: MarkedMetricGraph, text: str, start: int, line: int = 0) -
         at = graph.dart_head(d)
         pending_elem_allowed = True
     return GraphPath(graph, start, prefix, tuple(steps))
-
-
-def _float_str(x: float) -> str:
-    return repr(float(x))
 
 
 # -- document parsing -----------------------------------------------------------------
@@ -439,79 +433,3 @@ def _parse_map(rows, group, graph, automorphism, v_index) -> TopologicalRepresen
         twists,
         twist_conjugators,
     )
-
-
-# -- canonical emission ------------------------------------------------------------
-
-
-def emit_document(doc: InputDocument) -> str:
-    group, graph = doc.group, doc.graph
-    lines = ["[presentation]"]
-    if group.free_names:
-        lines.append(f"free = {' '.join(group.free_names)}")
-    if group.factor_names:
-        lines.append(f"factors = {' '.join(group.factor_names)}")
-    if group.relative_generators is not None:
-        words = ", ".join(word_str(w) for w in group.relative_generators)
-        lines.append(f"relative-generators = {words}")
-    for i, table in enumerate(group.factors):
-        lines.append(f"[factor {group.factor_names[i]}]")
-        cyclic = FiniteGroupTable.cyclic(table.order).product
-        if table.product == cyclic:
-            lines.append(f"cyclic = {table.order}")
-        else:
-            rows = " / ".join(" ".join(str(x) for x in row) for row in table.product)
-            lines.append(f"table = {rows}")
-    lines.append("[graph]")
-    lines.append(f"vertices = {' '.join(graph.vertex_names)}")
-    lines.append(f"base = {graph.vertex_names[graph.base]}")
-    for v, i in enumerate(graph.vertex_factor):
-        if i is not None:
-            lines.append(f"vertex {graph.vertex_names[v]} = {group.factor_names[i]}")
-    for m, (t, h) in enumerate(graph.edge_ends):
-        lines.append(
-            f"edge {graph.edge_names[m]} = {graph.vertex_names[t]} "
-            f"{graph.vertex_names[h]} {_float_str(graph.lengths[m])}"
-        )
-    for j, p in enumerate(graph.free_marking):
-        lines.append(f"marking {group.free_names[j]} = {graph.path_str(p, empty='')}")
-    for i, p in enumerate(graph.factor_marking):
-        lines.append(f"marking {group.factor_names[i]} = {graph.path_str(p, empty='')}")
-    lines += _emit_automorphism("automorphism", doc.automorphism)
-    lines += _emit_automorphism("inverse", doc.automorphism.inverse)
-    rep = doc.representative
-    if rep is not None:
-        lines.append("[map]")
-        for v in range(graph.n_vertices):
-            lines.append(
-                f"vertex {graph.vertex_names[v]} = {graph.vertex_names[rep.vertex_images[v]]}"
-            )
-        for v in sorted(rep.vertex_isos):
-            if graph.vertex_factor[v] is None:
-                continue
-            table = " ".join(str(x) for x in rep.vertex_isos[v])
-            lines.append(f"twist {graph.vertex_names[v]} = {table}")
-            c = rep.vertex_conjugators.get(v, 0)
-            if c:
-                i = graph.vertex_factor[rep.vertex_images[v]]
-                lines.append(
-                    f"twist-conjugator {graph.vertex_names[v]} = {group.factor_names[i]}:{c}"
-                )
-        for m, ename in enumerate(graph.edge_names):
-            lines.append(f"edge {ename} = {graph.path_str(rep.edge_images[m], empty='')}")
-        lines.append(f"tether = {graph.path_str(rep.tether, empty='')}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_automorphism(section: str, auto: Automorphism) -> list[str]:
-    group = auto.group
-    lines = [f"[{section}]"]
-    for j, name in enumerate(group.free_names):
-        lines.append(f"free {name} = {word_str(auto.free_images[j])}")
-    for i, name in enumerate(group.factor_names):
-        target = group.factor_names[auto.permutation[i]]
-        table = " ".join(str(x) for x in auto.isos[i])
-        lines.append(f"factor {name} = {target} : {table}")
-        if auto.conjugators[i].syllables:
-            lines.append(f"conjugator {name} = {word_str(auto.conjugators[i])}")
-    return lines

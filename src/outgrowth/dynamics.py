@@ -327,27 +327,6 @@ def lipschitz_constant(
     return float(ratios[witness]), witness
 
 
-def stretch_lower_bound(
-    source: MarkedMetricGraph, target: MarkedMetricGraph, sample: Sequence[Word]
-) -> tuple[float, Word]:
-    """Certified lower bound for the right stretching factor from a sample.
-
-    Maximises target length over source length across the hyperbolic sample
-    elements; elliptic sample entries are ignored.
-    """
-    best = None
-    witness = None
-    for g in sample:
-        if not g.is_hyperbolic():
-            continue
-        ratio = target.translation_length(g) / source.translation_length(g)
-        if best is None or ratio > best:
-            best, witness = ratio, g
-    if best is None:
-        raise InputError("stretch bound needs at least one hyperbolic sample element")
-    return best, witness
-
-
 # -- displacement ----------------------------------------------------------------
 
 

@@ -15,10 +15,6 @@ BUNDLED = {
 }
 
 
-def bundled_names() -> list[str]:
-    return list(BUNDLED)
-
-
 def bundled_text(name: str) -> str:
     if name not in BUNDLED:
         raise InputError(f"no bundled example named '{name}'")

@@ -97,12 +97,13 @@ class FiniteGroupTable:
 class FreeProduct:
     """The group G = G_1 * ... * G_k * F_r with an optional relative generating set.
 
-    ``relative_generators`` defaults to the free basis; with the default,
-    relative lengths are exact syllable counts.  An extended generating set E
-    switches both relative lengths to one breadth-first word ball over the
-    letters of E u Ghat, grown in place on first use (no lock) up to
-    ``SEARCH_BUDGET`` letters and ``SEARCH_CAP`` elements.  The ball keeps
-    the depth of each element and the least depth of each conjugacy class.
+    ``relative_generators`` is None for the free basis; with the default,
+    relative lengths are exact syllable counts.  An extended generating set
+    E, installed by ``set_relative_generators``, switches both relative
+    lengths to one breadth-first word ball over the letters of E u Ghat,
+    grown in place on first use (no lock) up to ``SEARCH_BUDGET`` letters and
+    ``SEARCH_CAP`` elements.  The ball keeps the depth of each element and
+    the least depth of each conjugacy class.
     """
 
     def __init__(
@@ -110,7 +111,6 @@ class FreeProduct:
         factors: Sequence[FiniteGroupTable] = (),
         free_rank: int = 0,
         free_names: Sequence[str] | None = None,
-        relative_generators: Sequence[Word] | None = None,
     ):
         self.factors = tuple(factors)
         self.free_rank = int(free_rank)
@@ -141,8 +141,6 @@ class FreeProduct:
                     (f"{name}:{a}", ((FACTOR, i, a),)) for a in range(1, self.factors[i].order)
                 )
         self.relative_generators = None
-        if relative_generators is not None:
-            self.set_relative_generators(relative_generators)
 
     def set_relative_generators(self, words: Sequence[Word]) -> None:
         """Install an extended relative generating set (construction-time hook)."""
@@ -158,20 +156,6 @@ class FreeProduct:
         self._classes = {(): 0}
         self._frontier = [self.identity()]
         self._depth = 0
-
-    def diagnostics(self) -> list[str]:
-        """Nonfatal warnings about the presentation (hyperbolicity, generation)."""
-        notes = []
-        k, r = len(self.factors), self.free_rank
-        if k + r < 1:
-            notes.append("trivial presentation: k + r = 0")
-        if not (k >= 2 or (k >= 1 and r >= 1) or (k == 0 and r >= 1)):
-            notes.append("no hyperbolic elements exist for this (k, r)")
-        if self.relative_generators is not None:
-            for j in range(r):
-                if self._depth_of(self._ball, self.free(j)) is None:
-                    notes.append(f"free letter {self.free_names[j]} not reached from E")
-        return notes
 
     # -- element constructors ------------------------------------------
 
@@ -531,9 +515,6 @@ class Automorphism:
         G = self.group
         images = map(self._image_table().__getitem__, w.syllables)
         return Word(G, tuple(G._reduce([], chain.from_iterable(images))))
-
-    def __call__(self, w: Word) -> Word:
-        return self.apply(w)
 
     def validate(self) -> None:
         """Raise InputError unless this is a genuine automorphism with exact inverse.

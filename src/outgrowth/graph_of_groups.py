@@ -215,7 +215,8 @@ class MarkedMetricGraph:
 
     ``edges`` lists geometric edges as ``(tail, head, length)``; vertex
     ``vertex_factor[v]`` is the index of the finite factor carried by ``v``
-    (or None).  The marking sends each free generator to a loop at ``base``
+    (or None).  The marking, assigned after construction as ``free_marking``
+    and ``factor_marking``, sends each free generator to a loop at ``base``
     and each factor to a path from ``base`` to its vertex.
     """
 
@@ -226,8 +227,6 @@ class MarkedMetricGraph:
         edges: Sequence[tuple[int, int, float]],
         vertex_factor: Sequence[int | None],
         base: int,
-        free_marking: Sequence[GraphPath] | None = None,
-        factor_marking: Sequence[GraphPath] | None = None,
         vertex_names: Sequence[str] | None = None,
         edge_names: Sequence[str] | None = None,
     ):
@@ -237,8 +236,8 @@ class MarkedMetricGraph:
         self.lengths = tuple(float(l) for _, _, l in edges)
         self.vertex_factor = tuple(vertex_factor)
         self.base = base
-        self.free_marking = tuple(free_marking) if free_marking is not None else ()
-        self.factor_marking = tuple(factor_marking) if factor_marking is not None else ()
+        self.free_marking: tuple[GraphPath, ...] = ()
+        self.factor_marking: tuple[GraphPath, ...] = ()
         self.vertex_names = (
             tuple(vertex_names)
             if vertex_names is not None
@@ -320,8 +319,8 @@ class MarkedMetricGraph:
     def path(self, start: int, items: Iterable[tuple[int, int]], prefix: int = 0) -> GraphPath:
         return GraphPath(self, start, prefix, tuple(items))
 
-    def path_str(self, p: GraphPath, empty: str = "(trivial)") -> str:
-        """The path in document syntax; ``empty`` stands for a path with no darts or element."""
+    def path_str(self, p: GraphPath) -> str:
+        """The path in document syntax, or ``(trivial)`` for a path with no darts or element."""
         parts = []
         if p.prefix:
             i = self.vertex_factor[p.start]
@@ -331,7 +330,7 @@ class MarkedMetricGraph:
             if e:
                 i = self.vertex_factor[self.dart_head(d)]
                 parts.append(f"{self.group.factor_names[i]}:{e}")
-        return " ".join(parts) if parts else empty
+        return " ".join(parts) if parts else "(trivial)"
 
     def path_length(self, p: GraphPath) -> float:
         """Sum over edges of crossings times length, correctly rounded (no drift on long paths)."""

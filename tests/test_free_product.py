@@ -236,7 +236,6 @@ def test_extended_generators_bfs(f2):
     # a = (ab) b^-1 takes two letters
     assert relative_length(a) == 2
     assert relative_length(a * b) == 1
-    assert G.diagnostics() == []
 
 
 def test_conjugacy_length_reaches_a_generator_conjugate_off_the_core():

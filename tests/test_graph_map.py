@@ -626,7 +626,7 @@ def test_pf_stack_gives_a_block_the_same_bits_alone_and_in_any_stack(monkeypatch
     ],
     ids=["reducible", "reducible-upper", "nilpotent", "zero-row", "triangular", "zero-rows", "reducible-7"],
 )
-def test_pf_eigen_many_raises_on_a_block_it_cannot_certify_without_warnings(monkeypatch, block):
+def test_pf_stack_raises_on_a_block_it_cannot_certify_without_warnings(monkeypatch, block):
     block = np.array(block, dtype=np.float64)
     n = len(block)
     with pytest.raises(NonConvergenceError):
