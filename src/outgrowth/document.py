@@ -6,8 +6,8 @@ for inverses and ``Factor:index`` tokens for factor elements; paths use
 edge names (apostrophe reverses) with the same factor-element tokens
 between them.  Parsing is positional: errors name the offending line,
 and each section takes only the keys listed in ``_KEYS``.
-A graph whose marking is not an isomorphism is rejected with
-``InputError`` (``validate_graph``).
+A graph that fails ``validate_graph``, its marking not an isomorphism
+included, is rejected with ``InputError`` naming the first violation.
 
     [presentation]
     free = a b
@@ -320,11 +320,9 @@ def parse_document(text: str, name: str = "") -> InputDocument:
         marking.append(parse_path(graph, value, graph.base, n))
     graph.free_marking = tuple(marking[: group.free_rank])
     graph.factor_marking = tuple(marking[group.free_rank :])
-    # every command reads elements through the marking; other graph violations wait for
-    # verify_representative, which reports them with the map's
-    for violation in validate_graph(graph):
-        if violation.code == "isomorphism":
-            raise InputError(violation.message)
+    # every command reads elements through the marking, so a graph that is not a marking of G is rejected
+    if violations := validate_graph(graph):
+        raise InputError(violations[0].message)
 
     automorphism = _parse_automorphism(sections, "automorphism", group)
     inverse = _parse_automorphism(sections, "inverse", group)

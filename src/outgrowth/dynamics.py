@@ -309,19 +309,16 @@ def growth_report(
 # -- spectral and Lipschitz data ----------------------------------------------
 
 
-def lipschitz_constant(
-    rep: TopologicalRepresentative, metric: MarkedMetricGraph | None = None
-) -> tuple[float, int]:
+def lipschitz_constant(rep: TopologicalRepresentative, metric: MarkedMetricGraph) -> tuple[float, int]:
     """max over edges of (image length / edge length), with a witness edge.
 
     The map is linear on edges, so this maximum is the Lipschitz constant
-    of the induced map on the given metric (default: the representative's
-    own graph metric).  The witness is the first edge attaining it.
+    of the induced map on the metric graph ``metric``, which is marked like
+    the representative's graph.  The witness is the first edge attaining it.
     """
-    graph = metric if metric is not None else rep.graph
-    if not graph.n_edges:
+    if not metric.n_edges:
         raise InputError("graph has no edges")
-    lengths = np.array(graph.lengths)
+    lengths = np.array(metric.lengths)
     ratios = (lengths @ rep.strata().matrix) / lengths
     witness = int(ratios.argmax())
     return float(ratios[witness]), witness
@@ -385,13 +382,15 @@ def displacement_bracket(
     *converged* growth estimate over the hyperbolic sample, floored at 1
     (always valid) and capped at the upper side.  Unconverged estimates,
     and converged ones above upper * (1 + GROWTH_TOLERANCE), which growth
-    cannot reach, are reported but not trusted as bounds.
+    cannot reach, are reported but not trusted as bounds.  An orbit that
+    trips the guard is reported as far as it got, unconverged, with the
+    guard's message as its note.
     """
     dec = rep.strata()
     grid = np.array(n_grid, dtype=float)
     if not grid.size or not (np.isfinite(grid) & (grid > 0)).all():
         raise InputError("the N grid must be nonempty, with every N finite and positive")
-    base = assign_pf_metric(rep, 1.0)
+    base = assign_pf_metric(rep)
     # Lip(f_N) on edge e is sum_i M[i, e] N^s(i) L[i] / (N^s(e) L[e]) with L the
     # unscaled metric and s the stratum; images only descend, so s(i) - s(e) <= 0
     # and N^r itself, which leaves the float range on long filtrations, is never formed.
@@ -413,7 +412,11 @@ def displacement_bracket(
     for g in sample:
         if not g.is_hyperbolic():
             continue
-        rpt = growth_report(rep.automorphism, g, length, iterations, rep=rep)
+        try:
+            rpt = growth_report(rep.automorphism, g, length, iterations, rep=rep)
+        except ResourceLimitError as err:
+            rpt = err.partial
+            rpt.converged, rpt.note = False, str(err)
         reports.append(rpt)
         if not rpt.converged:
             continue
@@ -449,7 +452,7 @@ def coefficient_matrix(
     Entries below the diagonal vanish because images only descend.
     """
     dec = rep.strata()
-    metric = metric if metric is not None else assign_pf_metric(rep, 1.0)
+    metric = metric if metric is not None else assign_pf_metric(rep)
     A = np.zeros((dec.count, dec.count))
     ratios = (dec.weight_matrix @ dec.matrix) / np.array(metric.lengths)
     # column i of A takes the maximum over the edges of stratum i
@@ -516,7 +519,7 @@ def bound_check(
         raise InputError("the growth bound concerns hyperbolic elements")
     dec = rep.strata()
     m = dec.count
-    metric = assign_pf_metric(rep, 1.0)
+    metric = assign_pf_metric(rep)
     A = coefficient_matrix(rep, metric)
     product_bound = off_diagonal_product(A)
     mu = dec.top_eigenvalue

@@ -426,18 +426,18 @@ def relative_conjugacy_length(w: Word) -> int:
     core's syllable count with the default generating set, and with an
     extended set the least depth of their conjugacy class in the word ball.
     """
-    core, _ = w.cyclic_form()
-    n = len(core.syllables)
+    G = w.group
+    core, _ = G._cyclic_core(w.syllables)
+    n = len(core)
     if n == 0:
         return 0
-    if n == 1 and core.syllables[0][0] == FACTOR:
+    if n == 1 and core[0][0] == FACTOR:
         return 1
-    G = w.group
     if G.relative_generators is None:
         return n
-    depth = G._depth_of(G._classes, G._class_key(core.syllables))
+    depth = G._depth_of(G._classes, G._class_key(core))
     if depth is None:
-        raise G._exceeded(core.syllables)
+        raise G._exceeded(core)
     return depth
 
 

@@ -346,12 +346,12 @@ def attach_eigendata(dec: StrataDecomposition) -> StrataDecomposition:
     """Fill per-stratum certified Perron roots, brackets and eigenvector weights.
 
     The growing strata are certified in batches, one ``_pf_stack`` per
-    block size: a 1x1 block's root is its entry, with weight 1, and each
-    larger size is one stack through Noda's iteration for the roots and a
-    short inverse iteration for the eigenvectors, whose Collatz-Wielandt
-    bracket is computed once and kept.  Each block's data is the same as
-    it would be alone, whatever its stack-mates.  The weights are the
-    rows of ``weight_matrix``.  Zero strata get root 0, bracket (0, 0)
+    block size: each stack goes through Noda's iteration for the roots and
+    a short inverse iteration for the eigenvectors, whose Collatz-Wielandt
+    bracket is computed once and kept.  A growing 1x1 block is a positive
+    integer, which is its own root and exact bracket, with weight 1.  Each
+    block's data is the same as it would be alone, whatever its
+    stack-mates.  The weights are the rows of ``weight_matrix``.  Zero strata get root 0, bracket (0, 0)
     and a zero row.  ``top_eigenvalue`` is the largest upper end.
     ``top_stratum`` is the highest stratum whose bracket reaches the
     largest lower end: strata whose brackets cannot tell their roots
@@ -389,21 +389,17 @@ _INVERSE_STEPS = 3
 
 
 def collatz_wielandt(blocks: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified Perron-root brackets ``(lo, hi)`` from trial row vectors.
+    """Certified Perron-root brackets ``(lo, hi)`` of a stack of blocks from trial row vectors.
 
     For a nonnegative B and a positive x, ``min_j (xB)_j / x_j <= rho(B) <=
     max_j (xB)_j / x_j`` (Collatz-Wielandt; Meyer, *Matrix Analysis*, 8.3).
+    ``blocks`` is a stack of n x n blocks and ``vecs`` holds one x per block.
     The ends are widened by (n + 2) machine epsilons, which covers the
     rounding of the n products, their nonnegative sum and the division, so
     the bracket holds in exact arithmetic.  When x is all ones and B is
     integral (1x1 blocks, permutation blocks) the ratios are exact column
     sums and are not widened.  The bound needs x > 0, which callers check.
-    Accepts one block or a stack.
     """
-    blocks = np.asarray(blocks, dtype=np.float64)
-    vecs = np.asarray(vecs, dtype=np.float64)
-    if blocks.ndim == 2:
-        blocks, vecs = blocks[None], vecs[None]
     n = blocks.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.einsum("ni,nij->nj", vecs, blocks) / vecs
@@ -420,17 +416,17 @@ def collatz_wielandt(blocks: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, 
 _NODA_STEPS = 40
 
 
-def _perron_roots(blocks: np.ndarray, tol: float) -> np.ndarray:
+def _perron_roots(blocks: np.ndarray) -> np.ndarray:
     """Upper bounds on the Perron roots of a float stack, tight once each block converges.
 
     Noda's iteration (Numer. Math. 17, 1971), which for irreducible blocks
     decreases monotonically and converges quadratically (Elsner, Linear
     Algebra Appl. 15, 1976): from x = 1 and lambda the Collatz-Wielandt
     upper end, solve ``(lambda I - B^T) y = x`` and take x = y / max y and
-    lambda its upper end.  A block is frozen once its bracket is at most
-    ``tol`` wide, or when a step fails to give a positive x with a
-    smaller upper end (the root is then reached to rounding, or the block
-    is reducible), or after ``_NODA_STEPS`` steps.  A block with a zero
+    lambda its upper end.  A block is frozen once its bracket has relative
+    width at most ``PF_TOLERANCE``, or when a step fails to give a positive
+    x with a smaller upper end (the root is then reached to rounding, or
+    the block is reducible), or after ``_NODA_STEPS`` steps.  A block with a zero
     column is reducible and is left at its largest column sum.  Each
     block's steps touch only its own rows, so its root does not depend on
     its stack-mates.
@@ -438,7 +434,7 @@ def _perron_roots(blocks: np.ndarray, tol: float) -> np.ndarray:
     count, n, _ = blocks.shape
     sums = blocks.sum(axis=1)  # the ratios at x = 1
     roots, floor = sums.max(axis=1), sums.min(axis=1)
-    live = np.flatnonzero((floor > 0) & (roots - floor > tol * roots))
+    live = np.flatnonzero((floor > 0) & (roots - floor > PF_TOLERANCE * roots))
     # the open blocks' rows, compressed as blocks freeze
     stack, lam, x = blocks[live], roots[live], np.ones((live.size, n))
     minus, eye = -np.swapaxes(stack, 1, 2), np.eye(n)
@@ -453,7 +449,7 @@ def _perron_roots(blocks: np.ndarray, tol: float) -> np.ndarray:
             better = (hi < lam) & (y.min(axis=1) > 0)
             lam = np.where(better, hi, lam)
             roots[live] = lam
-            keep = better & (hi - lo > tol * hi)
+            keep = better & (hi - lo > PF_TOLERANCE * hi)
             x = y
             if not keep.all():
                 live, stack, minus, lam, x = live[keep], stack[keep], minus[keep], lam[keep], y[keep]
@@ -474,7 +470,7 @@ def _solve_each(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _pf_stack(blocks: np.ndarray, tol: float = PF_TOLERANCE) -> tuple[np.ndarray, ...]:
+def _pf_stack(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     """Certified Perron eigenpairs ``(values, vecs, lo, hi)`` of a float stack of irreducible blocks.
 
     The root comes from Noda's inverse iteration with Collatz-Wielandt
@@ -482,18 +478,16 @@ def _pf_stack(blocks: np.ndarray, tol: float = PF_TOLERANCE) -> tuple[np.ndarray
     just above it, refine the row eigenvector x from the all-ones vector;
     it is normalised to maximum entry 1.  A block is certified when x > 0
     and its Collatz-Wielandt bracket ``(lo, hi)`` has relative width at
-    most ``tol``; the returned eigenvalue is the bracket's upper end, so
-    powers of it stay upper bounds.  1x1 blocks return their entry and
-    x = 1.  Otherwise raises NonConvergenceError with the best ``(values,
-    vectors)`` so far.  Each block's result is the same alone and in any
-    stack.  ``attach_eigendata`` sends every growing stratum of one size
-    through one such stack.
+    most ``PF_TOLERANCE``; the returned eigenvalue is the bracket's upper
+    end, so powers of it stay upper bounds.  A 1x1 block gets x = 1, so
+    an integral entry is its own exact bracket.  Otherwise raises
+    NonConvergenceError with the best ``(values, vectors)`` so far.  Each
+    block's result is the same alone and in any stack.
+    ``attach_eigendata`` sends every growing stratum of one size through
+    one such stack.
     """
     count, n, _ = blocks.shape
-    if n == 1:
-        vecs = np.ones((count, 1))
-        return (blocks[:, 0, 0].copy(), vecs, *collatz_wielandt(blocks, vecs))
-    roots = _perron_roots(blocks, tol)
+    roots = _perron_roots(blocks)
     # a root <= 0 means a zero block; any nonzero shift keeps the solve regular
     shift = np.where(roots > 0, roots, 1.0) * (1 + _INVERSE_SHIFT)
     system = np.swapaxes(blocks, 1, 2) - shift[:, None, None] * np.eye(n)
@@ -508,13 +502,13 @@ def _pf_stack(blocks: np.ndarray, tol: float = PF_TOLERANCE) -> tuple[np.ndarray
     y = np.abs(y[..., 0])
     vecs = y / y.max(axis=1, keepdims=True)
     lo, hi = collatz_wielandt(blocks, vecs)
-    certified = (vecs > 0).all(axis=1) & (hi - lo <= tol * hi)
+    certified = (vecs > 0).all(axis=1) & (hi - lo <= PF_TOLERANCE * hi)
     if not certified.all():
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero entry of x makes hi inf or NaN
             width = np.max(np.where(certified, 0.0, (hi - lo) / hi))
         raise NonConvergenceError(
             f"Perron root not certified on {np.count_nonzero(~certified)} of {count} blocks: "
-            f"worst relative bracket width {width:.3e} (tolerance {tol})",
+            f"worst relative bracket width {width:.3e} (tolerance {PF_TOLERANCE})",
             best=(np.where(certified, hi, roots), vecs),
         )
     return hi, vecs, lo, hi
@@ -524,7 +518,8 @@ def pf_eigen(block: np.ndarray) -> tuple[float, np.ndarray]:
     """Certified Perron eigenvalue and positive row eigenvector of one irreducible block.
 
     ``_pf_stack`` on a one-block stack: the eigenvalue is the upper end of
-    the Collatz-Wielandt bracket, and 1x1 blocks are returned exactly.
+    the Collatz-Wielandt bracket, which for an integral 1x1 block is its
+    entry.
     Raises on zero or non-square input; irreducibility is the caller's
     contract (stratify guarantees it), and a block that is not certified
     raises NonConvergenceError.
@@ -549,37 +544,22 @@ def r_length(rep: TopologicalRepresentative, path: GraphPath, r: int) -> float:
     return float(dec.weight_matrix[r - 1] @ crossing_counts(path))
 
 
-def assign_pf_metric(
-    rep: TopologicalRepresentative,
-    scales: float | list[float] | tuple[float, ...] = 1.0,
-    zero_length: float | None = 1.0,
-) -> MarkedMetricGraph:
-    """Metric with edge lengths c_r * (eigenvector entry) on each stratum r.
+def assign_pf_metric(rep: TopologicalRepresentative) -> MarkedMetricGraph:
+    """Metric with the eigenvector entry as the length of each edge of a growing stratum.
 
     Eigenvectors only exist on growing strata; edges of zero strata take
-    ``zero_length`` (scaled by their stratum's c_r as well).  Passing
-    ``zero_length=None`` makes zero strata an error.
+    length 1.
     """
     dec = rep.strata()
-    if isinstance(scales, (int, float)):
-        scales = [float(scales)] * dec.count
-    if len(scales) != dec.count:
-        raise InputError(f"{dec.count} stratum scales required")
-    if any(not c > 0 for c in scales):
-        raise InputError("stratum scales must be positive")
     row = np.array(dec.stratum_of, dtype=np.intp) - 1  # each edge's row of the weight matrix
     # each column holds one nonzero entry, on its growing stratum's row
     weights = dec.weight_matrix[row, np.arange(row.size)]
-    zero = [s.index for s in dec.strata if not s.growing]
-    if zero and zero_length is None:
-        raise InputError(f"stratum {zero[0]} is a zero stratum and needs an explicit edge length")
-    if zero:
-        weights[np.isin(row + 1, zero)] = zero_length
-    return rep.graph.with_lengths((np.asarray(scales, dtype=float)[row] * weights).tolist())
+    weights[~np.array([s.growing for s in dec.strata])[row]] = 1.0
+    return rep.graph.with_lengths(weights.tolist())
 
 
 def rescale_family(rep: TopologicalRepresentative, N: float) -> MarkedMetricGraph:
-    """The metric with stratum r rescaled by N^r (the displacement family)."""
+    """The PF metric with stratum r rescaled by N^r (the displacement family)."""
     if not N > 0:
         raise InputError("rescaling parameter must be positive")
     dec = rep.strata()
@@ -590,4 +570,5 @@ def rescale_family(rep: TopologicalRepresentative, N: float) -> MarkedMetricGrap
             f"N^r overflows a float at N = {N} on {dec.count} strata; "
             "displacement_bracket evaluates the family without forming N^r"
         ) from None
-    return assign_pf_metric(rep, scales)
+    lengths = assign_pf_metric(rep).lengths
+    return rep.graph.with_lengths([scales[r - 1] * w for r, w in zip(dec.stratum_of, lengths)])

@@ -345,8 +345,6 @@ def _rtt_injectivity(rep, dec, r, bound):
     map must pass ``verify_representative``.
     """
     g = rep.graph
-    if r <= 1:
-        return None, 0
     lower_edges = dec.filtration(r - 1)
     stratum_edges = set(dec.strata[r - 1].edges)
     touches_high = set()

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import gc
 import io
@@ -114,14 +115,17 @@ def test_loading_scans_each_name_table_a_constant_number_of_times():
     assert sum(large.values()) <= 6
 
 
+WORD_FAULTS = [
+    ("P:2 P:3", "line 4: invalid factor letter (0,2)"),
+    ("P:2 zz", "line 4: unknown free letter 'zz'"),
+    ("P:3 Q:1", "line 4: unknown factor 'Q' in word"),
+    ("a P:x", "line 4: bad factor element token 'P:x'"),
+]
+
+
 def test_word_errors_name_unknown_tokens_before_elements_out_of_range():
     G = load_bundled("c2f2_mixed").group  # P is C2
-    for text, message in [
-        ("P:2 P:3", "line 4: invalid factor letter (0,2)"),
-        ("P:2 zz", "line 4: unknown free letter 'zz'"),
-        ("P:3 Q:1", "line 4: unknown factor 'Q' in word"),
-        ("a P:x", "line 4: bad factor element token 'P:x'"),
-    ]:
+    for text, message in WORD_FAULTS:
         with pytest.raises(InputError) as info:
             parse_word(G, text, 4)
         assert str(info.value) == message
@@ -312,6 +316,299 @@ def test_verify_representative_lists_a_marking_that_is_not_an_isomorphism():
         assert verify_representative(doc.representative) == [NOT_ISOMORPHISM]
 
 
+C2F2_TEXT = bundled_text("c2f2_mixed")
+
+
+def _edit(text: str, *changes: tuple[str, str]) -> str:
+    """``text`` with each ``(old, new)`` made once, where ``old`` occurs first."""
+    for old, new in changes:
+        assert old in text, old
+        text = text.replace(old, new, 1)
+    return text
+
+
+def _unverified(*violations: str) -> str:
+    return "representative failed verification:\n  " + "\n  ".join(violations)
+
+
+# each document is a bundled fixture with one fault; every command exits 2 with the message
+DOCUMENT_FAULTS = {
+    # [presentation] and [factor X]
+    "no presentation": (
+        _edit(GOLDEN_TEXT, ("[presentation]\nfree = a b\n", "")),
+        "document has no [presentation] section",
+    ),
+    "duplicate key": (
+        _edit(GOLDEN_TEXT, ("free a = b\n", "free a = b\nfree a = a\n")),
+        "line 15: duplicate key 'free a' in [automorphism]",
+    ),
+    "empty document": ("# only a comment\n", "empty document: no sections found"),
+    "missing factor section": (_edit(C3C3_TEXT, ("[factor Q]\ncyclic = 3\n", "")), "missing [factor Q] section"),
+    "cyclic order not an integer": (
+        _edit(C3C3_TEXT, ("cyclic = 3", "cyclic = three")),
+        "line 6: cyclic order must be an integer",
+    ),
+    "cyclic order zero": (_edit(C3C3_TEXT, ("cyclic = 3", "cyclic = 0")), "line 6: cyclic order must be positive"),
+    "empty factor section": (
+        _edit(C3C3_TEXT, ("[factor P]\ncyclic = 3\n", "[factor P]\n")),
+        "[factor P] needs 'cyclic = n' or 'table = ...'",
+    ),
+    # [graph]
+    "no graph": (
+        _edit(
+            GOLDEN_TEXT,
+            ("[graph]\nvertices = v0\nbase = v0\n", ""),
+            ("edge a = v0 v0 1.0\nedge b = v0 v0 1.0\n", ""),
+            ("marking a = a\nmarking b = b\n", ""),
+        ),
+        "document has no [graph] section",
+    ),
+    "no vertices": (_edit(GOLDEN_TEXT, ("vertices = v0", "vertices =")), "[graph] must declare vertices"),
+    "unknown base": (_edit(GOLDEN_TEXT, ("base = v0", "base = v1")), "[graph] must declare a valid base vertex"),
+    "vertex row of an unknown vertex": (
+        _edit(C2F2_TEXT, ("vertex vP = P", "vertex vR = P")),
+        "line 12: unknown vertex 'vR'",
+    ),
+    "vertex row of an unknown factor": (
+        _edit(C2F2_TEXT, ("vertex vP = P", "vertex vP = R")),
+        "line 12: unknown factor 'R'",
+    ),
+    "edge without length": (
+        _edit(GOLDEN_TEXT, ("edge a = v0 v0 1.0", "edge a = v0 v0")),
+        "line 9: edge 'a' needs 'tail head length'",
+    ),
+    "edge to an unknown vertex": (
+        _edit(GOLDEN_TEXT, ("edge a = v0 v0 1.0", "edge a = v0 v1 1.0")),
+        "line 9: edge 'a' references unknown vertices",
+    ),
+    "non-numeric length": (
+        _edit(GOLDEN_TEXT, ("edge a = v0 v0 1.0", "edge a = v0 v0 one")),
+        "line 9: edge 'a' has non-numeric length",
+    ),
+    "negative length": (
+        _edit(GOLDEN_TEXT, ("edge a = v0 v0 1.0", "edge a = v0 v0 -1")),
+        "line 9: edge 'a' has non-positive length -1",
+    ),
+    "missing marking": (_edit(GOLDEN_TEXT, ("marking b = b\n", "")), "[graph] is missing 'marking b'"),
+    # the graph is not a marking of G (validate_graph)
+    "disconnected": (_edit(GOLDEN_TEXT, ("vertices = v0", "vertices = v0 v1")), "underlying graph is not connected"),
+    "rank mismatch": (
+        _edit(
+            C3C3_TEXT,
+            ("edge sQ = v0 vQ 0.5\n", "edge sQ = v0 vQ 0.5\nedge x = v0 v0 1.0\n"),
+            ("edge sQ = sP\n", "edge sQ = sP\nedge x = x\n"),
+        ),
+        "first Betti number 1 != free rank 0",
+    ),
+    "duplicate factor": (
+        _edit(C2F2_TEXT, ("vertex vP = P\n", "vertex vP = P\nvertex v0 = P\n")),
+        "factor P assigned twice",
+    ),
+    "missing factor": (_edit(C3C3_TEXT, ("vertex vQ = Q\n", "")), "1 of 2 factors assigned to vertices"),
+    "marking not a loop": (
+        _edit(C2F2_TEXT, ("marking a = a", "marking a = sP")),
+        "marking of a is not a loop at the base",
+    ),
+    "marking not reduced": (_edit(GOLDEN_TEXT, ("marking a = a", "marking a = a b b'")), "marking of a is not reduced"),
+    "factor marking off its vertex": (
+        _edit(C2F2_TEXT, ("marking P = sP", "marking P = a")),
+        "marking of P does not join base to its vertex",
+    ),
+    "marking not an isomorphism": (
+        _edit(GOLDEN_TEXT, ("marking b = b", "marking b = a")),
+        "the marking is not an isomorphism",
+    ),
+    # paths
+    "bad element token": (_edit(C2F2_TEXT, ("edge sP = sP", "edge sP = sP P:x")), "line 33: bad element token 'P:x'"),
+    "element off its vertex": (
+        _edit(C2F2_TEXT, ("edge a = b", "edge a = P:1 b")),
+        "line 31: element 'P:1' does not live at vertex v0",
+    ),
+    "element out of range": (
+        _edit(C2F2_TEXT, ("edge sP = sP", "edge sP = sP P:2")),
+        "line 33: element index out of range in 'P:2'",
+    ),
+    "two elements in a row": (
+        _edit(C2F2_TEXT, ("edge sP = sP", "edge sP = sP P:1 P:1")),
+        "line 33: two consecutive group elements in path",
+    ),
+    "unknown edge": (_edit(GOLDEN_TEXT, ("edge a = b", "edge a = c")), "line 21: unknown edge 'c' in path"),
+    "edge off the path's end": (
+        _edit(C2F2_TEXT, ("edge a = b", "edge a = sP b")),
+        "line 31: edge 'b' does not start at vertex vP",
+    ),
+    # [automorphism] and [inverse]
+    "image of an unknown free letter": (
+        _edit(GOLDEN_TEXT, ("free a = b\n", "free c = b\n")),
+        "line 14: unknown free letter 'c'",
+    ),
+    "image of an unknown factor": (_edit(C3C3_TEXT, ("factor P = Q", "factor R = Q")), "line 19: unknown factor 'R'"),
+    "factor image without ':'": (
+        _edit(C3C3_TEXT, ("factor P = Q :", "factor P = Q")),
+        "line 19: expected 'Target : image table'",
+    ),
+    "unknown target factor": (_edit(C3C3_TEXT, ("factor P = Q", "factor P = R")), "line 19: unknown target factor 'R'"),
+    "iso table not integers": (
+        _edit(C3C3_TEXT, ("factor P = Q : 0 1 2", "factor P = Q : 0 1 x")),
+        "line 19: iso table entries must be integers",
+    ),
+    "conjugator of an unknown factor": (
+        _edit(C3C3_TEXT, ("[inverse]\n", "conjugator R = 1\n[inverse]\n")),
+        "line 21: unknown factor 'R'",
+    ),
+    "missing free image": (_edit(GOLDEN_TEXT, ("free b = a b\n", "")), "[automorphism] is missing 'free b'"),
+    "missing factor image": (
+        _edit(C3C3_TEXT, ("factor Q = P : 0 1 2\n[inverse]", "[inverse]")),
+        "[automorphism] is missing 'factor Q'",
+    ),
+    "no inverse": (
+        _edit(GOLDEN_TEXT, ("[inverse]\nfree a = b a'\nfree b = a\n", "")),
+        "document has no [inverse] section",
+    ),
+    # [map]
+    "vertex image unknown": (
+        _edit(GOLDEN_TEXT, ("vertex v0 = v0", "vertex v0 = v1")),
+        "line 20: unknown vertex in 'vertex v0 = v1'",
+    ),
+    "twist-conjugator at an unknown vertex": (
+        _edit(C3C3_TEXT, ("twist vQ", "twist-conjugator vR = Q:1\ntwist vQ")),
+        "line 29: unknown vertex 'vR'",
+    ),
+    "twist-conjugator without a factor": (
+        _edit(C3C3_TEXT, ("twist vQ", "twist-conjugator vP = 1\ntwist vQ")),
+        "line 29: conjugator must be 'Factor:index'",
+    ),
+    "twist-conjugator not an integer": (
+        _edit(C3C3_TEXT, ("twist vQ", "twist-conjugator vP = Q:x\ntwist vQ")),
+        "line 29: bad conjugator token 'Q:x'",
+    ),
+    "twist at an unknown vertex": (_edit(C3C3_TEXT, ("twist vP", "twist vR")), "line 28: unknown vertex 'vR'"),
+    "twist not integers": (
+        _edit(C3C3_TEXT, ("twist vP = 0 1 2", "twist vP = 0 1 x")),
+        "line 28: twist table entries must be integers",
+    ),
+    "missing vertex image": (_edit(GOLDEN_TEXT, ("vertex v0 = v0\n", "")), "[map] is missing 'vertex v0'"),
+    "missing edge image": (_edit(GOLDEN_TEXT, ("edge b = a b\n", "")), "[map] is missing 'edge b'"),
+    "base moved without a tether": (
+        _edit(
+            C3C3_TEXT,
+            ("vertex v0 = v0", "vertex v0 = vP"),
+            ("edge sP = sQ\nedge sQ = sP\ntether =\n", "edge sP = sP'\nedge sQ = sP'\n"),
+        ),
+        "[map] moves the base vertex, so it needs a tether",
+    ),
+    # the map is not a representative (verify_representative)
+    "image vertex off the factor": (
+        _edit(C3C3_TEXT, ("vertex vP = vQ", "vertex vP = vP")),
+        _unverified(
+            "[vertex twist] vertex vP carries factor P but its image does not carry factor Q",
+            "[edge images] image of sP joins the wrong vertices",
+        ),
+    ),
+    "twist not a bijection": (
+        _edit(C3C3_TEXT, ("twist vP = 0 1 2", "twist vP = 0 1 1")),
+        _unverified("[vertex twist] missing or non-bijective twist at vP"),
+    ),
+    # a bijection of C4 that is not a homomorphism: 1 + 1 = 2 goes to 3, but 1 + 1 to 2
+    "twist not a homomorphism": (
+        _edit(
+            C2F2_TEXT,
+            ("cyclic = 2", "cyclic = 4"),
+            ("P : 0 1", "P : 0 1 2 3"),
+            ("P : 0 1\n", "P : 0 1 2 3\n"),
+            ("twist vP = 0 1", "twist vP = 0 1 3 2"),
+        ),
+        _unverified("[vertex twist] twist at vP is not a homomorphism"),
+    ),
+    "twist-conjugator out of range": (
+        _edit(C3C3_TEXT, ("twist vQ", "twist-conjugator vP = Q:3\ntwist vQ")),
+        _unverified("[vertex twist] conjugator at vP out of range"),
+    ),
+    "edge image a point": (
+        _edit(C2F2_TEXT, ("edge sP = sP", "edge sP =")),
+        _unverified("[edge images] edge sP maps to a point"),
+    ),
+    "edge image off its ends": (
+        _edit(C2F2_TEXT, ("edge a = b", "edge a = sP")),
+        _unverified("[edge images] image of a joins the wrong vertices"),
+    ),
+    "edge image not reduced": (
+        _edit(GOLDEN_TEXT, ("edge a = b", "edge a = b a a'")),
+        _unverified("[edge images] image of a is not reduced"),
+    ),
+    "tether off the base's image": (
+        _edit(C3C3_TEXT, ("tether =", "tether = sP")),
+        _unverified("[tether] tether must join the base to the image of the base"),
+    ),
+    "marking identity fails": (
+        _edit(GOLDEN_TEXT, ("edge b = a b", "edge b = b a")),
+        _unverified("[marking mismatch] marking identity fails at generator <word b>: b a != a b"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCUMENT_FAULTS))
+def test_document_fault_exits_2_with_its_message(tmp_path, case):
+    text, message = DOCUMENT_FAULTS[case]
+    path = tmp_path / "fault.gog"
+    path.write_text(text)
+    result = runner.invoke(main, ["analyze", str(path)])
+    assert (result.exit_code, result.stderr) == (2, f"error (InputError): {message}\n")
+
+
+def _constant_parts(node: ast.expr) -> list[str]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.JoinedStr):
+        return [part.value for part in node.values if isinstance(part, ast.Constant)]
+    return []  # a message passed on from elsewhere
+
+
+GRAPH_FAULTS = [
+    "disconnected",
+    "rank mismatch",
+    "duplicate factor",
+    "missing factor",
+    "marking not a loop",
+    "marking not reduced",
+    "factor marking off its vertex",
+]
+
+
+@pytest.mark.parametrize("case", GRAPH_FAULTS)
+def test_cli_rejects_a_graph_that_is_not_a_marking_of_g_for_every_command(tmp_path, case):
+    text, message = DOCUMENT_FAULTS[case]
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        parse_document(text)
+    path = tmp_path / "bad.gog"
+    path.write_text(text)
+    element = ["--element", "a" if "free = a b" in text else "P:1 Q:1"]
+    for command in (
+        ["analyze"],
+        ["verify"],
+        ["sweep"],
+        ["displacement"],
+        ["bound", *element],
+        ["growth", *element],
+        ["growth", *element, "--length", "relative"],
+    ):
+        result = runner.invoke(main, [command[0], str(path), *command[1:], "--format", "json"])
+        error = {"type": "InputError", "message": message, "exit_code": 2}
+        assert (result.exit_code, json.loads(result.output)["report"]) == (2, {"error": error})
+
+
+def test_every_check_of_the_document_parser_has_a_fault_case():
+    tree = ast.parse(Path(document.__file__).read_text(encoding="utf-8"))
+    messages = [message for _, message in (*SCAN_FAULTS.values(), *DOCUMENT_FAULTS.values(), *WORD_FAULTS)]
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "InputError":
+            parts = _constant_parts(node.args[0])
+            if parts and not any(max(parts, key=len) in message for message in messages):
+                missing.append((node.lineno, max(parts, key=len)))
+    assert missing == []
+
+
 def test_analyze_checks_the_graph_once(monkeypatch):
     # parse_document and verify_representative share validate_graph's violations
     calls = []
@@ -442,7 +739,6 @@ vertices = v0 vS
 base = v0
 vertex vS = S
 edge s = v0 vS 0.5
-edge x = v0 v0 1.0
 marking S = s
 [automorphism]
 factor S = S : 0 1 2 3 4 5

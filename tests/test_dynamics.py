@@ -37,6 +37,7 @@ from outgrowth import (
 from outgrowth.cli import default_sample, main
 from outgrowth.dynamics import GROWTH_TOLERANCE, N_GRID, WORD_GUARD, off_diagonal_product
 from outgrowth.document import parse_word
+from outgrowth.free_product import word_str
 from conftest import _rose_document, chord_text, load_text, random_hyperbolic, random_word, tower_text
 from test_document_cli import IDENTITY_DOC
 from test_graph_map import identity_representative
@@ -149,8 +150,10 @@ def test_lipschitz_golden_pf_metric(golden):
 
 def test_lipschitz_polynomial_scaled(poly):
     rep = poly.representative
+    pf = assign_pf_metric(rep)
     for N in (1.0, 5.0, 10.0):
-        metric = assign_pf_metric(rep, [1.0, N])
+        scales = (1.0, N)
+        metric = pf.with_lengths([scales[r - 1] * w for r, w in zip(rep.strata().stratum_of, pf.lengths)])
         lip, witness = lipschitz_constant(rep, metric)
         assert lip == max(1.0, (N + 1) / N)
         assert witness == 1
@@ -222,6 +225,27 @@ def test_displacement_lower_side_ignores_estimates_above_upper():
     assert growth.converged and growth.estimate > rpt.upper
     assert "not used as a lower bound" in growth.note
     assert rpt.lower == 1.0 <= rpt.upper
+
+
+def test_displacement_keeps_its_bracket_when_a_sample_orbit_trips_the_guard(tmp_path):
+    # a_k doubles at every step while k < 25, so the orbits of a15 .. a25 pass 10^6 darts at step 20
+    text = tower_text(25)
+    doc = load_text(text)
+    rpt = displacement_bracket(doc.representative, N_GRID, 20, default_sample(doc))
+    assert rpt.bracket == (1.0, 1.001)
+    tripped = rpt.growth_reports[14:]
+    assert [word_str(g.element) for g in tripped] == [f"a{k}" for k in range(15, 26)]
+    for growth in tripped:
+        assert growth.note == "loop length exceeded the guard (1000000 darts) at step 20"
+        assert growth.converged is False and growth.estimate is None and len(growth.values) == 20
+    assert all("guard" not in g.note for g in rpt.growth_reports[:14])
+    path = tmp_path / "tower25.gog"
+    path.write_text(text)
+    result = CliRunner().invoke(main, ["displacement", str(path), "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["report"]["bracket"] == [1.0, 1.001]
+    result = CliRunner().invoke(main, ["bound", str(path), "--element", "a25"])
+    assert result.exit_code == 4
 
 
 def test_equality_chain_at_desk_scale(golden, poly, c3c3, c2f2):

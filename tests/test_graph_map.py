@@ -479,7 +479,7 @@ def test_column_sum_sandwich_random():
         M = np.array([[rng.randrange(4) for _ in range(n)] for _ in range(n)])
         M += np.roll(np.eye(n, dtype=int), 1, axis=0)  # force a cycle: irreducible
         mu, _ = pf_eigen(M)
-        (lo,), (hi,) = collatz_wielandt(M, np.ones(n))
+        (lo,), (hi,) = collatz_wielandt(M[None], np.ones((1, n)))
         assert lo - 1e-9 <= mu <= hi + 1e-9
 
 
@@ -543,7 +543,7 @@ def test_pf_stack_matches_the_dense_oracle_bit_for_bit_on_fixtures(golden, poly,
 
 
 def _assert_brackets_hold_the_oracle_root(blocks, tol=1e-12):
-    values, vecs, lo, hi = _pf_stack(blocks, tol)
+    values, vecs, lo, hi = _pf_stack(blocks)
     n = blocks.shape[1]
     if n == 1:
         roots, slack = blocks[:, 0, 0], 0.0
@@ -578,6 +578,23 @@ def _irreducible_stack(draw):
 @given(_irreducible_stack())
 def test_pf_stack_brackets_hold_the_oracle_root_hypothesis(blocks):
     _assert_brackets_hold_the_oracle_root(blocks)
+
+
+def test_pf_stack_returns_the_bracket_upper_end_and_x_one_on_1x1_blocks():
+    integral = [1.0, 2.0, 3.0, 7.0, 2.0**26, 2.0**52 - 1, 2.0**52]
+    fractional = [2.5, 0.1, 1e-3, 1 + 2**-52, 3.75e9]
+    for entries in (integral, fractional, integral + fractional):
+        blocks = np.array(entries)[:, None, None]
+        values, vecs, lo, hi = _pf_stack(blocks)
+        assert _hex(values) == _hex(hi)
+        assert (vecs == 1).all()
+        assert (lo <= blocks[:, 0, 0]).all() and (blocks[:, 0, 0] <= hi).all()
+        exact = blocks[:, 0, 0] == np.round(blocks[:, 0, 0])
+        assert _hex(lo[exact]) == _hex(hi[exact]) == _hex(blocks[exact, 0, 0])
+        for k in range(len(entries)):  # alone as in the stack
+            assert [_hex(part) for part in _pf_stack(blocks[k : k + 1])] == [
+                _hex(part[k : k + 1]) for part in (values, vecs, lo, hi)
+            ]
 
 
 def _solves(monkeypatch):
@@ -684,7 +701,7 @@ def reference_attach_eigendata(dec):
             s.bracket = (0.0, 0.0)
             continue
         value, vec = pf_eigen(s.block)
-        lo, hi = collatz_wielandt(s.block, vec)
+        lo, hi = collatz_wielandt(s.block[None], vec[None])
         s.eigenvalue = value
         s.bracket = (float(lo[0]), float(hi[0]))
         W[s.index - 1, list(s.edges)] = vec
@@ -824,7 +841,9 @@ def test_assign_pf_metric_identity(f2):
 
 
 def test_assign_pf_metric_scales(poly):
-    metric = assign_pf_metric(poly.representative, [1.0, 5.0])
+    rep, scales = poly.representative, (1.0, 5.0)
+    pf = assign_pf_metric(rep)
+    metric = pf.with_lengths([scales[r - 1] * w for r, w in zip(rep.strata().stratum_of, pf.lengths)])
     assert metric.lengths == (1.0, 5.0)
 
 
@@ -877,10 +896,6 @@ def test_zero_stratum_lengths():
     zero = [s for s in dec.strata if not s.growing]
     assert len(zero) == 1 and zero[0].edges == (0,)
     assert zero[0].eigenvalue == 0.0 and not dec.weight_matrix[zero[0].index - 1].any()
-    metric = assign_pf_metric(rep, 1.0, zero_length=0.25)
-    assert metric.lengths[0] == 0.25
+    metric = assign_pf_metric(rep)
+    assert metric.lengths[0] == 1.0
     assert metric.lengths[1] == metric.lengths[2] == 1.0
-    with pytest.raises(InputError):
-        assign_pf_metric(rep, 1.0, zero_length=None)
-    with pytest.raises(InputError):
-        assign_pf_metric(rep, [1.0])  # wrong number of scales
