@@ -11,7 +11,7 @@ elements the estimate is floored at 1, which the length floor on
 hyperbolic conjugacy classes certifies.
 
 Orbit lengths come one of two ways.  The word path rewrites g alpha^k at
-every step and measures the word, under a guard on its syllables.  Given a
+every step as its cyclic core and measures it, under a syllable guard.  Given a
 verified representative, a length with a marked graph takes the
 train-track fast path when every edge image is legal and the loop of g is
 cyclically legal: no iterate of the loop cancels, so its crossing vector
@@ -161,10 +161,12 @@ def growth_sequence(
     Given a verified representative ``rep`` of ``auto``, a length with a
     marked graph whose loop of g is cyclically legal on a train track takes
     the crossing-count fast path (``_legal_loop_counts``); every other orbit
-    rewrites the word at each step and measures it.  Both give the same
-    floats.  Raises InputError when the guard is below 1, and
-    ResourceLimitError carrying the partial report when an iterate exceeds
-    the guard: syllables of the word, or darts of the loop on the fast path.
+    rewrites the word at each step and measures it, cut to its cyclic core
+    when its ends cancel or merge: both lengths are conjugacy invariant, so
+    no conjugator grows along the orbit.  Both paths give the same floats.
+    Raises InputError when the guard is below 1, and ResourceLimitError
+    carrying the partial report when an iterate exceeds the guard:
+    syllables of the iterated word, or darts of the loop on the fast path.
     """
     if iterations < 1:
         raise InputError("growth sequences need at least one iteration")
@@ -179,6 +181,9 @@ def growth_sequence(
     w = g
     for k in range(1, iterations + 1):
         w = auto.apply(w)
+        core, conjugator = g.group._cyclic_core(w.syllables)
+        if conjugator:
+            w = Word(g.group, tuple(core))
         if len(w.syllables) > guard:
             message = f"word length exceeded the guard ({guard} syllables) at step {k}"
             raise _tripped(g, length, values, guard, message)
@@ -225,7 +230,7 @@ def _crossing_count_orbit(
     guard: int,
 ) -> GrowthReport:
     """Iterate c -> M c in exact integers and measure each c as ``path_length`` does."""
-    M = transition_matrix(rep)  # not rep.strata(): this path needs no eigendata that could fail
+    M = transition_matrix(rep)  # the counts alone: the fast path needs no Warshall pass and no Perron data
     nonzero = [(int(i), int(j), int(M[i, j])) for i, j in zip(*np.nonzero(M))]
     graph = length.graph
     values = [graph.counts_length(counts)]
@@ -319,7 +324,7 @@ def lipschitz_constant(rep: TopologicalRepresentative, metric: MarkedMetricGraph
     if not metric.n_edges:
         raise InputError("graph has no edges")
     lengths = np.array(metric.lengths)
-    ratios = (lengths @ rep.strata().matrix) / lengths
+    ratios = (lengths @ rep.stratification().matrix) / lengths
     witness = int(ratios.argmax())
     return float(ratios[witness]), witness
 
@@ -441,20 +446,17 @@ def displacement_bracket(
 # -- the polynomial growth bound ---------------------------------------------------
 
 
-def coefficient_matrix(
-    rep: TopologicalRepresentative, metric: MarkedMetricGraph | None = None
-) -> np.ndarray:
+def coefficient_matrix(rep: TopologicalRepresentative) -> np.ndarray:
     """Stratum-interaction coefficients: entry (r-1, i-1) bounds stratum-r growth
     contributed per unit length of stratum-i edges.
 
     Row r, column i holds max over edges e of stratum i of the stratum-r
-    weighted length of the image of e divided by the metric length of e.
+    weighted length of the image of e divided by the PF-metric length of e.
     Entries below the diagonal vanish because images only descend.
     """
     dec = rep.strata()
-    metric = metric if metric is not None else assign_pf_metric(rep)
     A = np.zeros((dec.count, dec.count))
-    ratios = (dec.weight_matrix @ dec.matrix) / np.array(metric.lengths)
+    ratios = (dec.weight_matrix @ dec.matrix) / np.array(assign_pf_metric(rep).lengths)
     # column i of A takes the maximum over the edges of stratum i
     np.maximum.at(A.T, np.array(dec.stratum_of) - 1, ratios.T)
     return A
@@ -520,7 +522,7 @@ def bound_check(
     dec = rep.strata()
     m = dec.count
     metric = assign_pf_metric(rep)
-    A = coefficient_matrix(rep, metric)
+    A = coefficient_matrix(rep)
     product_bound = off_diagonal_product(A)
     mu = dec.top_eigenvalue
     length = tree_length_function(metric)

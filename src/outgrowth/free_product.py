@@ -249,34 +249,34 @@ class FreeProduct:
 
     # -- cyclic cores and the word ball over an extended generating set ----
 
-    def _cyclic_core(self, syllables: Sequence[Syllable]) -> tuple[list[Syllable], list[Syllable]]:
+    def _cyclic_core(self, syllables: Sequence[Syllable]) -> tuple[Sequence[Syllable], list[Syllable]]:
         """(core, conjugator) syllables with w = conjugator * core * conjugator^-1.
 
         The core is cyclically reduced: its first and last syllables neither
-        cancel nor share a factor.  Linear time via an index window.
+        cancel nor share a factor.  Linear time via an index window; the
+        core is a slice of ``syllables``, so a cyclically reduced tuple comes
+        back as it is, uncopied.
         """
-        syls = list(syllables)
-        lo, hi = 0, len(syls)
+        lo, hi = 0, len(syllables)
         conj: list[Syllable] = []
         while hi - lo >= 2:
-            t1, x1, y1 = syls[lo]
-            t2, x2, y2 = syls[hi - 1]
+            t1, x1, y1 = syllables[lo]
+            t2, x2, y2 = syllables[hi - 1]
             if t1 != t2 or x1 != x2 or (t1 == FREE and y1 != -y2):
                 break
             hi -= 1
             if t1 == FREE:
-                conj.append(syls[lo])
+                conj.append(syllables[lo])
                 lo += 1
                 continue
             # conjugating by the inverse of the last syllable rotates it onto the
-            # front, where it merges
+            # front, where it merges; the syllable now last is of another factor
             conj.append((FACTOR, x1, self.factors[x1].inv(y2)))
             prod = self._products[x1][y2][y1]
             if prod:
-                syls[lo] = (FACTOR, x1, prod)
-            else:
-                lo += 1
-        return syls[lo:hi], conj
+                return [(FACTOR, x1, prod), *syllables[lo + 1 : hi]], conj
+            lo += 1
+        return syllables[lo:hi], conj
 
     def _class_key(self, syllables: Sequence[Syllable]) -> tuple[Syllable, ...]:
         """The least rotation of the cyclic core: on hyperbolic elements, equal exactly on conjugates.
@@ -382,15 +382,6 @@ class Word:
         return f"<word {word_str(self)}>"
 
     # -- cyclic structure ------------------------------------------------
-
-    def cyclic_form(self) -> tuple[Word, Word]:
-        """Return (core, conjugator) with self = conjugator * core * conjugator^-1.
-
-        The core is cyclically reduced: its first and last syllables neither
-        cancel nor share a factor.
-        """
-        core, conj = self.group._cyclic_core(self.syllables)
-        return Word(self.group, tuple(core)), self.group.word(conj)
 
     def is_hyperbolic(self) -> bool:
         """True unless the word is conjugate into a factor (or trivial)."""

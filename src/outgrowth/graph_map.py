@@ -15,7 +15,8 @@ The transition matrix counts unoriented edge crossings of the images.  One
 boolean reachability closure of it gives the strata: its symmetric part
 joins the edges of each strongly connected block, and the rest orders the
 blocks so that images only descend (sinks first, ties to the smallest
-edge).  The strata's Perron-Frobenius data drive everything downstream:
+edge).  The turn calculus reads the strata alone; growth and displacement
+read their certified Perron-Frobenius data, found on first use:
 eigenvector entries become edge lengths, the largest block eigenvalue is
 the spectral growth rate, and per-stratum weighted lengths feed the growth
 bounds.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NonConvergenceError
-from .free_product import Automorphism, Word
+from .free_product import Automorphism, Word, word_str
 from .graph_of_groups import (
     GraphPath,
     MarkedMetricGraph,
@@ -107,14 +108,17 @@ class TopologicalRepresentative:
 
     # -- strata -------------------------------------------------------------
 
-    def strata(self) -> StrataDecomposition:
-        """Stratification with eigenvalues and eigenvector weights (cached)."""
+    def stratification(self) -> StrataDecomposition:
+        """The strata without Perron data (cached): what turns, RTT checks and Lipschitz constants read."""
         if self._strata is None:
             self.graph.require_edges()
-            dec = stratify(transition_matrix(self))
-            attach_eigendata(dec)
-            self._strata = dec
+            self._strata = stratify(transition_matrix(self))
         return self._strata
+
+    def strata(self) -> StrataDecomposition:
+        """``stratification`` with certified eigenvalues and eigenvector weights, found on first call."""
+        dec = self.stratification()
+        return dec if dec.weight_matrix is not None else attach_eigendata(dec)
 
     def legality(self):
         """The gates of the derivative on directions (cached).
@@ -223,7 +227,7 @@ def _representative_violations(rep: TopologicalRepresentative) -> list[Violation
             out.append(
                 Violation(
                     "marking mismatch",
-                    f"marking identity fails at generator {s!r}: "
+                    f"marking identity fails at generator {word_str(s)}: "
                     f"{g.path_str(lhs)} != {g.path_str(rhs)}",
                 )
             )
@@ -355,23 +359,24 @@ def attach_eigendata(dec: StrataDecomposition) -> StrataDecomposition:
     and a zero row.  ``top_eigenvalue`` is the largest upper end.
     ``top_stratum`` is the highest stratum whose bracket reaches the
     largest lower end: strata whose brackets cannot tell their roots
-    apart count as tied, and ties go up.  A block that is
-    not certified raises NonConvergenceError for its whole stack.
+    apart count as tied, and ties go up.  A block that is not certified
+    raises NonConvergenceError for its whole stack, before any stratum is written.
     """
     W = np.zeros((dec.count, dec.matrix.shape[0]))
     by_size: dict[int, list[Stratum]] = {}
     for s in dec.strata:
         if s.growing:
             by_size.setdefault(len(s.edges), []).append(s)
-        else:
-            s.eigenvalue, s.bracket = 0.0, (0.0, 0.0)
-    for n, stack in by_size.items():
-        values, vecs, lo, hi = _pf_stack(np.array([s.block for s in stack], dtype=np.float64))
+    stacks = [(stack, *_pf_stack(np.array([s.block for s in stack], dtype=np.float64))) for stack in by_size.values()]
+    for stack, values, vecs, lo, hi in stacks:
         rows = [s.index - 1 for s in stack]
         edges = [s.edges for s in stack]
-        W[np.repeat(rows, n), np.concatenate(edges)] = vecs.ravel()
+        W[np.repeat(rows, len(edges[0])), np.concatenate(edges)] = vecs.ravel()
         for s, value, b in zip(stack, values.tolist(), zip(lo.tolist(), hi.tolist())):
             s.eigenvalue, s.bracket = value, b
+    for s in dec.strata:
+        if not s.growing:
+            s.eigenvalue, s.bracket = 0.0, (0.0, 0.0)
     dec.weight_matrix = W
     dec.top_eigenvalue = max(s.eigenvalue for s in dec.strata)
     floor = max(s.bracket[0] for s in dec.strata)

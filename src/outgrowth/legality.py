@@ -220,7 +220,7 @@ def illegal_turn(
     table = rep.legality()
     if r is None:
         return next((t for t in turns if not table.legal(t)), None)
-    stratum_of = rep.strata().stratum_of
+    stratum_of = rep.stratification().stratum_of
     return next((t for t in turns if not _turn_r_ok(table, stratum_of, r, t)), None)
 
 
@@ -299,7 +299,7 @@ def verify_rtt(rep: TopologicalRepresentative, path_bound: int | None = None) ->
     """
     if path_bound is not None and path_bound < 1:
         raise InputError(f"the path bound must be at least 1, not {path_bound}")
-    dec = rep.strata()
+    dec = rep.stratification()
     rep.legality()  # an edge mapping to a point raises InputError here, before its image is read
     verified = not verify_representative(rep)
     bound = path_bound if path_bound is not None else 2 * rep.graph.n_edges
@@ -435,7 +435,7 @@ def find_r_legal_hyperbolic(rep: TopologicalRepresentative, r: int) -> Word:
     when the marking is not an isomorphism; ``NonConvergenceError`` never is.
     """
     g = rep.graph
-    dec = rep.strata()
+    dec = rep.stratification()
     if not 1 <= r <= dec.count:
         raise InputError(f"no stratum {r}")
     stratum = dec.strata[r - 1]

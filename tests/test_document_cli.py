@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from outgrowth import (
     InputError,
+    NonConvergenceError,
     bundled_text,
     load_bundled,
     parse_document,
@@ -26,16 +27,17 @@ from outgrowth import (
     verify_representative,
 )
 import outgrowth
-from outgrowth import document, free_product, legality
+from outgrowth import document, free_product, graph_map, legality
 from outgrowth.document import parse_word
 from outgrowth.cli import _grid, _json, main, turn_text
-from outgrowth.dynamics import ITERATIONS, N_GRID, WORD_GUARD
+from outgrowth.dynamics import ITERATIONS, N_GRID, WORD_GUARD, _legal_loop_counts, tree_length_function
 from outgrowth.examples import BUNDLED
 from outgrowth.free_product import Automorphism, FiniteGroupTable, FreeProduct, word_str
 from outgrowth.graph_map import PF_TOLERANCE
 from outgrowth.graph_of_groups import MarkedMetricGraph
 from conftest import chord_text, tower_text
 from test_legality import reference_classify_turns
+from test_output_digests import ELEMENTS
 
 IDENTITY_DOC = """
 [presentation]
@@ -542,7 +544,7 @@ DOCUMENT_FAULTS = {
     ),
     "marking identity fails": (
         _edit(GOLDEN_TEXT, ("edge b = a b", "edge b = b a")),
-        _unverified("[marking mismatch] marking identity fails at generator <word b>: b a != a b"),
+        _unverified("[marking mismatch] marking identity fails at generator b: b a != a b"),
     ),
 }
 
@@ -869,6 +871,11 @@ def test_cli_rejects_bad_n_grid(command, grid):
     assert json.loads(result.output)["report"]["error"]["type"] == "InputError"
 
 
+def test_cli_rejects_an_n_grid_that_is_not_numbers():
+    result = runner.invoke(main, ["sweep", "golden_ratio_rose", "--n-grid", "1,x"])
+    assert (result.exit_code, result.stderr) == (2, "error (InputError): bad N grid '1,x'\n")
+
+
 @pytest.mark.parametrize("sample", [",", " ", " , ", ""], ids=["comma", "space", "commas", "empty"])
 def test_cli_rejects_a_sample_that_names_no_word(sample):
     result = runner.invoke(main, ["displacement", "golden_ratio_rose", "--sample", sample, "--format", "json"])
@@ -1075,6 +1082,15 @@ def test_cli_growth_past_the_float_range_exits_with_the_guard_code():
     assert error["type"] == "ResourceLimitError" and error["exit_code"] == 4
 
 
+@pytest.mark.parametrize("length", ["tree", "relative"])
+def test_cli_growth_word_path_iterates_the_cyclic_core(length):
+    # the automorphism fixes the class of the commutator, so only a conjugator could grow
+    args = ["growth", "golden_ratio_rose", "--element", "a b' a' b", "--iterations", "30", "--guard", "1000"]
+    result = runner.invoke(main, [*args, "--length", length, "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["report"]["values"] == [4.0] * 31
+
+
 @pytest.mark.parametrize(
     "map_change",
     [
@@ -1114,6 +1130,56 @@ def test_cli_growth_without_a_verified_map_validates_the_automorphism(tmp_path, 
     result = runner.invoke(main, ["growth", str(path), "--element", element, "--format", fmt])
     assert result.exit_code == 2
     assert _error_message(result, fmt) == f"declared inverse fails on free generator {generator}"
+
+
+def _legal_elements(doc) -> list[str]:
+    """``find_r_legal_hyperbolic`` for r = 1 to the edge count, as words or error messages."""
+    out = []
+    for r in range(1, doc.graph.n_edges + 1):
+        try:
+            out.append(word_str(legality.find_r_legal_hyperbolic(doc.representative, r)))
+        except InputError as err:
+            out.append(str(err))
+    return out
+
+
+def test_only_the_spectral_commands_certify_perron_roots(tmp_path, monkeypatch):
+    """With no Perron root certifiable, the turn calculus and RTT checks keep their bytes."""
+    texts = {name: bundled_text(name) for name in BUNDLED}
+    for n in range(3, 7):
+        texts[f"tower{n}"] = tower_text(n)
+        (tmp_path / f"tower{n}").write_text(tower_text(n))
+    paths = {name: name if name in BUNDLED else str(tmp_path / name) for name in texts}
+    golden = load_bundled("golden_ratio_rose")
+    b = golden.group.free(1)
+    assert _legal_loop_counts(golden.representative, b, tree_length_function(golden.graph)) is not None
+    unaffected = [["growth", "golden_ratio_rose", "--element", "b"]]
+    unaffected += [["verify", path] for path in paths.values()]
+    spectral = [
+        [command, paths[name], *options]
+        for name in texts
+        for command, options in (
+            ("analyze", []),
+            ("sweep", []),
+            ("displacement", ["--iterations", "5"]),
+            ("bound", ["--element", ELEMENTS[name], "--iterations", "5"]),
+        )
+    ]
+    fmts = ("text", "json", "csv")
+    before = {(*args, fmt): runner.invoke(main, [*args, "--format", fmt]) for args in unaffected for fmt in fmts}
+    elements = {name: _legal_elements(parse_document(text)) for name, text in texts.items()}
+
+    def refuse(blocks):
+        raise NonConvergenceError("Perron root not certified", best=None)
+
+    monkeypatch.setattr(graph_map, "_pf_stack", refuse)
+    for key, expected in before.items():
+        result = runner.invoke(main, [*key[:-1], "--format", key[-1]])
+        assert (expected.exit_code, result.exit_code, result.output) == (0, 0, expected.output), key
+    assert {name: _legal_elements(parse_document(text)) for name, text in texts.items()} == elements
+    for args in spectral:
+        result = runner.invoke(main, [*args, "--format", "json"])
+        assert (result.exit_code, json.loads(result.output)["report"]["error"]["type"]) == (3, "NonConvergenceError")
 
 
 def test_cli_exit_code_nonconvergence(tmp_path, monkeypatch):

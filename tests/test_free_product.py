@@ -213,17 +213,57 @@ def test_elliptic_bound(mixed_group):
             assert relative_conjugacy_length(g) <= 1
 
 
-def test_cyclic_form_rotations_stay_reduced(mixed_group):
+def test_cyclic_core_rotations_stay_reduced(mixed_group):
     G = mixed_group
+
+    def cyclic_form(w):  # the former Word.cyclic_form
+        core, conj = G._cyclic_core(w.syllables)
+        return Word(G, tuple(core)), G.word(conj)
+
     rng = random.Random(37)
     for _ in range(100):
         g = random_hyperbolic(G, rng, 14)
-        core, conj = g.cyclic_form()
+        core, conj = cyclic_form(g)
         assert conj * core * conj.inverse() == g
         syls = core.syllables
         for r in range(len(syls)):
             rotated = G.word(syls[r:] + syls[:r])
-            assert rotated.cyclic_form() == (rotated, G.identity())
+            assert cyclic_form(rotated) == (rotated, G.identity())
+
+
+def reference_cyclic_core(G, syllables):
+    """``FreeProduct._cyclic_core`` on a list copy, merging in place (the former loop)."""
+    syls = list(syllables)
+    lo, hi = 0, len(syls)
+    conj = []
+    while hi - lo >= 2:
+        t1, x1, y1 = syls[lo]
+        t2, x2, y2 = syls[hi - 1]
+        if t1 != t2 or x1 != x2 or (t1 == FREE and y1 != -y2):
+            break
+        hi -= 1
+        if t1 == FREE:
+            conj.append(syls[lo])
+            lo += 1
+            continue
+        conj.append((FACTOR, x1, G.factors[x1].inv(y2)))
+        prod = G._products[x1][y2][y1]
+        if prod:
+            syls[lo] = (FACTOR, x1, prod)
+        else:
+            lo += 1
+    return syls[lo:hi], conj
+
+
+def test_cyclic_core_matches_the_copying_loop_and_keeps_reduced_words(mixed_group):
+    G = mixed_group
+    rng = random.Random(41)
+    for _ in range(2000):
+        w = random_word(G, rng, 12)
+        core, conj = G._cyclic_core(w.syllables)
+        assert (list(core), conj) == reference_cyclic_core(G, w.syllables)
+        if not conj:
+            assert core is w.syllables
 
 
 # -- extended relative generating sets -----------------------------------------

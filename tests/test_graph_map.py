@@ -19,6 +19,7 @@ from outgrowth import (
     Stratum,
     TopologicalRepresentative,
     assign_pf_metric,
+    load_bundled,
     pf_eigen,
     r_length,
     rescale_family,
@@ -794,6 +795,29 @@ def test_batched_eigendata_raises_on_a_block_it_cannot_certify():
     # in a stack with a block it can certify, the stack raises and counts the blocks
     with pytest.raises(NonConvergenceError, match="on 1 of 2 blocks"):
         attach_eigendata(_strata_of([[0, 1], [1, 1]], bad))
+
+
+def test_a_failed_certification_leaves_the_stratification_uncertified(monkeypatch):
+    rep = load_bundled("c2f2_mixed").representative  # a 2x2 and a 1x1 growing stratum: two stacks
+    certify, calls = graph_map._pf_stack, []
+
+    def second_stack_fails(blocks):
+        calls.append(blocks.shape)
+        if len(calls) == 2:
+            raise NonConvergenceError("not certified")
+        return certify(blocks)
+
+    monkeypatch.setattr(graph_map, "_pf_stack", second_stack_fails)
+    with pytest.raises(NonConvergenceError):
+        rep.strata()
+    dec = rep.stratification()
+    assert [(s.eigenvalue, s.bracket) for s in dec.strata] == [(None, None)] * dec.count
+    assert (dec.weight_matrix, dec.top_eigenvalue, dec.top_stratum) == (None, None, None)
+    monkeypatch.undo()
+    fresh = load_bundled("c2f2_mixed").representative.strata()
+    assert rep.strata() is dec
+    assert [s.bracket for s in dec.strata] == [s.bracket for s in fresh.strata]
+    assert np.array_equal(dec.weight_matrix, fresh.weight_matrix)
 
 
 def test_cli_exits_3_on_a_stratum_it_cannot_certify(monkeypatch):

@@ -1,5 +1,7 @@
+import ast
 import random
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -1401,3 +1403,54 @@ def test_r_legal_paths_map_to_r_legal(golden, c2f2):
             for _ in range(4):
                 p = reduce_path(rep.map_path(p))
                 assert illegal_turn(rep, p, top) is None
+
+
+# -- the turn calculus reads no Perron data -------------------------------------------
+
+#: certified fields, their certifiers and the cache they fill: the turn calculus reads none of them
+PERRON_NAMES = frozenset(
+    {"eigenvalue", "bracket", "weight_matrix", "top_eigenvalue", "top_stratum"}
+    | {"attach_eigendata", "_pf_stack", "_strata"}
+)
+#: calls that reach strata other than through ``rep.stratification()``
+OTHER_STRATA = frozenset({"strata", "stratify", "transition_matrix"})
+
+
+def _name(node: ast.AST) -> str | None:
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def perron_reads(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each Perron name read, and of each call reaching strata past ``stratification``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if _name(node) in PERRON_NAMES:
+            found.append((node.lineno, _name(node)))
+        elif isinstance(node, ast.Call) and _name(node.func) in OTHER_STRATA:
+            found.append((node.lineno, _name(node.func) + "()"))
+    return sorted(found)
+
+
+def test_perron_reads_are_found():
+    source = (
+        "dec = rep.strata()\n"
+        "s = rep.stratification().strata[0]\n"
+        "mu = s.eigenvalue + dec.top_eigenvalue\n"
+        "m = stratify(transition_matrix(rep))\n"
+        "w = rep._strata.weight_matrix\n"
+    )
+    assert perron_reads(source) == [
+        (1, "strata()"),
+        (3, "eigenvalue"),
+        (3, "top_eigenvalue"),
+        (4, "stratify()"),
+        (4, "transition_matrix()"),
+        (5, "_strata"),
+        (5, "weight_matrix"),
+    ]
+
+
+def test_the_turn_calculus_reads_strata_only_through_the_uncertified_accessor():
+    source = Path(legality.__file__).read_text()
+    assert perron_reads(source) == []
+    assert "rep.stratification()" in source
