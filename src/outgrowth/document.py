@@ -261,7 +261,11 @@ def parse_document(text: str, name: str = "") -> InputDocument:
             factors.append(FiniteGroupTable.cyclic(order, name=fname))
         elif "table" in fmap:
             n_line, value = fmap["table"]
-            factors.append(FiniteGroupTable([_ints(row, n_line, "table") for row in value.split("/")], name=fname))
+            rows = [_ints(row, n_line, "table") for row in value.split("/")]
+            try:
+                factors.append(FiniteGroupTable(rows, name=fname))
+            except InputError as err:
+                raise InputError(f"line {n_line}: {err}")
         else:
             raise InputError(f"[factor {fname}] needs 'cyclic = n' or 'table = ...'")
     group = FreeProduct(factors, len(free_names), free_names or None)

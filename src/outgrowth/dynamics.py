@@ -42,7 +42,7 @@ import numpy as np
 from .errors import InputError, ResourceLimitError
 from .free_product import Automorphism, Word, relative_conjugacy_length
 from .graph_of_groups import LENGTH_TOL, MarkedMetricGraph, crossing_counts, cyclically_reduce, standard_rose
-from .graph_map import TopologicalRepresentative, assign_pf_metric, transition_matrix
+from .graph_map import TopologicalRepresentative, assign_pf_metric, pf_lengths, transition_matrix
 from .legality import illegal_turn, verify_train_track
 
 WORD_GUARD = 10**6  # syllable guard for automorphism iteration
@@ -456,7 +456,7 @@ def coefficient_matrix(rep: TopologicalRepresentative) -> np.ndarray:
     """
     dec = rep.strata()
     A = np.zeros((dec.count, dec.count))
-    ratios = (dec.weight_matrix @ dec.matrix) / np.array(assign_pf_metric(rep).lengths)
+    ratios = (dec.weight_matrix @ dec.matrix) / pf_lengths(dec)
     # column i of A takes the maximum over the edges of stratum i
     np.maximum.at(A.T, np.array(dec.stratum_of) - 1, ratios.T)
     return A

@@ -79,8 +79,6 @@ class FiniteGroupTable:
         for g in range(n):
             if self.product[0][g] != g or self.product[g][0] != g:
                 raise InputError(f"factor {self.name}: identity law fails at {g}")
-            if self.product[g][self.inverse[g]] != 0:
-                raise InputError(f"factor {self.name}: inverse law fails at {g}")
         for a in range(n):
             for b in range(n):
                 ab = self.product[a][b]

@@ -124,8 +124,8 @@ class TopologicalRepresentative:
         """The gates of the derivative on directions (cached).
 
         Returns a ``legality.LegalityTable``, whose ``legal`` is a lookup of
-        a turn's two gates; ``legality.classify_turns`` times every turn at
-        once on it.
+        two directions' gates; ``legality.classify_turns`` times every turn
+        at once on it.
         """
         if self._legality is None:
             from .legality import LegalityTable  # the turn calculus builds on this module
@@ -549,18 +549,21 @@ def r_length(rep: TopologicalRepresentative, path: GraphPath, r: int) -> float:
     return float(dec.weight_matrix[r - 1] @ crossing_counts(path))
 
 
-def assign_pf_metric(rep: TopologicalRepresentative) -> MarkedMetricGraph:
-    """Metric with the eigenvector entry as the length of each edge of a growing stratum.
+def pf_lengths(dec: StrataDecomposition) -> np.ndarray:
+    """The PF edge lengths of certified strata: each edge's eigenvector entry, or 1 in a zero stratum.
 
-    Eigenvectors only exist on growing strata; edges of zero strata take
-    length 1.
+    Eigenvectors only exist on growing strata.
     """
-    dec = rep.strata()
     row = np.array(dec.stratum_of, dtype=np.intp) - 1  # each edge's row of the weight matrix
     # each column holds one nonzero entry, on its growing stratum's row
     weights = dec.weight_matrix[row, np.arange(row.size)]
     weights[~np.array([s.growing for s in dec.strata])[row]] = 1.0
-    return rep.graph.with_lengths(weights.tolist())
+    return weights
+
+
+def assign_pf_metric(rep: TopologicalRepresentative) -> MarkedMetricGraph:
+    """Metric with the eigenvector entry as the length of each edge of a growing stratum (``pf_lengths``)."""
+    return rep.graph.with_lengths(pf_lengths(rep.strata()).tolist())
 
 
 def rescale_family(rep: TopologicalRepresentative, N: float) -> MarkedMetricGraph:
@@ -575,5 +578,5 @@ def rescale_family(rep: TopologicalRepresentative, N: float) -> MarkedMetricGrap
             f"N^r overflows a float at N = {N} on {dec.count} strata; "
             "displacement_bracket evaluates the family without forming N^r"
         ) from None
-    lengths = assign_pf_metric(rep).lengths
+    lengths = pf_lengths(dec).tolist()
     return rep.graph.with_lengths([scales[r - 1] * w for r, w in zip(dec.stratum_of, lengths)])

@@ -12,10 +12,11 @@ legality is decided exactly (Bestvina-Handel 1992): a turn is illegal when
 some power of ``Df`` sends its two directions to the same direction.  The
 classes of directions that end up together are the gates, so the legality
 of a turn is a lookup of its two directions' gates.  ``classify_turns``
-enumerates the turns in sorted order as columns of direction indices and
-finds their meeting times by binary lifting on the powers ``Df^(2^k)``, so
-timing every turn costs a few array passes per power.  ``illegal_turn`` is
-the one walk along the turns of a path.
+enumerates the turns in canonical form, in sorted order, as columns of
+direction indices and finds their meeting times by binary lifting on the
+powers ``Df^(2^k)``, so timing every turn costs a few array passes per
+power.  ``illegal_turn`` is the one walk along the turns of a path: it tests
+the raw directions of each turn and normalises only the turn it returns.
 
 Relative train track injectivity is decided exactly, without a search, on
 maps that pass ``verify_representative``.  Such a map is a homotopy
@@ -49,7 +50,6 @@ Direction = tuple[int, int]  # (outgoing dart, vertex-group twist)
 
 
 class Turn(NamedTuple):
-    # a named tuple hashes and compares in C: turns fill a set and sort at grouped vertices
     vertex: int
     directions: tuple[Direction, Direction]
 
@@ -82,23 +82,22 @@ def _directions(graph: MarkedMetricGraph) -> list[Direction]:
 def _turn_pairs(graph: MarkedMetricGraph, index: dict[Direction, int]) -> tuple[np.ndarray, ...]:
     """(vertex, first direction, second direction) of every turn, as index arrays, sorted.
 
-    At a vertex with no group the turns are the pairs ``(d_i, d_j)``, i <= j,
-    of its sorted darts with twist 0, which ``np.triu_indices`` lists in
-    order; a vertex with a group normalises each pair by ``make_turn`` and
-    sorts its own turns.  Vertices come in order, so the whole list is sorted.
+    A turn at v has the canonical form ``((d_i, 0), (d_j, h))``, i <= j, over
+    the sorted darts at v: h is any group element when i < j and the lesser
+    of h and h^-1 when i = j, as ``make_turn`` chooses.  Directions are
+    numbered consecutively in h, so the pairs of ``np.triu_indices``, each
+    taken with every h it admits, list the turns of v in order; a vertex with
+    no group is the order-1 case.  Vertices come in order, so the whole list
+    is sorted.
     """
     columns = []
     for v in range(graph.n_vertices):
-        darts = sorted(graph.darts_at(v))
-        if graph.vertex_table(v) is None:
-            ids = np.array([index[d, 0] for d in darts], dtype=np.intp)
-            i, j = np.triu_indices(len(darts))
-            first, second = ids[i], ids[j]
-        else:
-            dirs = [(d, g) for d in darts for g in range(graph.vertex_order(v))]
-            turns = sorted({make_turn(graph, v, d1, d2) for i, d1 in enumerate(dirs) for d2 in dirs[i:]})
-            first, second = (np.array([index[t.directions[k]] for t in turns], dtype=np.intp) for k in (0, 1))
-        columns.append((np.full(len(first), v, dtype=np.intp), first, second))
+        tbl = graph.vertex_table(v)
+        inverse = np.array((0,) if tbl is None else tbl.inverse, dtype=np.intp)
+        ids = np.array([index[d, 0] for d in sorted(graph.darts_at(v))], dtype=np.intp)
+        i, j = np.triu_indices(len(ids))
+        pair, h = np.nonzero((i != j)[:, None] | (np.arange(len(inverse)) <= inverse))
+        columns.append((np.full(len(pair), v, dtype=np.intp), ids[i[pair]], ids[j[pair]] + h))
     return tuple(np.concatenate(c) for c in zip(*columns))
 
 
@@ -144,10 +143,10 @@ class LegalityTable:
         self.lifts = lifts
         self._gate = dict(zip(directions, lifts[-1].tolist()))
 
-    def legal(self, turn: Turn) -> bool:
+    def legal(self, x: Direction, y: Direction) -> bool:
+        """Whether two directions at one vertex lie in different gates."""
         gate = self._gate
-        d1, d2 = turn.directions
-        return gate[d1] != gate[d2]
+        return gate[x] != gate[y]
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,46 +188,35 @@ def classify_turns(rep: TopologicalRepresentative) -> TurnColumns:
 # -- turns along paths ---------------------------------------------------------
 
 
-def path_turns(graph: MarkedMetricGraph, p: GraphPath) -> list[Turn]:
-    """The turns taken at the interior vertices of a path."""
-    return [
-        make_turn(graph, graph.dart_head(d), (d ^ 1, 0), (d2, e)) for (d, e), (d2, _) in zip(p.steps, p.steps[1:])
-    ]
-
-
-def loop_seam_turn(graph: MarkedMetricGraph, loop: GraphPath) -> Turn:
-    """The turn a loop takes across its base point."""
-    if loop.start != loop.end or not loop.steps:
-        raise InputError("seam turn requires a closed path with at least one dart")
-    dn, en = loop.steps[-1]
-    d1, _ = loop.steps[0]
-    seam = graph.vertex_mul(loop.start, en, loop.prefix)
-    return make_turn(graph, loop.start, (dn ^ 1, 0), (d1, seam))
-
-
 def illegal_turn(
     rep: TopologicalRepresentative, p: GraphPath, r: int | None = None, cyclic: bool = False
 ) -> Turn | None:
     """The first illegal turn the path takes, or None when every turn is legal.
 
     With ``r`` only turns with both edges in stratum r count.  With
-    ``cyclic=True`` the seam turn of a closed path comes last.
+    ``cyclic=True`` the seam turn of a closed path comes last, and a path
+    that is not closed raises ``InputError``.  Each turn is tested on its raw
+    directions ``(d^-1, 0)`` and ``(d2, e)``, and only the turn returned is
+    normalised by ``make_turn``.  The test agrees with the normalised turn's
+    because ``Df(h x) = phi_v(h) Df(x)`` for each element h of the vertex
+    group, so the gates of h x and h y are equal exactly when those of x and
+    y are.  That holds when the vertex twists ``phi_v`` are homomorphisms,
+    as on every map that passes ``verify_representative``.
     """
-    turns = path_turns(rep.graph, p)
-    if cyclic and p.steps:
-        turns.append(loop_seam_turn(rep.graph, p))
+    g = rep.graph
+    steps = p.steps
+    turns = [(g.dart_head(d), (d ^ 1, 0), (d2, e)) for (d, e), (d2, _) in zip(steps, steps[1:])]
+    if cyclic and steps:
+        if p.start != p.end:
+            raise InputError("seam turn requires a closed path with at least one dart")
+        (dn, en), (d1, _) = steps[-1], steps[0]
+        turns.append((p.start, (dn ^ 1, 0), (d1, g.vertex_mul(p.start, en, p.prefix))))
     table = rep.legality()
-    if r is None:
-        return next((t for t in turns if not table.legal(t)), None)
-    stratum_of = rep.stratification().stratum_of
-    return next((t for t in turns if not _turn_r_ok(table, stratum_of, r, t)), None)
-
-
-def _turn_r_ok(table: LegalityTable, stratum_of, r: int, t: Turn) -> bool:
-    e1, e2 = t.edges()
-    if stratum_of[e1] == r == stratum_of[e2]:
-        return table.legal(t)
-    return True
+    stratum_of = rep.stratification().stratum_of if r is not None else None
+    for v, x, y in turns:
+        if (r is None or stratum_of[x[0] >> 1] == r == stratum_of[y[0] >> 1]) and not table.legal(x, y):
+            return make_turn(g, v, x, y)
+    return None
 
 
 # -- train track verification -----------------------------------------------
@@ -443,6 +431,7 @@ def find_r_legal_hyperbolic(rep: TopologicalRepresentative, r: int) -> Word:
         raise InputError(f"stratum {r} is a zero stratum")
     table = rep.legality()
     allowed = dec.filtration(r)
+    stratum_of = dec.stratum_of
     arcs: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     def successors(step):
@@ -450,12 +439,13 @@ def find_r_legal_hyperbolic(rep: TopologicalRepresentative, r: int) -> Word:
         if out is None:
             d, e = step
             v = g.dart_head(d)
+            in_r = stratum_of[d >> 1] == r  # only a turn with both edges in stratum r can be r-illegal
             out = arcs[step] = [
                 (d2, e2)
                 for d2 in g.darts_at(v)
                 if (d2 >> 1) in allowed
                 and not (e == 0 and d2 == d ^ 1)
-                and _turn_r_ok(table, dec.stratum_of, r, make_turn(g, v, (d ^ 1, 0), (d2, e)))
+                and not (in_r and stratum_of[d2 >> 1] == r and not table.legal((d ^ 1, 0), (d2, e)))
                 for e2 in range(g.vertex_order(g.dart_head(d2)))
             ]
         return out

@@ -355,6 +355,26 @@ DOCUMENT_FAULTS = {
         _edit(C3C3_TEXT, ("[factor P]\ncyclic = 3\n", "[factor P]\n")),
         "[factor P] needs 'cyclic = n' or 'table = ...'",
     ),
+    "table row of the wrong length": (
+        _edit(C2F2_TEXT, ("cyclic = 2", "table = 0 1 / 1")),
+        "line 8: factor P: table row 1 has wrong length",
+    ),
+    "table entry out of range": (
+        _edit(C2F2_TEXT, ("cyclic = 2", "table = 0 5 / 1 0")),
+        "line 8: factor P: entry (0,1) out of range",
+    ),
+    "table element without an inverse": (
+        _edit(C2F2_TEXT, ("cyclic = 2", "table = 0 1 / 1 1")),
+        "line 8: factor P: some element has no inverse",
+    ),
+    "table without an identity": (
+        _edit(C2F2_TEXT, ("cyclic = 2", "table = 1 0 / 0 1")),
+        "line 8: factor P: identity law fails at 0",
+    ),
+    "table entry not a number": (
+        _edit(C2F2_TEXT, ("cyclic = 2", "table = 0 1 / 1 x")),
+        "line 8: table entries must be integers",
+    ),
     # [graph]
     "no graph": (
         _edit(
@@ -1435,9 +1455,9 @@ def test_analyze_builds_no_turn_objects(monkeypatch, tmp_path):
     assert result.exit_code == 0
     assert len(json.loads(result.output)["report"]["legality"]) == 25 * 51
     assert calls == []
-    # the patch does see a grouped vertex's normalisation
+    # a grouped vertex's turns are enumerated in canonical form, not normalised
     assert runner.invoke(main, ["analyze", "c2f2_mixed", "--format", "json"]).exit_code == 0
-    assert set(calls) == {"make_turn"}
+    assert calls == []
 
 
 def test_analyze_json_never_takes_the_pure_python_encoder(monkeypatch, tmp_path):

@@ -25,7 +25,6 @@ from outgrowth import (
     index_count,
     lipschitz_constant,
     load_bundled,
-    make_turn,
     r_length,
     relative_length_function,
     rescale_family,
@@ -38,6 +37,7 @@ from outgrowth.cli import default_sample, main
 from outgrowth.dynamics import GROWTH_TOLERANCE, N_GRID, WORD_GUARD, off_diagonal_product
 from outgrowth.document import parse_word
 from outgrowth.free_product import word_str
+from outgrowth.graph_of_groups import MarkedMetricGraph
 from conftest import _rose_document, chord_text, load_text, random_hyperbolic, random_word, tower_text
 from test_document_cli import IDENTITY_DOC
 from test_graph_map import identity_representative
@@ -447,7 +447,7 @@ def test_illegal_loop_on_a_train_track_keeps_the_word_path(apply_calls):
     doc = load_text(_rose_document([["a1", "a2"], ["a1", "a2", "a1"]], [["a1'", "a2"], ["a2'", "a1", "a1"]]))
     rep = doc.representative
     assert verify_representative(rep) == [] and verify_train_track(rep).ok
-    assert not rep.legality().legal(make_turn(doc.graph, 0, (0, 0), (2, 0)))
+    assert not rep.legality().legal((0, 0), (2, 0))
     length = tree_length_function(doc.graph)
     del apply_calls[:]
     illegal = growth_sequence(doc.automorphism, parse_word(doc.group, "a2' a1"), length, 5, rep=rep)
@@ -627,6 +627,25 @@ def test_coefficient_diagonal_is_eigenvalue(golden, poly, c3c3, c2f2):
                 assert coefficient_matrix(rep)[s.index - 1, s.index - 1] == pytest.approx(
                     s.eigenvalue, rel=1e-9
                 )
+
+
+def test_bound_check_builds_the_pf_metric_once(monkeypatch, golden, poly, c3c3, c2f2):
+    # coefficient_matrix reads the PF lengths off the strata, with the bits of the PF metric's lengths
+    built = []
+    with_lengths = MarkedMetricGraph.with_lengths
+    monkeypatch.setattr(MarkedMetricGraph, "with_lengths", lambda *args: built.append(1) or with_lengths(*args))
+    for doc in (golden, poly, c3c3, c2f2):
+        rep = doc.representative
+        dec = rep.strata()
+        del built[:]
+        A = coefficient_matrix(rep)
+        assert built == []
+        bound_check(rep, random_hyperbolic(doc.group, random.Random(5), 4), iterations=3)
+        assert len(built) == 1
+        expected = np.zeros_like(A)
+        ratios = (dec.weight_matrix @ dec.matrix) / np.array(assign_pf_metric(rep).lengths)
+        np.maximum.at(expected.T, np.array(dec.stratum_of) - 1, ratios.T)
+        assert A.tobytes() == expected.tobytes()
 
 
 def test_index_count_examples():

@@ -1,8 +1,10 @@
 import ast
+import itertools
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from outgrowth import (
     GraphPath,
     InputError,
     LegalityTable,
+    MarkedMetricGraph,
     MarkingInverter,
     NonConvergenceError,
     TopologicalRepresentative,
@@ -44,9 +47,6 @@ from outgrowth.legality import (
     _directions,
     _rtt_injectivity,
     _turn_pairs,
-    _turn_r_ok,
-    loop_seam_turn,
-    path_turns,
 )
 
 from conftest import PINCH_TEXTS, chord_text, load_text, random_word, tower_text
@@ -138,8 +138,87 @@ def test_enumerating_an_ungrouped_rose_makes_no_make_turn_calls(monkeypatch, c2f
     monkeypatch.setattr(legality, "make_turn", lambda *args: calls.append(args) or normalise(*args))
     assert len(enumerate_turns(load_text(chord_text(25)).graph)) == 25 * 51
     assert calls == []
-    enumerate_turns(c2f2.graph)  # a grouped vertex still normalises its pairs
-    assert calls
+    enumerate_turns(c2f2.graph)  # a grouped vertex is enumerated in canonical form, not normalised
+    assert calls == []
+
+
+# The enumeration the canonical one replaced: the pairs of sorted darts at a
+# vertex with no group, and at a vertex with a group every pair of directions
+# normalised by make_turn, deduplicated in a set and sorted.  Kept as the
+# reference for the turn columns.
+def reference_turn_pairs(graph, index):
+    columns = []
+    for v in range(graph.n_vertices):
+        darts = sorted(graph.darts_at(v))
+        if graph.vertex_table(v) is None:
+            ids = np.array([index[d, 0] for d in darts], dtype=np.intp)
+            i, j = np.triu_indices(len(darts))
+            first, second = ids[i], ids[j]
+        else:
+            dirs = [(d, g) for d in darts for g in range(graph.vertex_order(v))]
+            turns = sorted({make_turn(graph, v, d1, d2) for i, d1 in enumerate(dirs) for d2 in dirs[i:]})
+            first, second = (np.array([index[t.directions[k]] for t in turns], dtype=np.intp) for k in (0, 1))
+        columns.append((np.full(len(first), v, dtype=np.intp), first, second))
+    return tuple(np.concatenate(c) for c in zip(*columns))
+
+
+def _assert_turn_pairs_match_reference(graph):
+    index = {x: i for i, x in enumerate(_directions(graph))}
+    new, old = _turn_pairs(graph, index), reference_turn_pairs(graph, index)
+    assert [c.tolist() for c in new] == [c.tolist() for c in old]
+    assert all(c.dtype == np.intp for c in new)
+
+
+# the golden-ratio map on a rose whose vertex carries S3, twisted by conjugation by the
+# transposition 1: Df joins (a', h) and (b', h) in one gate for every h
+S3_ROSE_TEXT = """[presentation]
+free = a b
+factors = S
+[factor S]
+table = 0 1 2 3 4 5 / 1 0 4 5 2 3 / 2 5 0 4 3 1 / 3 4 5 0 1 2 / 4 3 1 2 5 0 / 5 2 3 1 0 4
+[graph]
+vertices = vS
+base = vS
+vertex vS = S
+edge a = vS vS 1.0
+edge b = vS vS 1.0
+marking a = a
+marking b = b
+marking S =
+[automorphism]
+free a = b
+free b = a b
+factor S = S : 0 1 3 2 5 4
+[inverse]
+free a = b a'
+free b = a
+factor S = S : 0 1 3 2 5 4
+[map]
+vertex vS = vS
+twist vS = 0 1 3 2 5 4
+edge a = b
+edge b = a b
+tether =
+"""
+S3 = load_text(S3_ROSE_TEXT).group.factors[0]
+KLEIN = FiniteGroupTable([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], name="K")
+
+
+def test_turn_pairs_match_the_reference_on_documents():
+    texts = [*PINCH_TEXTS.values(), S3_ROSE_TEXT, *(f(n) for n in range(3, 7) for f in (chord_text, tower_text))]
+    graphs = [load_bundled(name).graph for name in ("golden_ratio_rose", "polynomial_rose", "c3c3_swap", "c2f2_mixed")]
+    for graph in graphs + [load_text(text).graph for text in texts]:
+        _assert_turn_pairs_match_reference(graph)
+
+
+@pytest.mark.parametrize("factor", [S3, KLEIN, FiniteGroupTable.cyclic(4, "C")], ids=["S3", "klein", "C4"])
+def test_turn_pairs_match_the_reference_at_grouped_vertices(factor):
+    # a grouped vertex with a loop, a spoke and a double edge to an ungrouped vertex with a loop;
+    # the enumeration reads only the darts and the vertex groups, so no marking is needed
+    group = FreeProduct([factor], free_rank=3)
+    edges = [(1, 1, 1.0), (0, 1, 0.5), (1, 2, 1.0), (2, 1, 1.0), (2, 2, 1.0)]
+    graph = MarkedMetricGraph(group, 3, edges, [None, 0, None], 0)
+    _assert_turn_pairs_match_reference(graph)
 
 
 # -- derivatives --------------------------------------------------------------------
@@ -218,11 +297,11 @@ def test_classify_polynomial_hand_trace(poly):
     t = make_turn(rose, 0, (AI, 0), (B, 0))
     # a -> a and b -> ba fix this turn, so its orbit never degenerates
     assert derivative_turn(rep, t) == t
-    assert table.legal(t)
+    assert table.legal(*t.directions)
     # {b', a} maps to {a', a}, a fixed nondegenerate turn: legal as well
     t2 = make_turn(rose, 0, (BI, 0), (A, 0))
     assert derivative_turn(rep, t2) == make_turn(rose, 0, (AI, 0), (A, 0))
-    assert table.legal(t2)
+    assert table.legal(*t2.directions)
 
 
 def test_legal_turns_have_legal_images(golden, poly, c3c3, c2f2):
@@ -231,7 +310,7 @@ def test_legal_turns_have_legal_images(golden, poly, c3c3, c2f2):
         table = rep.legality()
         for entry in column_entries(classify_turns(rep)).values():
             if entry.legal:
-                assert table.legal(derivative_turn(rep, entry.turn))
+                assert table.legal(*derivative_turn(rep, entry.turn).directions)
 
 
 class ReferenceTable(LegalityTable):
@@ -239,10 +318,11 @@ class ReferenceTable(LegalityTable):
 
     def __init__(self, rep):
         super().__init__(rep)
+        self.graph = rep.graph
         self.entries: dict[Turn, ReferenceEntry] = {}
 
-    def legal(self, turn):
-        return self.entries[turn].legal
+    def legal(self, x, y):
+        return self.entries[make_turn(self.graph, self.graph.dart_tail(x[0]), x, y)].legal
 
 
 # The orbit-walking classification the gate table replaced: it follows each
@@ -305,7 +385,7 @@ def test_meeting_times_match_reference_on_long_chains():
         assert column_entries(classify_turns(rep)) == reference
         gates = LegalityTable(rep)
         for turn in rng.sample(list(reference), len(reference)):
-            assert gates.legal(turn) == reference[turn].legal
+            assert gates.legal(*turn.directions) == reference[turn].legal
 
 
 def _assert_columns_match_reference(rep, rng):
@@ -318,7 +398,7 @@ def _assert_columns_match_reference(rep, rng):
     # the gates decide each turn the same, one turn at a time, in any order
     gates = LegalityTable(rep)
     for turn in rng.sample(list(reference), len(reference)):
-        assert gates.legal(turn) == reference[turn].legal
+        assert gates.legal(*turn.directions) == reference[turn].legal
 
 
 def test_turn_columns_match_reference():
@@ -369,7 +449,9 @@ def _assert_gates_decide_as_the_reference(reps):
 def test_verify_rtt_witnesses_unchanged():
     from test_graph_map import _zero_stratum_representative
 
-    _assert_gates_decide_as_the_reference([*_reference_representatives(), _zero_stratum_representative()])
+    # the S3 rose's walks test raw directions at a non-abelian vertex; the reference normalises them
+    s3_rose = load_text(S3_ROSE_TEXT).representative
+    _assert_gates_decide_as_the_reference([*_reference_representatives(), _zero_stratum_representative(), s3_rose])
 
 
 def test_edge_mapping_to_a_point_is_named():
@@ -445,7 +527,7 @@ def test_train_track_failure_with_witness(f2):
     assert not verdict.ok
     assert verdict.witness_edge == 0
     table = rep.legality()
-    assert not table.legal(verdict.witness_turn)
+    assert not table.legal(*verdict.witness_turn.directions)
 
 
 def test_iterated_images_stay_reduced_on_train_tracks(golden, c3c3, c2f2):
@@ -509,7 +591,7 @@ def test_rtt_legality_witness_is_a_turn_of_the_stratum():
     v = verify_rtt(rep)[1]
     assert not v.legality_ok
     assert v.legality_witness == make_turn(rep.graph, 0, (2, 0), (5, 0))
-    assert not rep.legality().legal(v.legality_witness)
+    assert not rep.legality().legal(*v.legality_witness.directions)
 
 
 @pytest.mark.parametrize("bound", [-3, 0])
@@ -1061,8 +1143,13 @@ def test_rtt_legality_witnesses_are_illegal_turns_of_their_stratum(words):
     stratum_of = rep.strata().stratum_of
     for v in verify_rtt(rep, path_bound=1):
         if v.legality_witness is not None:
-            assert not rep.legality().legal(v.legality_witness)
+            assert not rep.legality().legal(*v.legality_witness.directions)
             assert [stratum_of[e] for e in v.legality_witness.edges()] == [v.stratum] * 2
+
+
+def r_legal(table, stratum_of, r, turn):
+    """Whether a turn is legal, or has an edge outside stratum r."""
+    return any(stratum_of[e] != r for e in turn.edges()) or table.legal(*turn.directions)
 
 
 # verify_rtt no longer checks that the derivative keeps turns r-legal: a legal
@@ -1077,8 +1164,8 @@ def _assert_derivative_keeps_turns_r_legal(rep):
             continue
         lower = dec.filtration(s.index)
         for t in turns:
-            if all(e in lower for e in t.edges()) and _turn_r_ok(table, dec.stratum_of, s.index, t):
-                assert _turn_r_ok(table, dec.stratum_of, s.index, derivative_turn(rep, t)), (s.index, t)
+            if all(e in lower for e in t.edges()) and r_legal(table, dec.stratum_of, s.index, t):
+                assert r_legal(table, dec.stratum_of, s.index, derivative_turn(rep, t)), (s.index, t)
 
 
 def test_derivative_keeps_turns_r_legal(c2f2):
@@ -1107,7 +1194,7 @@ def test_enumeration_and_lazy_table_match_reference_on_random_rose_maps(words, s
     reference = list(reference_classify_turns(rep).entries.items())
     gates = LegalityTable(rep)
     for turn, entry in random.Random(seed).sample(reference, len(reference)):
-        assert gates.legal(turn) == entry.legal
+        assert gates.legal(*turn.directions) == entry.legal
 
 
 @settings(max_examples=100, deadline=None)
@@ -1130,7 +1217,7 @@ def test_illegal_turn_checks_the_seam_last_and_only_stratum_turns_with_r(golden)
     loop = rose.path(0, [(BI, 0), (A, 0)])
     seam = make_turn(rose, 0, (AI, 0), (BI, 0))
     assert illegal_turn(rep, loop) is None
-    assert illegal_turn(rep, loop, cyclic=True) == seam == loop_seam_turn(rose, loop)
+    assert illegal_turn(rep, loop, cyclic=True) == seam
     assert illegal_turn(rep, loop, 1, cyclic=True) is not None
     # a -> a', b -> c, c -> a' b' c': the image of c turns illegally at {a, b'} first, across strata
     rep = _rose_map([[1], [4], [1, 3, 5]])
@@ -1138,6 +1225,40 @@ def test_illegal_turn_checks_the_seam_last_and_only_stratum_turns_with_r(golden)
     assert illegal_turn(rep, image) == make_turn(rep.graph, 0, (0, 0), (3, 0))
     assert illegal_turn(rep, image, 2) == make_turn(rep.graph, 0, (2, 0), (5, 0))
     assert illegal_turn(rep, image, 1) is None
+
+
+def test_illegal_turn_rejects_a_seam_on_an_open_path(c2f2):
+    spoke = c2f2.graph.path(0, [(4, 0)])  # sP, from v0 to vP
+    assert illegal_turn(c2f2.representative, spoke) is None
+    with pytest.raises(InputError, match="^seam turn requires a closed path with at least one dart$"):
+        illegal_turn(c2f2.representative, spoke, cyclic=True)
+
+
+def test_find_r_legal_hyperbolic_rejects_a_stratum_out_of_range(golden):
+    for r in (0, 2):
+        with pytest.raises(InputError, match=f"^no stratum {r}$"):
+            find_r_legal_hyperbolic(golden.representative, r)
+
+
+def test_gates_are_invariant_under_the_vertex_group():
+    # on a verified map Df(h x) = phi_v(h) Df(x), so h x and h y share a gate exactly when x and y do
+    docs = [load_bundled(name) for name in ("golden_ratio_rose", "polynomial_rose", "c3c3_swap", "c2f2_mixed")]
+    docs += [load_text(text) for text in (*PINCH_TEXTS.values(), S3_ROSE_TEXT)]
+    docs += [load_text(tower_text(n)) for n in range(3, 7)]
+    grouped_gates = 0
+    for doc in docs:
+        rep, g = doc.representative, doc.graph
+        assert verify_representative(rep) == []
+        table = rep.legality()
+        for v in range(g.n_vertices):
+            order = g.vertex_order(v)
+            dirs = [(d, t) for d in g.darts_at(v) for t in range(order)]
+            for x, y in itertools.combinations_with_replacement(dirs, 2):
+                for h in range(order):
+                    hx, hy = ((d, g.vertex_mul(v, h, t)) for d, t in (x, y))
+                    assert table.legal(hx, hy) == table.legal(x, y), (doc.name, v, x, y, h)
+                grouped_gates += order > 1 and x != y and not table.legal(x, y)
+    assert grouped_gates  # the S3 vertex joins distinct directions in one gate
 
 
 def test_rtt_decides_past_the_old_path_cap(c2f2):
@@ -1297,7 +1418,7 @@ def _reference_legal_loop_search(rep, r, inverter, loop_bound, max_nodes=200_000
                 if last_e == 0 and d == last_d ^ 1:
                     continue
                 turn = make_turn(g, p.end, (last_d ^ 1, 0), (d, last_e))
-                if not _turn_r_ok(table, dec.stratum_of, r, turn):
+                if not r_legal(table, dec.stratum_of, r, turn):
                     continue
                 for elem in range(g.vertex_order(g.dart_head(d))):
                     next_frontier.append(GraphPath(g, p.start, p.prefix, p.steps + ((d, elem),)))
